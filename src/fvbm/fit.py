@@ -17,6 +17,15 @@ order already carry their new value.  Every update maximizes a minorizing
 surrogate, so the objective never decreases, and the iteration converges
 to the global maximizer from any starting point.  Update order is fixed,
 which makes the fit deterministic.
+
+A sweep costs O(n d^2).  During the pair updates the activations a_j and
+their tanh are held as rows of d-by-n arrays; with the Gram matrix x'x
+precomputed, a pair update needs two length-n dot products, and the m_jk
+step then changes only a_j (by step * x_k) and a_k (by step * x_j).  The
+activations are recomputed in full once per sweep, after the pair
+updates: that one O(n d^2) product gives the sweep's objective value and
+the next sweep's bias step, and it keeps the incremental updates from
+drifting for longer than one sweep.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import numpy as np
 
 from .errors import DataError
 from .params import FvbmParams, as_spin_matrix, pair_indices
-from .pseudolikelihood import log_pseudolikelihood
+from .pseudolikelihood import _log_pl
 
 
 @dataclass(frozen=True)
@@ -114,23 +123,31 @@ def fit(data, config: FitConfig | None = None) -> FitResult:
 
     degenerate = tuple(int(j) for j in np.flatnonzero(np.abs(x.mean(axis=0)) == 1.0))
     pairs = pair_indices(d)
+    xt = np.ascontiguousarray(x.T)
+    gram = xt @ x
 
-    trace = [log_pseudolikelihood(FvbmParams(b, m), x)]
+    # a holds the activations a_ij = m_j'x_i + b_j, recomputed in full once
+    # per sweep; during the pair updates act[j] and t[j] hold a_j and its
+    # tanh as contiguous rows, updated incrementally.
+    a = x @ m + b
+    trace = [_log_pl(x, a)]
     converged = False
     sweeps = 0
     for sweeps in range(1, config.max_iterations + 1):
-        b = b + (x - np.tanh(x @ m + b)).mean(axis=0)
+        step_b = (x - np.tanh(a)).mean(axis=0)
+        b = b + step_b
+        act = np.ascontiguousarray(a.T) + step_b[:, None]
+        t = np.tanh(act)
         for j, k in pairs:
-            aj = x @ m[:, j] + b[j]
-            ak = x @ m[:, k] + b[k]
-            step = 0.5 * np.mean(
-                2.0 * x[:, j] * x[:, k]
-                - x[:, k] * np.tanh(aj)
-                - x[:, j] * np.tanh(ak)
-            )
+            step = (gram[j, k] - 0.5 * (xt[k] @ t[j] + xt[j] @ t[k])) / n
             m[j, k] += step
             m[k, j] = m[j, k]
-        trace.append(log_pseudolikelihood(FvbmParams(b, m), x))
+            act[j] += step * xt[k]
+            act[k] += step * xt[j]
+            np.tanh(act[j], out=t[j])
+            np.tanh(act[k], out=t[k])
+        a = x @ m + b
+        trace.append(_log_pl(x, a))
         if abs(trace[-1] - trace[-2]) < config.objective_tolerance:
             converged = True
             break

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DataError
 from .inference import InferenceReport
-from .params import flat_length, pair_indices
+from .params import flat_length, upper_indices
 
 THICKNESS_RANGE = (0.1, 10.0)
 OPACITY_RANGE = (0.15, 1.0)
@@ -118,20 +118,20 @@ def build_network(
             )
         )
 
-    edges = []
-    for slot, (j, k) in enumerate(pair_indices(d)):
-        estimate = float(report.estimates[d + slot])
-        p = float(p_vec[d + slot])
-        edges.append(
-            EdgeSpec(
-                source=labels[j],
-                target=labels[k],
-                sign=-1 if estimate < 0 else 1,
-                significant=bool(p <= level),
-                thickness=_thickness(p),
-                p_value=p,
-            )
+    rows, cols = upper_indices(d)
+    edges = [
+        EdgeSpec(
+            source=labels[j],
+            target=labels[k],
+            sign=-1 if estimate < 0 else 1,
+            significant=p <= level,
+            thickness=_thickness(p),
+            p_value=p,
         )
+        for j, k, estimate, p in zip(
+            rows.tolist(), cols.tolist(), report.estimates[d:].tolist(), p_vec[d:].tolist()
+        )
+    ]
     return NetworkSpec(nodes=nodes, edges=edges, mode=mode, level=level)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .fit import FitResult
-from .params import FvbmParams, as_spin_matrix, flat_length, pair_indices
+from .params import FvbmParams, as_spin_matrix, flat_length, slot_map
 from .pseudolikelihood import per_observation_scores, pseudo_hessian
 
 CONDITION_LIMIT = 1e12
@@ -316,14 +316,12 @@ def format_report_tables(report: InferenceReport, labels: list[str]) -> str:
         lines.append(f"{name:12s}{row}")
     lines.append("")
     lines.append("B: interactions")
-    slot = {pair: d + q for q, pair in enumerate(pair_indices(d))}
+    slot = slot_map(d)
     for name, vec, fmt in quantities:
         lines.append(name)
         lines.append(f"{'':{width}}" + "".join(f"{s:>{width}}" for s in labels[:-1]))
         for r in range(1, d):
-            cells = "".join(
-                f"{fmt(vec[slot[(c, r)]]):>{width}}" for c in range(r)
-            )
+            cells = "".join(f"{fmt(v):>{width}}" for v in vec[slot[r, :r]])
             lines.append(f"{labels[r]:>{width}}" + cells)
         lines.append("")
     return "\n".join(lines)

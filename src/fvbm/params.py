@@ -14,6 +14,7 @@ coordinate indices in the public API are 0-based.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +29,44 @@ def flat_length(d: int) -> int:
     return d + d * (d - 1) // 2
 
 
+@functools.lru_cache(maxsize=64)
+def upper_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices (j, k), j < k, of the flat layout's pairs.
+
+    This is ``np.triu_indices(d, 1)``: pair q of the upper triangle sits at
+    flat slot ``d + q``.  The arrays are cached and read-only.
+    """
+    rows, cols = np.triu_indices(d, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+@functools.lru_cache(maxsize=64)
+def slot_map(d: int) -> np.ndarray:
+    """d-by-d map from coordinates to flat-layout slots (cached, read-only).
+
+    ``slot[j, k] == slot[k, j]`` is the flat index of m_jk for j != k, and
+    ``slot[j, j] == j`` is the flat index of b_j.  Row l therefore lists the
+    slots where the gradient of activation a_l is nonzero: 1 at
+    ``slot[l, l]`` and x_k at ``slot[l, k]``.
+    """
+    rows, cols = upper_indices(d)
+    slot = np.empty((d, d), dtype=np.intp)
+    slot[rows, cols] = slot[cols, rows] = np.arange(d, flat_length(d))
+    slot[np.arange(d), np.arange(d)] = np.arange(d)
+    slot.setflags(write=False)
+    return slot
+
+
 def pair_indices(d: int) -> list[tuple[int, int]]:
     """Upper-triangle index pairs (j, k), j < k, in lexicographic order.
 
     The position of a pair in this list plus ``d`` gives its slot in the
     flat parameter layout.
     """
-    return [(j, k) for j in range(d) for k in range(j + 1, d)]
+    rows, cols = upper_indices(d)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def flat_labels(names: list[str]) -> list[str]:
@@ -105,17 +137,15 @@ class FvbmParams:
                 f"flat vector for d={d} must have length {flat_length(d)}, "
                 f"got shape {theta.shape}"
             )
-        bias = theta[:d]
+        rows, cols = upper_indices(d)
         m = np.zeros((d, d))
-        for slot, (j, k) in enumerate(pair_indices(d)):
-            m[j, k] = m[k, j] = theta[d + slot]
-        return cls(bias=bias, interaction=m)
+        m[rows, cols] = m[cols, rows] = theta[d:]
+        return cls(bias=theta[:d], interaction=m)
 
     def to_flat(self) -> np.ndarray:
         """Canonical flat vector: biases, then upper-triangle interactions."""
-        pairs = pair_indices(self.d)
-        upper = np.array([self.interaction[j, k] for j, k in pairs])
-        return np.concatenate([self.bias, upper])
+        rows, cols = upper_indices(self.d)
+        return np.concatenate([self.bias, self.interaction[rows, cols]])
 
     def upper_triangle(self) -> np.ndarray:
         return self.to_flat()[self.d:]

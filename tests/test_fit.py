@@ -8,7 +8,13 @@ import pytest
 import fvbm
 from fvbm import jsonio
 
-from oracles import random_params, random_spins
+from oracles import (
+    ORACLE_SHAPES,
+    correlated_spins,
+    pair_loop_fit,
+    random_params,
+    random_spins,
+)
 
 
 def _tight(init=None):
@@ -38,6 +44,45 @@ def test_objective_trace_nondecreasing():
         result = fvbm.fit(data, fvbm.FitConfig(init=init, max_iterations=200))
         diffs = np.diff(result.objective_trace)
         assert np.all(diffs >= -1e-10)
+
+
+def test_objective_trace_is_log_pseudolikelihood_per_sweep():
+    rng = np.random.default_rng(47)
+    data = correlated_spins(rng, 400, 30)
+    result = fvbm.fit(data)
+    assert result.iterations_used > 5
+    assert np.all(np.diff(result.objective_trace) >= -1e-10)
+    # the fit is deterministic, so restarting one sweep at a time from the
+    # previous sweep's parameters retraces the run
+    params = fvbm.FvbmParams.zeros(30)
+    for value in result.objective_trace:
+        expected = fvbm.log_pseudolikelihood(params, data)
+        assert value == pytest.approx(expected, rel=1e-9, abs=0.0)
+        params = fvbm.fit(data, fvbm.FitConfig(max_iterations=1, init=params)).params
+
+
+@pytest.mark.parametrize("case", ["zeros", "init", "constant-column", "cutoff"])
+@pytest.mark.parametrize("d, n", ORACLE_SHAPES)
+def test_fit_matches_pair_loop_oracle(d, n, case):
+    rng = np.random.default_rng(1000 * d + n)
+    data = correlated_spins(rng, n, d)
+    config = fvbm.FitConfig()
+    if case == "init":
+        config = fvbm.FitConfig(init=random_params(rng, d, scale=0.5))
+    elif case == "constant-column":
+        # a constant column never converges; 40 sweeps drive its bias past 2.5
+        data[:, 0] = 1.0
+        config = fvbm.FitConfig(max_iterations=40)
+    elif case == "cutoff":
+        config = fvbm.FitConfig(max_iterations=3)
+    fast = fvbm.fit(data, config)
+    slow = pair_loop_fit(data, config)
+    assert fast.iterations_used == slow.iterations_used
+    assert fast.converged == slow.converged
+    assert fast.degenerate_columns == slow.degenerate_columns
+    np.testing.assert_allclose(
+        fast.params.to_flat(), slow.params.to_flat(), rtol=0.0, atol=1e-12
+    )
 
 
 def test_monotone_from_extreme_initialization():

@@ -5,6 +5,7 @@ import pytest
 
 import fvbm
 from fvbm import jsonio
+from fvbm.params import slot_map
 
 from oracles import random_params
 
@@ -18,6 +19,17 @@ def test_flat_length():
 def test_pair_indices_lexicographic():
     assert fvbm.pair_indices(3) == [(0, 1), (0, 2), (1, 2)]
     assert fvbm.pair_indices(4)[:4] == [(0, 1), (0, 2), (0, 3), (1, 2)]
+
+
+def test_slot_map_indexes_the_flat_layout():
+    np.testing.assert_array_equal(slot_map(3), [[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+    for d in (1, 2, 6):
+        slot = slot_map(d)
+        assert [slot[j, j] for j in range(d)] == list(range(d))
+        for q, (j, k) in enumerate(fvbm.pair_indices(d), start=d):
+            assert slot[j, k] == slot[k, j] == q
+    with pytest.raises(ValueError):
+        slot_map(3)[0, 0] = 7
 
 
 def test_flat_labels():

@@ -8,6 +8,9 @@ import pytest
 import fvbm
 
 from oracles import (
+    ORACLE_SHAPES,
+    correlated_spins,
+    design_hessian,
     fd_gradient,
     fd_jacobian,
     naive_log_pseudolikelihood,
@@ -159,6 +162,15 @@ def test_hessian_matches_finite_differences():
             params.to_flat(),
         )
         assert relative_error(analytic, fd) < 1e-5
+
+
+@pytest.mark.parametrize("d, n", ORACLE_SHAPES)
+def test_hessian_matches_design_oracle(d, n):
+    rng = np.random.default_rng(2000 * d + n)
+    params = random_params(rng, d, scale=0.5)
+    data = correlated_spins(rng, n, d)
+    gap = np.abs(fvbm.pseudo_hessian(params, data) - design_hessian(params, data))
+    assert gap.max() <= 1e-12 * n
 
 
 def test_hessian_symmetric():

@@ -22,7 +22,7 @@ from .inference import (
     default_groups,
     format_report_tables,
 )
-from .model import concordance, enumerate_pmf, marginal_probability, pairwise_joint, sample
+from .model import enumerate_pmf, marginal_probability, pairwise_joint, sample
 from .params import FvbmParams, flat_labels, flat_length
 from .votes import (
     ImputeConfig,
@@ -280,7 +280,7 @@ def cmd_probs(args) -> None:
                     "-+": float(joint[1, 0]),
                     "--": float(joint[1, 1]),
                 },
-                "concordance": concordance(table, j, k),
+                "concordance": float(joint[0, 0] + joint[1, 1]),
             }
         )
     jsonio.dump(

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -275,8 +273,13 @@ def knn_impute_cells(rows: list[list], k: int) -> list[list]:
 
     Distances and vote counts are computed on the original observed cells
     only, so the result does not depend on the order in which missing
-    cells are visited, and observed cells are never altered.
+    cells are visited, and observed cells are never altered.  Categories
+    are coded in ``str`` order, so the final tie-break is the lowest code.
+    A distance is a ratio of two small integers divided in float64: the
+    same double as Python's ``int / int``.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     n = len(rows)
     if n == 0:
         return []
@@ -285,45 +288,39 @@ def knn_impute_cells(rows: list[list], k: int) -> list[list]:
         raise DataError("imputation input must be rectangular")
     if k > n - 1:
         raise DataError(f"k={k} needs at least {k + 1} rows, got {n}")
-    if any(all(v is None for v in r) for r in rows):
-        empty = next(i for i, r in enumerate(rows) if all(v is None for v in r))
-        raise DataError(f"row {empty + 1} has no observed cells")
+    seen = dict.fromkeys(v for r in rows for v in r if v is not None)
+    categories = sorted(seen, key=str)
+    code = {cat: c for c, cat in enumerate(categories)}
+    codes = np.array(
+        [[-1 if v is None else code[v] for v in r] for r in rows], dtype=np.intp
+    ).reshape(n, d)
+    observed = codes >= 0
+    empty = ~observed.any(axis=1)
+    if empty.any():
+        raise DataError(f"row {np.argmax(empty) + 1} has no observed cells")
+    unseen = ~observed.any(axis=0)
+    if unseen.any():
+        # every row misses that column, so row 1 is the first to ask for it
+        raise DataError(
+            f"cell at row 1, column {np.argmax(unseen) + 1} has no neighbor "
+            f"with that column observed"
+        )
 
+    m = len(categories)
+    flat = np.nonzero(observed)[1] * m + codes[observed]
+    column_counts = np.bincount(flat, minlength=d * m).reshape(d, m)
     result = [list(r) for r in rows]
-    column_counts = [
-        Counter(rows[r][c] for r in range(n) if rows[r][c] is not None)
-        for c in range(d)
-    ]
-    for i in range(n):
-        for j in range(d):
-            if rows[i][j] is not None:
-                continue
-            candidates = []
-            for r in range(n):
-                if r == i or rows[r][j] is None:
-                    continue
-                mutual = [
-                    c
-                    for c in range(d)
-                    if rows[i][c] is not None and rows[r][c] is not None
-                ]
-                if mutual:
-                    dist = sum(rows[i][c] != rows[r][c] for c in mutual) / len(mutual)
-                else:
-                    dist = math.inf
-                candidates.append((dist, r))
-            if not candidates:
-                raise DataError(
-                    f"cell at row {i + 1}, column {j + 1} has no neighbor "
-                    f"with that column observed"
-                )
-            candidates.sort()
-            counts = Counter(rows[r][j] for _, r in candidates[:k])
-            top = max(counts.values())
-            tied = [cat for cat, cnt in counts.items() if cnt == top]
-            if len(tied) > 1:
-                tied.sort(key=lambda cat: (-column_counts[j][cat], str(cat)))
-            result[i][j] = tied[0]
+    for i in np.flatnonzero(~observed.all(axis=1)):
+        mutual = observed & observed[i]
+        overlap = mutual.sum(axis=1)
+        mismatch = (mutual & (codes != codes[i])).sum(axis=1)
+        dist = np.full(n, np.inf)
+        np.divide(mismatch, overlap, out=dist, where=overlap > 0)
+        order = np.argsort(dist, kind="stable")  # row i never votes: its j is missing
+        for j in np.flatnonzero(~observed[i]):
+            votes = np.bincount(codes[order[observed[order, j]][:k], j], minlength=m)
+            best = np.where(votes == votes.max(), column_counts[j], -1)
+            result[i][j] = categories[np.argmax(best)]
     return result
 
 

@@ -7,11 +7,12 @@ evidence rather than tautology.
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
 import fvbm
-from fvbm import FvbmParams
+from fvbm import DataError, FvbmParams
 
 
 def random_params(rng: np.random.Generator, d: int, scale: float = 1.0) -> FvbmParams:
@@ -170,3 +171,60 @@ def design_hessian(params: FvbmParams, data: np.ndarray) -> np.ndarray:
         w = activation_design(x, l)
         h -= (w * s[:, l : l + 1]).T @ w
     return (h + h.T) / 2.0
+
+
+def loop_knn_impute_cells(rows: list[list], k: int) -> list[list]:
+    """Generic categorical k-NN imputation; ``None`` marks a missing cell.
+
+    Distances and vote counts are computed on the original observed cells
+    only, so the result does not depend on the order in which missing
+    cells are visited, and observed cells are never altered.
+    """
+    n = len(rows)
+    if n == 0:
+        return []
+    d = len(rows[0])
+    if any(len(r) != d for r in rows):
+        raise DataError("imputation input must be rectangular")
+    if k > n - 1:
+        raise DataError(f"k={k} needs at least {k + 1} rows, got {n}")
+    if any(all(v is None for v in r) for r in rows):
+        empty = next(i for i, r in enumerate(rows) if all(v is None for v in r))
+        raise DataError(f"row {empty + 1} has no observed cells")
+
+    result = [list(r) for r in rows]
+    column_counts = [
+        Counter(rows[r][c] for r in range(n) if rows[r][c] is not None)
+        for c in range(d)
+    ]
+    for i in range(n):
+        for j in range(d):
+            if rows[i][j] is not None:
+                continue
+            candidates = []
+            for r in range(n):
+                if r == i or rows[r][j] is None:
+                    continue
+                mutual = [
+                    c
+                    for c in range(d)
+                    if rows[i][c] is not None and rows[r][c] is not None
+                ]
+                if mutual:
+                    dist = sum(rows[i][c] != rows[r][c] for c in mutual) / len(mutual)
+                else:
+                    dist = math.inf
+                candidates.append((dist, r))
+            if not candidates:
+                raise DataError(
+                    f"cell at row {i + 1}, column {j + 1} has no neighbor "
+                    f"with that column observed"
+                )
+            candidates.sort()
+            counts = Counter(rows[r][j] for _, r in candidates[:k])
+            top = max(counts.values())
+            tied = [cat for cat, cnt in counts.items() if cnt == top]
+            if len(tied) > 1:
+                tied.sort(key=lambda cat: (-column_counts[j][cat], str(cat)))
+            result[i][j] = tied[0]
+    return result

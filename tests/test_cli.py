@@ -264,6 +264,10 @@ def test_full_pipeline_composition(tmp_path, votes_csv, splits_csv):
     total = sum(pair["joint"].values())
     assert total == pytest.approx(1.0, abs=1e-12)
     assert 0.0 <= pair["concordance"] <= 1.0
+    fit_obj = json.loads(fit_path.read_text())
+    table = fvbm.enumerate_pmf(fvbm.FitResult.from_json_dict(fit_obj).params)
+    j, k = (fit_obj["labels"].index(name) for name in ("AAA", "CULL"))
+    assert pair["concordance"] == fvbm.concordance(table, j, k)
 
 
 def test_infer_bh_never_exceeds_by(tmp_path, votes_csv, splits_csv):

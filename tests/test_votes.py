@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fvbm
 from fvbm.votes import Vote
+from oracles import loop_knn_impute_cells
 
 
 def _table(text: str) -> fvbm.VoteTable:
@@ -297,6 +300,74 @@ def test_knn_impute_table_end_to_end():
     assert all(v is not Vote.MISSING for row in complete.cells for v in row)
     # nearest rows to row 3 all carry P2 = No
     assert complete.cells[2][1] is Vote.NO
+
+
+def test_knn_tie_rules():
+    # k=1 among three rows at distance 0: the lowest index wins, although
+    # the column majority is "y"
+    rows = [["y", None], ["y", "n"], ["y", "y"], ["y", "y"]]
+    assert fvbm.knn_impute_cells(rows, k=1)[0][1] == "n"
+    # k=2 splits 1-1 ("n" first): the column majority "y" wins over the
+    # first neighbor and over name order
+    rows = [["y", None], ["y", "n"], ["y", "y"], ["n", "y"], ["n", "y"]]
+    assert fvbm.knn_impute_cells(rows, k=2)[0][1] == "y"
+    # k=2 splits 1-1 and P2 is 2-2 overall: the category name decides, so
+    # "Vote.NO" beats "Vote.YES", which appears first and is defined first
+    table = _table(
+        "date,number,P1,P2\n"
+        "1/1,1,Yes,-\n"
+        "1/1,2,Yes,Yes\n"
+        "1/1,3,Yes,No\n"
+        "1/1,4,No,Yes\n"
+        "1/1,5,No,No\n"
+    )
+    complete = fvbm.knn_impute(table, fvbm.ImputeConfig(k=2))
+    assert complete.cells[0][1] is Vote.NO
+
+
+def test_knn_cells_reject_k_below_one():
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        fvbm.knn_impute_cells([["y", None], ["y", "n"]], k=0)
+
+
+def _random_cells(rng, n, d, categories, missing):
+    values = rng.integers(len(categories), size=(n, d))
+    holes = rng.random((n, d)) < missing
+    return [
+        [None if hole else categories[v] for v, hole in zip(vrow, hrow)]
+        for vrow, hrow in zip(values, holes)
+    ]
+
+
+def _impute_outcome(impute, rows, k):
+    try:
+        return impute(rows, k)
+    except fvbm.DataError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(1, 15),
+    d=st.integers(1, 6),
+    categories=st.lists(
+        st.sampled_from(["yes", "no", "abstain"]), min_size=1, max_size=3, unique=True
+    ),
+    missing=st.floats(0.0, 0.8),
+    k=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_knn_matches_loop_oracle(n, d, categories, missing, k, seed):
+    rows = _random_cells(np.random.default_rng(seed), n, d, categories, missing)
+    assert _impute_outcome(fvbm.knn_impute_cells, rows, k) == _impute_outcome(
+        loop_knn_impute_cells, rows, k
+    )
+
+
+@pytest.mark.parametrize("n, k", [(400, 3), (1000, 4)])
+def test_knn_matches_loop_oracle_at_stress_size(n, k):
+    rows = _random_cells(np.random.default_rng(n), n, 10, [Vote.YES, Vote.NO], 0.1)
+    assert fvbm.knn_impute_cells(rows, k) == loop_knn_impute_cells(rows, k)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,13 @@ State indexing convention, fixed so PMF tables are portable: state index
 ``i`` encodes coordinate ``j`` (0-based) in bit ``j`` of ``i``, with a set
 bit meaning +1.  Index 0 is the all-minus-one state and index 2^d - 1 the
 all-plus-one state.
+
+Appending coordinate j to the states of coordinates 0..j-1 doubles the
+log-weight table: with the field f_j = b_j + sum_{k<j} m_jk x_k, set
+``logw[2^j + i] = logw[i] + f_j[i]``, then ``logw[i] -= f_j[i]``.  Later
+fields f_l double alike, into f_l - m_jl and f_l + m_jl.  One 2^d vector
+(8 MB at d=20) is filled in place; the fields add at most 2^d entries.
+Reshaped to ``(2,) * d``, a table has coordinate j on axis d-1-j.
 """
 
 from __future__ import annotations
@@ -26,8 +33,6 @@ from .params import FvbmParams, as_spin_vector
 
 ENUMERATION_CAP = 20
 
-_BLOCK = 1 << 16
-
 
 def _check_cap(d: int, cap: int) -> None:
     if d > cap:
@@ -37,12 +42,17 @@ def _check_cap(d: int, cap: int) -> None:
         )
 
 
+def _spins(idx, d: int) -> np.ndarray:
+    """+/-1 configurations of state indices: bit j of each index is coordinate j."""
+    bits = (np.asarray(idx)[..., None] >> np.arange(d)) & 1
+    return bits.astype(np.float64) * 2.0 - 1.0
+
+
 def index_state(i: int, d: int) -> np.ndarray:
     """Spin configuration for a state index under the canonical convention."""
     if not 0 <= i < (1 << d):
         raise ValueError(f"state index {i} out of range for d={d}")
-    bits = (i >> np.arange(d)) & 1
-    return bits.astype(np.float64) * 2.0 - 1.0
+    return _spins(i, d)
 
 
 def state_index(x) -> int:
@@ -51,15 +61,29 @@ def state_index(x) -> int:
     return int(sum(1 << j for j in range(x.size) if x[j] > 0))
 
 
-def _states_block(start: int, stop: int, d: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(d)[None, :]) & 1
-    return bits.astype(np.float64) * 2.0 - 1.0
+def _log_weights(params: FvbmParams, cap: int) -> np.ndarray:
+    """Exponents 0.5 * x'Mx + x'b of all 2^d states (module docstring)."""
+    d = params.d
+    _check_cap(d, cap)
+    m = params.interaction
+    logw = np.zeros(1 << d)
+    field = params.bias[:, None].copy()
+    for j in range(d):
+        half = 1 << j
+        f, rest = field[0], field[1:]
+        np.add(logw[:half], f, out=logw[half : 2 * half])
+        logw[:half] -= f
+        coupling = m[j, j + 1 :, None]
+        field = np.empty((d - j - 1, 2 * half))
+        np.subtract(rest, coupling, out=field[:, :half])
+        np.add(rest, coupling, out=field[:, half:])
+    return logw
 
 
-def _block_log_weights(params: FvbmParams, states: np.ndarray) -> np.ndarray:
-    quad = 0.5 * np.einsum("ij,ij->i", states @ params.interaction, states)
-    return quad + states @ params.bias
+def _log_sum_exp(logw: np.ndarray) -> float:
+    top = logw.max()
+    shifted = logw - top
+    return float(top + np.log(np.exp(shifted, out=shifted).sum()))
 
 
 def log_unnormalized(params: FvbmParams, x) -> float:
@@ -71,27 +95,13 @@ def log_unnormalized(params: FvbmParams, x) -> float:
 
 
 def log_normalization(params: FvbmParams, cap: int = ENUMERATION_CAP) -> float:
-    """log z via a streaming log-sum-exp over all 2^d states.
-
-    Streaming keeps memory flat for large d and the log-sum-exp keeps the
-    accumulation overflow-free for large parameter magnitudes.
+    """log z as a max-shifted log-sum-exp over the 2^d log-weights of the
+    doubling recurrence (module docstring): 8 MB at d=20, plus at most as
+    much again in temporaries (the fields, then the shifted copy).  That
+    peak, 16 MB at d=20, doubles with each d, so it passes the ~21 MB of
+    streaming the states in 2^16 blocks only if ``cap`` is raised past 20.
     """
-    _check_cap(params.d, cap)
-    total = 1 << params.d
-    running_max = -np.inf
-    running_sum = 0.0
-    for start in range(0, total, _BLOCK):
-        stop = min(start + _BLOCK, total)
-        logw = _block_log_weights(params, _states_block(start, stop, params.d))
-        bmax = float(logw.max())
-        if bmax > running_max:
-            running_sum = running_sum * np.exp(running_max - bmax) + float(
-                np.exp(logw - bmax).sum()
-            )
-            running_max = bmax
-        else:
-            running_sum += float(np.exp(logw - running_max).sum())
-    return running_max + float(np.log(running_sum))
+    return _log_sum_exp(_log_weights(params, cap))
 
 
 def normalization_constant(params: FvbmParams, cap: int = ENUMERATION_CAP) -> float:
@@ -138,30 +148,26 @@ class PmfTable:
 
 def enumerate_pmf(params: FvbmParams, cap: int = ENUMERATION_CAP) -> PmfTable:
     """Probabilities of all 2^d states; sums to one within 1e-12."""
-    _check_cap(params.d, cap)
-    total = 1 << params.d
-    logw = np.empty(total)
-    for start in range(0, total, _BLOCK):
-        stop = min(start + _BLOCK, total)
-        logw[start:stop] = _block_log_weights(
-            params, _states_block(start, stop, params.d)
-        )
-    m = logw.max()
-    logz = m + np.log(np.exp(logw - m).sum())
-    return PmfTable(d=params.d, probabilities=np.exp(logw - logz))
+    logw = _log_weights(params, cap)
+    logw -= _log_sum_exp(logw)
+    return PmfTable(d=params.d, probabilities=np.exp(logw, out=logw))
 
 
-def _coordinate_signs(table: PmfTable, j: int) -> np.ndarray:
-    if not 0 <= j < table.d:
-        raise ValueError(f"coordinate {j} out of range for d={table.d}")
-    idx = np.arange(1 << table.d)
-    return ((idx >> j) & 1).astype(bool)
+def _fixed_sum(table: PmfTable, fixed: dict[int, int]) -> float:
+    """Probability that bit j of the state is ``fixed[j]`` for each key j.
+    ``ravel`` keeps the ascending index order a boolean mask selects in."""
+    index = [slice(None)] * table.d
+    for j, bit in fixed.items():
+        if not 0 <= j < table.d:
+            raise ValueError(f"coordinate {j} out of range for d={table.d}")
+        index[table.d - 1 - j] = bit
+    states = table.probabilities.reshape((2,) * table.d)
+    return float(states[tuple(index)].ravel().sum())
 
 
 def marginal_probability(table: PmfTable, j: int) -> float:
     """P(X_j = +1) under the table (0-based coordinate)."""
-    plus = _coordinate_signs(table, j)
-    return float(table.probabilities[plus].sum())
+    return _fixed_sum(table, {j: 1})
 
 
 def pairwise_joint(table: PmfTable, j: int, k: int) -> np.ndarray:
@@ -171,14 +177,8 @@ def pairwise_joint(table: PmfTable, j: int, k: int) -> np.ndarray:
     """
     if j == k:
         raise ValueError("pairwise joint needs two distinct coordinates")
-    pj = _coordinate_signs(table, j)
-    pk = _coordinate_signs(table, k)
-    p = table.probabilities
     return np.array(
-        [
-            [float(p[pj & pk].sum()), float(p[pj & ~pk].sum())],
-            [float(p[~pj & pk].sum()), float(p[~pj & ~pk].sum())],
-        ]
+        [[_fixed_sum(table, {j: a, k: c}) for c in (1, 0)] for a in (1, 0)]
     )
 
 
@@ -206,6 +206,4 @@ def sample(
     cdf[-1] = 1.0
     rng = np.random.default_rng(seed)
     idx = np.searchsorted(cdf, rng.random(n), side="right")
-    idx = np.minimum(idx, (1 << d) - 1)
-    bits = (idx[:, None] >> np.arange(d)[None, :]) & 1
-    return bits.astype(np.float64) * 2.0 - 1.0
+    return _spins(np.minimum(idx, (1 << d) - 1), d)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -415,29 +416,44 @@ def spin_matrix_from_json_dict(obj: dict) -> tuple[list[str], np.ndarray]:
 
 
 def write_spin_csv(path, labels: list[str], values: np.ndarray) -> None:
-    """Write a +/-1 matrix as CSV with a label header (deterministic bytes)."""
+    """Write a +/-1 matrix as CSV with a label header (deterministic bytes).
+
+    Every cell starts as the bytes ``-1,``; +1 cells drop the ``-`` and the
+    last ``,`` of each row becomes a newline, so no cell is a Python string.
+    """
     x = as_spin_matrix(values, allow_empty=True)
-    lines = [",".join(labels)]
-    for row in x:
-        lines.append(",".join(str(int(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if x.shape[1] != len(labels):
+        raise DataError(f"{len(labels)} labels for {x.shape[1]} columns")
+    cells = np.empty(x.shape + (3,), dtype=np.uint8)
+    cells[...] = np.frombuffer(b"-1,", dtype=np.uint8)
+    cells[:, -1, 2] = ord("\n")
+    keep = np.ones(cells.shape, dtype=bool)
+    keep[:, :, 0] = x < 0
+    header = (",".join(labels) + "\n").encode("utf-8")
+    Path(path).write_bytes(header + cells[keep].tobytes())
 
 
 def read_spin_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read a +/-1 CSV produced by :func:`write_spin_csv`."""
-    rows = _rows_from(path)
-    if not rows:
-        raise DataError(f"spin CSV {path} is empty")
-    labels = [h.strip() for h in rows[0]]
-    data = []
-    for i, raw in enumerate(rows[1:], start=1):
-        if len(raw) != len(labels):
-            raise DataError(f"data row {i} has {len(raw)} fields, expected {len(labels)}")
-        try:
-            data.append([float(tok) for tok in raw])
-        except ValueError as exc:
-            raise DataError(f"non-numeric entry in data row {i}") from exc
-    values = (
-        np.asarray(data) if data else np.empty((0, len(labels)))
-    )
+    """Read a +/-1 CSV produced by :func:`write_spin_csv`.
+
+    Rows go straight into one packed float buffer: no per-cell Python
+    object outlives its row, so a large file leaves no fragmented
+    small-object memory behind in a long-running process.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"spin CSV {path} is empty")
+        labels = [h.strip() for h in header]
+        cells = array("d")
+        n = 0
+        for n, raw in enumerate(reader, start=1):
+            if len(raw) != len(labels):
+                raise DataError(f"data row {n} has {len(raw)} fields, expected {len(labels)}")
+            try:
+                cells.extend([float(tok) for tok in raw])
+            except ValueError as exc:
+                raise DataError(f"non-numeric entry in data row {n}") from exc
+    values = np.array(cells, dtype=np.float64).reshape(n, len(labels))
     return labels, as_spin_matrix(values, allow_empty=True)

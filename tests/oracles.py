@@ -5,9 +5,11 @@ formulas, no reuse of the package's vectorized paths, so agreement is
 evidence rather than tautology.
 """
 
+import csv
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -228,3 +230,78 @@ def loop_knn_impute_cells(rows: list[list], k: int) -> list[list]:
                 tied.sort(key=lambda cat: (-column_counts[j][cat], str(cat)))
             result[i][j] = tied[0]
     return result
+
+
+def block_log_weights(params: FvbmParams, block: int = 1 << 16) -> np.ndarray:
+    """Log-weights of all 2^d states from explicit state blocks.
+
+    Each block decodes its state indices to +/-1 rows and evaluates
+    0.5 * x'Mx + x'b row by row.
+    """
+    d = params.d
+    total = 1 << d
+    logw = np.empty(total)
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        idx = np.arange(start, stop, dtype=np.int64)
+        bits = (idx[:, None] >> np.arange(d)[None, :]) & 1
+        states = bits.astype(np.float64) * 2.0 - 1.0
+        quad = 0.5 * np.einsum("ij,ij->i", states @ params.interaction, states)
+        logw[start:stop] = quad + states @ params.bias
+    return logw
+
+
+def _coordinate_signs(table: "fvbm.PmfTable", j: int) -> np.ndarray:
+    if not 0 <= j < table.d:
+        raise ValueError(f"coordinate {j} out of range for d={table.d}")
+    idx = np.arange(1 << table.d)
+    return ((idx >> j) & 1).astype(bool)
+
+
+def mask_marginal_probability(table: "fvbm.PmfTable", j: int) -> float:
+    """P(X_j = +1) as the sum of a boolean-masked copy of the table."""
+    plus = _coordinate_signs(table, j)
+    return float(table.probabilities[plus].sum())
+
+
+def mask_pairwise_joint(table: "fvbm.PmfTable", j: int, k: int) -> np.ndarray:
+    """2x2 joint of (X_j, X_k) from boolean masks, rows and columns (+1, -1)."""
+    if j == k:
+        raise ValueError("pairwise joint needs two distinct coordinates")
+    pj = _coordinate_signs(table, j)
+    pk = _coordinate_signs(table, k)
+    p = table.probabilities
+    return np.array(
+        [
+            [float(p[pj & pk].sum()), float(p[pj & ~pk].sum())],
+            [float(p[~pj & pk].sum()), float(p[~pj & ~pk].sum())],
+        ]
+    )
+
+
+def loop_write_spin_csv(path, labels: list[str], values: np.ndarray) -> None:
+    """Write a +/-1 matrix as CSV, formatting each cell with ``str(int(v))``."""
+    x = fvbm.as_spin_matrix(values, allow_empty=True)
+    lines = [",".join(labels)]
+    for row in x:
+        lines.append(",".join(str(int(v)) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def list_read_spin_csv(path) -> tuple[list[str], np.ndarray]:
+    """Read a +/-1 CSV by parsing every row into a list of floats first."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise DataError(f"spin CSV {path} is empty")
+    labels = [h.strip() for h in rows[0]]
+    data = []
+    for i, raw in enumerate(rows[1:], start=1):
+        if len(raw) != len(labels):
+            raise DataError(f"data row {i} has {len(raw)} fields, expected {len(labels)}")
+        try:
+            data.append([float(tok) for tok in raw])
+        except ValueError as exc:
+            raise DataError(f"non-numeric entry in data row {i}") from exc
+    values = np.asarray(data) if data else np.empty((0, len(labels)))
+    return labels, fvbm.as_spin_matrix(values, allow_empty=True)

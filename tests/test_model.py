@@ -6,10 +6,35 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fvbm
+from fvbm.model import _log_weights
 
-from oracles import naive_pmf, random_params
+from oracles import (
+    block_log_weights,
+    mask_marginal_probability,
+    mask_pairwise_joint,
+    naive_pmf,
+    random_params,
+)
+
+
+def _oracle_log_z(logw: np.ndarray) -> float:
+    top = float(logw.max())
+    return top + math.log(math.fsum(np.exp(logw - top)))
+
+
+def _assert_matches_block_oracle(params):
+    expected = block_log_weights(params)
+    logw = _log_weights(params, cap=params.d)
+    assert np.all(np.abs(logw - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
+    logz = _oracle_log_z(expected)
+    assert abs(fvbm.log_normalization(params) - logz) <= 1e-13 * max(1.0, abs(logz))
+    np.testing.assert_allclose(
+        fvbm.enumerate_pmf(params).probabilities, np.exp(expected - logz), rtol=1e-12, atol=0
+    )
 
 
 def test_log_unnormalized_zero_params():
@@ -59,12 +84,20 @@ def test_normalization_large_parameters_no_overflow():
 
 
 def test_enumeration_spans_multiple_blocks():
-    # d=17 forces the streaming paths to cross the 2^16 chunk boundary
+    # d=17 has more states than one 2^16 block of the oracle's streaming layout
     params = fvbm.FvbmParams.zeros(17)
     assert fvbm.log_normalization(params) == pytest.approx(17 * math.log(2.0), rel=1e-14)
     table = fvbm.enumerate_pmf(params)
     assert abs(float(table.probabilities.sum()) - 1.0) <= 1e-12
     assert table.probabilities.size == 1 << 17
+    _assert_matches_block_oracle(random_params(np.random.default_rng(17), 17, scale=0.5))
+
+
+@pytest.mark.parametrize("d", list(range(1, 13)) + [20])
+def test_log_weights_match_block_oracle(d):
+    rng = np.random.default_rng(400 + d)
+    for scale in (0.3, 2.0):
+        _assert_matches_block_oracle(random_params(rng, d, scale=scale))
 
 
 def test_pmf_hand_values():
@@ -169,12 +202,63 @@ def test_joint_zero_params():
     np.testing.assert_allclose(fvbm.pairwise_joint(table, 0, 1), 0.25, atol=1e-14)
 
 
+# Only at d=17 are the selections large enough that summing the strided
+# view without ``ravel`` changes the summation order.
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 12, 17])
+def test_marginal_and_joint_equal_mask_oracle(d):
+    table = fvbm.enumerate_pmf(random_params(np.random.default_rng(600 + d), d))
+    for j in range(d):
+        assert fvbm.marginal_probability(table, j) == mask_marginal_probability(table, j)
+        for k in range(d):
+            if k != j:
+                assert np.array_equal(
+                    fvbm.pairwise_joint(table, j, k), mask_pairwise_joint(table, j, k)
+                )
+
+
 def test_index_errors():
     table = fvbm.enumerate_pmf(fvbm.FvbmParams.zeros(2))
     with pytest.raises(ValueError):
         fvbm.marginal_probability(table, 2)
     with pytest.raises(ValueError):
         fvbm.pairwise_joint(table, 1, 1)
+    with pytest.raises(ValueError, match="coordinate -1 out of range"):
+        fvbm.marginal_probability(table, -1)
+    for j, k in ((-1, 0), (0, -2), (0, 2), (3, 1)):
+        with pytest.raises(ValueError, match="out of range for d=2"):
+            fvbm.pairwise_joint(table, j, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 7), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_relabelling_permutes_marginals_and_joints(d, seed, data):
+    params = random_params(np.random.default_rng(seed), d, scale=1.5)
+    perm = data.draw(st.permutations(range(d)))
+    relabelled = fvbm.FvbmParams(
+        bias=params.bias[perm], interaction=params.interaction[np.ix_(perm, perm)]
+    )
+    table = fvbm.enumerate_pmf(params)
+    moved = fvbm.enumerate_pmf(relabelled)
+    for i in range(d):
+        assert fvbm.marginal_probability(moved, i) == pytest.approx(
+            fvbm.marginal_probability(table, perm[i]), abs=1e-12
+        )
+        for l in range(d):
+            if l != i:
+                np.testing.assert_allclose(
+                    fvbm.pairwise_joint(moved, i, l),
+                    fvbm.pairwise_joint(table, perm[i], perm[l]),
+                    rtol=0,
+                    atol=1e-12,
+                )
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_pairwise_joint_transposes_exactly(d, seed, data):
+    table = fvbm.enumerate_pmf(random_params(np.random.default_rng(seed), d))
+    j, k = data.draw(st.permutations(range(d)))[:2]
+    assert np.array_equal(fvbm.pairwise_joint(table, k, j), fvbm.pairwise_joint(table, j, k).T)
 
 
 def test_pmf_table_validation():

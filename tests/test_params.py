@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import fvbm
 from fvbm import jsonio
@@ -37,13 +40,22 @@ def test_flat_labels():
     assert labels == ["A", "B", "C", "A:B", "A:C", "B:C"]
 
 
-def test_flat_round_trip():
-    rng = np.random.default_rng(3)
-    for d in (1, 2, 5):
-        params = random_params(rng, d)
-        rebuilt = fvbm.FvbmParams.from_flat(d, params.to_flat())
-        np.testing.assert_array_equal(rebuilt.bias, params.bias)
-        np.testing.assert_array_equal(rebuilt.interaction, params.interaction)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            arrays(np.float64, fvbm.flat_length(d), elements=st.floats(-1e300, 1e300)),
+        )
+    )
+)
+def test_flat_round_trip(shaped_theta):
+    d, theta = shaped_theta
+    params = fvbm.FvbmParams.from_flat(d, theta)
+    np.testing.assert_array_equal(params.to_flat(), theta)
+    rebuilt = fvbm.FvbmParams.from_flat(d, params.to_flat())
+    np.testing.assert_array_equal(rebuilt.bias, params.bias)
+    np.testing.assert_array_equal(rebuilt.interaction, params.interaction)
 
 
 def test_flat_layout_order():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import fvbm
 from fvbm.votes import Vote
-from oracles import loop_knn_impute_cells
+from oracles import list_read_spin_csv, loop_knn_impute_cells, loop_write_spin_csv
 
 
 def _table(text: str) -> fvbm.VoteTable:
@@ -445,3 +445,72 @@ def test_spin_csv_round_trip(tmp_path):
     labels, loaded = fvbm.read_spin_csv(path)
     assert labels == ["a"]
     assert loaded.shape == (0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(0, 30), st.integers(1, 6)),
+    seed=st.integers(0, 2**32 - 1),
+    label_chars=st.text(alphabet="ab_Zé ", max_size=3),
+)
+def test_spin_csv_bytes_match_loop_oracle(tmp_path_factory, shape, seed, label_chars):
+    values = np.random.default_rng(seed).choice([-1.0, 1.0], size=shape)
+    labels = [f"{label_chars}{j}" for j in range(shape[1])]
+    directory = tmp_path_factory.mktemp("csv")
+    fvbm.write_spin_csv(directory / "new.csv", labels, values)
+    loop_write_spin_csv(directory / "old.csv", labels, values)
+    assert (directory / "new.csv").read_bytes() == (directory / "old.csv").read_bytes()
+
+
+def test_spin_csv_label_count_mismatch(tmp_path):
+    path = tmp_path / "spins.csv"
+    with pytest.raises(fvbm.DataError, match="3 labels for 2 columns"):
+        fvbm.write_spin_csv(path, ["a", "b", "c"], np.ones((4, 2)))
+    with pytest.raises(fvbm.DataError, match="1 labels for 2 columns"):
+        fvbm.write_spin_csv(path, ["a"], np.empty((0, 2)))
+    assert not path.exists()
+
+
+_SPIN_TOKENS = ["1", "-1", " 1", "+1", "1.0", "-1e0", '"1"']
+_BAD_TOKENS = ["0", "2", "x", ""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.lists(st.sampled_from(["a", " b", "c ", '"d,e"']), max_size=4),
+    n=st.integers(0, 6),
+    ending=st.sampled_from(["\n", "\r\n"]),
+    fault=st.sampled_from([None, "token", "short", "long", "blank", "empty file"]),
+    data=st.data(),
+)
+def test_read_spin_csv_matches_list_oracle(tmp_path_factory, header, n, ending, fault, data):
+    cells = st.lists(st.sampled_from(_SPIN_TOKENS), min_size=len(header), max_size=len(header))
+    rows = data.draw(st.lists(cells, min_size=n, max_size=n))
+    if fault is not None and rows:
+        i = data.draw(st.integers(0, len(rows) - 1))
+        if fault == "token" and header:
+            rows[i][data.draw(st.integers(0, len(header) - 1))] = data.draw(
+                st.sampled_from(_BAD_TOKENS)
+            )
+        elif fault == "short":
+            rows[i] = rows[i][:-1]
+        elif fault == "long":
+            rows[i] = rows[i] + ["1"]
+        elif fault == "blank":
+            rows[i] = []
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    if fault == "empty file":
+        lines = []
+    path = tmp_path_factory.mktemp("read") / "spins.csv"
+    path.write_bytes("".join(line + ending for line in lines).encode("utf-8"))
+    try:
+        expected = list_read_spin_csv(path)
+    except fvbm.DataError as exc:
+        with pytest.raises(fvbm.DataError) as raised:
+            fvbm.read_spin_csv(path)
+        assert str(raised.value) == str(exc)
+        return
+    labels, values = fvbm.read_spin_csv(path)
+    assert labels == expected[0]
+    assert values.shape == expected[1].shape
+    np.testing.assert_array_equal(values, expected[1])

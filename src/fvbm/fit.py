@@ -18,14 +18,24 @@ surrogate, so the objective never decreases, and the iteration converges
 to the global maximizer from any starting point.  Update order is fixed,
 which makes the fit deterministic.
 
-A sweep costs O(n d^2).  During the pair updates the activations a_j and
-their tanh are held as rows of d-by-n arrays; with the Gram matrix x'x
-precomputed, a pair update needs two length-n dot products, and the m_jk
-step then changes only a_j (by step * x_k) and a_k (by step * x_j).  The
-activations are recomputed in full once per sweep, after the pair
-updates: that one O(n d^2) product gives the sweep's objective value and
-the next sweep's bias step, and it keeps the incremental updates from
-drifting for longer than one sweep.
+A sweep costs O(n d^2).  The activations a_j and their tanh t_j are held
+as rows of d-by-n arrays, and the Gram matrix x'x is precomputed, so the
+m_jk step needs the two cross terms x_k't_j and x_j't_k, and then moves
+only a_j (by step * x_k) and a_k (by step * x_j).  The pairs run by rows:
+row j is (j, j+1), ..., (j, d-1).  Within row j, a_k (k > j) is read and
+moved by pair (j, k) alone, so it still holds its start-of-row value when
+that pair reads it, and its move need not land before row j+1.  Batching
+the a_k side therefore keeps exactly the freshest values of the pair
+order: one product t[j+1:] @ x_j gives every x_j't_k at the start of the
+row, and one outer-product add and one tanh move a_{j+1}, ..., a_{d-1} at
+its end.  Only the chain of a_j stays sequential, at one dot product, one
+vector update and one tanh per pair.  Rows after j read only a_k with
+k > j, so a_j and t_j are not read again in the sweep once row j ends,
+and the update after the row's last pair is skipped.  The activations
+are recomputed in full once per sweep, after the pair updates: that one
+O(n d^2) product gives the sweep's objective value and the next sweep's
+bias step, and it keeps the incremental updates from drifting for longer
+than one sweep.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .params import FvbmParams, as_spin_matrix, pair_indices
+from .params import FvbmParams, as_spin_matrix
 from .pseudolikelihood import _log_pl
 
 
@@ -122,13 +132,14 @@ def fit(data, config: FitConfig | None = None) -> FitResult:
         m = np.zeros((d, d))
 
     degenerate = tuple(int(j) for j in np.flatnonzero(np.abs(x.mean(axis=0)) == 1.0))
-    pairs = pair_indices(d)
     xt = np.ascontiguousarray(x.T)
     gram = xt @ x
+    xrows = list(xt)
 
     # a holds the activations a_ij = m_j'x_i + b_j, recomputed in full once
     # per sweep; during the pair updates act[j] and t[j] hold a_j and its
-    # tanh as contiguous rows, updated incrementally.
+    # tanh as contiguous rows, updated incrementally row by row of pairs
+    # (module docstring).
     a = x @ m + b
     trace = [_log_pl(x, a)]
     converged = False
@@ -138,14 +149,22 @@ def fit(data, config: FitConfig | None = None) -> FitResult:
         b = b + step_b
         act = np.ascontiguousarray(a.T) + step_b[:, None]
         t = np.tanh(act)
-        for j, k in pairs:
-            step = (gram[j, k] - 0.5 * (xt[k] @ t[j] + xt[j] @ t[k])) / n
-            m[j, k] += step
-            m[k, j] = m[j, k]
-            act[j] += step * xt[k]
-            act[k] += step * xt[j]
-            np.tanh(act[j], out=t[j])
-            np.tanh(act[k], out=t[k])
+        for j in range(d - 1):
+            rest = slice(j + 1, d)
+            act_j, t_j, g_j = act[j], t[j], gram[j]
+            cross = t[rest] @ xrows[j]
+            steps = []
+            for k in range(j + 1, d):
+                step = (g_j[k] - 0.5 * (xrows[k] @ t_j + cross[k - j - 1])) / n
+                steps.append(step)
+                if k < d - 1:
+                    act_j += step * xrows[k]
+                    np.tanh(act_j, out=t_j)
+            steps = np.array(steps)
+            m[j, rest] += steps
+            m[rest, j] = m[j, rest]
+            act[rest] += steps[:, None] * xrows[j]
+            np.tanh(act[rest], out=t[rest])
         a = x @ m + b
         trace.append(_log_pl(x, a))
         if abs(trace[-1] - trace[-2]) < config.objective_tolerance:

@@ -201,9 +201,11 @@ def sample(
     d = params.d
     if n == 0:
         return np.empty((0, d))
-    table = enumerate_pmf(params, cap=cap)
-    cdf = np.cumsum(table.probabilities)
+    # Neither the table nor its CDF outlives the search, so the 2^d vectors
+    # are freed before the n-by-d decode allocates.
+    cdf = np.cumsum(enumerate_pmf(params, cap=cap).probabilities)
     cdf[-1] = 1.0
     rng = np.random.default_rng(seed)
     idx = np.searchsorted(cdf, rng.random(n), side="right")
+    del cdf
     return _spins(np.minimum(idx, (1 << d) - 1), d)

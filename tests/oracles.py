@@ -15,6 +15,7 @@ import numpy as np
 
 import fvbm
 from fvbm import DataError, FvbmParams
+from fvbm.pseudolikelihood import _log_pl
 
 
 def random_params(rng: np.random.Generator, d: int, scale: float = 1.0) -> FvbmParams:
@@ -136,6 +137,56 @@ def pair_loop_fit(data, config=None) -> "fvbm.FitResult":
                 m[j, k] += step
                 m[k, j] = m[j, k]
         trace.append(fvbm.log_pseudolikelihood(FvbmParams(b, m), x))
+        if abs(trace[-1] - trace[-2]) < config.objective_tolerance:
+            converged = True
+            break
+    return fvbm.FitResult(
+        params=FvbmParams(bias=b, interaction=m),
+        objective_trace=np.asarray(trace),
+        iterations_used=sweeps,
+        converged=converged,
+        degenerate_columns=degenerate,
+    )
+
+
+def incremental_fit(data, config=None) -> "fvbm.FitResult":
+    """Block-MM fit updating the activations of both coordinates per pair.
+
+    The package's sweep batches each row's updates of the a_k side; this
+    one visits the pairs one at a time, refreshing a_j, a_k and both tanh
+    rows after every step, with the same update order and stopping rule.
+    It shares the package's objective, so both stopping tests see the same
+    numbers and any sweep-count difference comes from the sweep.
+    """
+    config = config or fvbm.FitConfig()
+    x = fvbm.as_spin_matrix(data)
+    n, d = x.shape
+    init = config.init or FvbmParams.zeros(d)
+    b = init.bias.copy()
+    m = init.interaction.copy()
+    degenerate = tuple(int(j) for j in np.flatnonzero(np.abs(x.mean(axis=0)) == 1.0))
+    pairs = fvbm.pair_indices(d)
+    xt = np.ascontiguousarray(x.T)
+    gram = xt @ x
+    a = x @ m + b
+    trace = [_log_pl(x, a)]
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, config.max_iterations + 1):
+        step_b = (x - np.tanh(a)).mean(axis=0)
+        b = b + step_b
+        act = np.ascontiguousarray(a.T) + step_b[:, None]
+        t = np.tanh(act)
+        for j, k in pairs:
+            step = (gram[j, k] - 0.5 * (xt[k] @ t[j] + xt[j] @ t[k])) / n
+            m[j, k] += step
+            m[k, j] = m[j, k]
+            act[j] += step * xt[k]
+            act[k] += step * xt[j]
+            np.tanh(act[j], out=t[j])
+            np.tanh(act[k], out=t[k])
+        a = x @ m + b
+        trace.append(_log_pl(x, a))
         if abs(trace[-1] - trace[-2]) < config.objective_tolerance:
             converged = True
             break
@@ -305,3 +356,18 @@ def list_read_spin_csv(path) -> tuple[list[str], np.ndarray]:
             raise DataError(f"non-numeric entry in data row {i}") from exc
     values = np.asarray(data) if data else np.empty((0, len(labels)))
     return labels, fvbm.as_spin_matrix(values, allow_empty=True)
+
+
+def table_sample(params: FvbmParams, n: int, seed: int) -> np.ndarray:
+    """Inverse-CDF draws that keep the PMF table and its CDF alive throughout."""
+    d = params.d
+    if n == 0:
+        return np.empty((0, d))
+    table = fvbm.enumerate_pmf(params)
+    cdf = np.cumsum(table.probabilities)
+    cdf[-1] = 1.0
+    rng = np.random.default_rng(seed)
+    idx = np.searchsorted(cdf, rng.random(n), side="right")
+    idx = np.minimum(idx, (1 << d) - 1)
+    bits = (idx[:, None] >> np.arange(d)[None, :]) & 1
+    return bits.astype(np.float64) * 2.0 - 1.0

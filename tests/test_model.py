@@ -2,6 +2,7 @@
 joints, and seeded sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from oracles import (
     mask_pairwise_joint,
     naive_pmf,
     random_params,
+    table_sample,
 )
 
 
@@ -305,6 +307,28 @@ def test_sample_concordance_matches_enumeration():
     agree = (draws[:, 0] == draws[:, 1]).mean()
     expected = fvbm.concordance(fvbm.enumerate_pmf(pair), 0, 1)
     assert abs(agree - expected) < 0.01
+
+
+@pytest.mark.parametrize("d", [1, 5, 12, 20])
+def test_sample_equals_table_oracle(d):
+    params = random_params(np.random.default_rng(600 + d), d, scale=0.3)
+    for seed in (0, 7, 2**40):
+        np.testing.assert_array_equal(
+            fvbm.sample(params, 2000, seed=seed), table_sample(params, 2000, seed=seed)
+        )
+
+
+def test_sample_frees_table_before_decoding():
+    # the 2^20 table and its CDF (8 MB each) are gone before the 20000-by-20
+    # decode allocates; holding both through it peaks at ~22.4 MB
+    params = random_params(np.random.default_rng(620), 20, scale=0.1)
+    tracemalloc.start()
+    try:
+        fvbm.sample(params, 20_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fvbm
+from fvbm.pseudolikelihood import _log_pl
 
 from oracles import (
     ORACLE_SHAPES,
@@ -103,6 +106,36 @@ def test_log_pseudolikelihood_equals_likelihood_at_d1():
     data = random_spins(rng, 40, 1)
     loglik = sum(math.log(fvbm.pmf(params, row)) for row in data)
     assert fvbm.log_pseudolikelihood(params, data) == pytest.approx(loglik, abs=1e-12)
+
+
+_Z_EDGES = [0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0, 800.0, -800.0, math.inf, -math.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(
+            st.sampled_from([-1.0, 1.0]),
+            st.one_of(st.sampled_from(_Z_EDGES), st.floats(allow_nan=False)),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+@example(terms=[(sign, z) for sign in (-1.0, 1.0) for z in _Z_EDGES])
+def test_log_pl_terms_within_stated_tolerance_of_logaddexp(terms):
+    # _log_pl's docstring: each term -log sigmoid(-z), z = -2xa, is within
+    # 4.5e-16 * max(1, |z|) of np.logaddexp(0, z)
+    x = np.array([[sign] for sign, _ in terms])
+    a = np.array([[-z / 2.0 * sign] for sign, z in terms])
+    z = (-2.0 * x * a).ravel()
+    expected = np.logaddexp(0.0, z)
+    actual = np.array([-_log_pl(x[i : i + 1], a[i : i + 1]) for i in range(len(terms))])
+    infinite = np.isinf(expected)
+    np.testing.assert_array_equal(actual[infinite], expected[infinite])
+    finite = ~infinite
+    error = np.abs(actual[finite] - expected[finite])
+    assert np.all(error <= 4.5e-16 * np.maximum(1.0, np.abs(z[finite])))
 
 
 def test_log_pseudolikelihood_errors():

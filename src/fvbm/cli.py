@@ -12,6 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import jsonio
 from .errors import DataError, NumericalError
 from .fit import FitConfig, FitResult, fit
@@ -189,10 +191,27 @@ def cmd_fit(args) -> None:
         if opt["strict"]:
             raise DataError(message)
         print(f"warning: {message}", file=sys.stderr)
-    if not result.converged:
+    trace = result.objective_trace
+    met = trace.size > 1 and abs(trace[-1] - trace[-2]) < config.objective_tolerance
+    large = result.large_step_coordinates()
+    if not met:
+        where = (
+            f"at max_iterations={config.max_iterations}"
+            if result.iterations_used == config.max_iterations
+            else f"after {result.iterations_used} iterations, where backtracking "
+            f"found no step that does not lower the objective,"
+        )
         print(
-            f"warning: fit stopped at max_iterations={config.max_iterations} "
-            f"without meeting the objective tolerance",
+            f"warning: fit stopped {where} without meeting the objective tolerance",
+            file=sys.stderr,
+        )
+    elif large:
+        names = flat_labels(labels)
+        print(
+            f"warning: fit stopped with a large last step (up to "
+            f"{np.abs(result.last_step).max():.3g}) on "
+            f"{', '.join(names[q] for q in large)}; the estimate does not exist "
+            f"(separation or a constant column)",
             file=sys.stderr,
         )
     jsonio.dump(result.to_json_dict(labels), output)
@@ -232,13 +251,16 @@ def cmd_infer(args) -> None:
         if opt["groups"] == "subtables"
         else {"all": list(range(flat_length(d)))}
     )
-    report = build_report(
-        fit_result,
-        data,
-        groups=groups,
-        method=str(opt["fdr"]),
-        coordinate_names=flat_labels(labels),
-    )
+    try:
+        report = build_report(
+            fit_result,
+            data,
+            groups=groups,
+            method=str(opt["fdr"]),
+            coordinate_names=flat_labels(labels),
+        )
+    except DataError as exc:
+        raise DataError(f"fit file {args.fit}: {exc}") from exc
     jsonio.dump(report.to_json_dict(labels), output)
     tables_path = (
         Path(opt["tables"]) if opt["tables"] else Path(output).with_suffix(".tables.txt")
@@ -373,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="+/-1 matrix CSV with a header row")
     p.add_argument("-o", "--output", help="output fit JSON path")
     p.add_argument("--tol", type=float, help="objective tolerance (default 1e-8)")
-    p.add_argument("--max-iter", dest="max_iter", type=int, help="sweep cap (default 1000)")
+    p.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap (default 1000)")
     p.add_argument("--init", help="params JSON to start from (default zeros)")
     p.add_argument("--strict", action="store_true", help="treat degenerate columns as errors")
     p.add_argument("--config", help="JSON config file")

@@ -1,41 +1,43 @@
-"""Maximum pseudolikelihood estimation by block minorize-maximize sweeps.
+"""Maximum pseudolikelihood estimation by damped Newton iteration.
 
-Each sweep first updates every bias coordinate
+The log-pseudolikelihood is a sum of d logistic log-likelihoods with tied
+parameters, so it is concave in the flat parameter vector theta, and
+:func:`pseudo_score` and :func:`pseudo_hessian` give its exact gradient g
+and Hessian H.  Each iteration takes one Newton step:
 
-    b_j <- b_j + mean_i[ x_ij - tanh(m_j'x_i + b_j) ]
+    (-H + lambda I) step = g,
 
-using the interaction matrix from the previous sweep, then updates the
-interaction coordinates in lexicographic pair order
+with lambda = 0 whenever the Cholesky factorization of -H succeeds.  When
+it fails (-H is singular or indefinite in floating point: a constant
+column, or cells whose sech^2 has underflowed), a Levenberg ridge is
+added, starting at lambda = 1e-12 * max|H| and growing tenfold until the
+factorization succeeds.  The step comes from two triangular solves with
+that factor.  -H + lambda I is positive definite, so the step is an
+ascent direction.
 
-    m_jk <- m_jk + (1/2) mean_i[ 2 x_ij x_ik
-                                 - x_ik tanh(m_j'x_i + b_j)
-                                 - x_ij tanh(m_k'x_i + b_k) ]
+Backtracking halves the step until the objective at theta + step is not
+below the current one, so the objective trace never decreases.  If
+``MAX_HALVINGS`` halvings find no such point, the fit takes no step,
+stops, and is not converged.
 
-where each pair update reads the freshest available values: the biases
-updated this sweep and an interaction matrix in which pairs earlier in the
-order already carry their new value.  Every update maximizes a minorizing
-surrogate, so the objective never decreases, and the iteration converges
-to the global maximizer from any starting point.  Update order is fixed,
-which makes the fit deterministic.
+The stopping rule is that of the MM sweeps it replaces: the fit stops
+when an iteration changes the objective by less than
+``objective_tolerance``.  That alone does not mean an estimate exists.
+On separated data (no finite maximizer; Albert & Anderson 1984) the
+objective approaches its supremum while the parameters run off to
+infinity, so its change dies out while every Newton step stays of order
+one.  ``converged`` is therefore true only if the tolerance stopped the
+fit, the largest |entry| of the last accepted step is at most
+``STEP_LIMIT``, and no column is constant.  On 500 draws of n=147 from
+the paper's d=8 estimates, the last step of a fit whose estimate exists
+was at most 2.8e-5, and of one whose estimate does not exist about 0.25
+or more, so 1e-3 separates the two with room on both sides.
 
-A sweep costs O(n d^2).  The activations a_j and their tanh t_j are held
-as rows of d-by-n arrays, and the Gram matrix x'x is precomputed, so the
-m_jk step needs the two cross terms x_k't_j and x_j't_k, and then moves
-only a_j (by step * x_k) and a_k (by step * x_j).  The pairs run by rows:
-row j is (j, j+1), ..., (j, d-1).  Within row j, a_k (k > j) is read and
-moved by pair (j, k) alone, so it still holds its start-of-row value when
-that pair reads it, and its move need not land before row j+1.  Batching
-the a_k side therefore keeps exactly the freshest values of the pair
-order: one product t[j+1:] @ x_j gives every x_j't_k at the start of the
-row, and one outer-product add and one tanh move a_{j+1}, ..., a_{d-1} at
-its end.  Only the chain of a_j stays sequential, at one dot product, one
-vector update and one tanh per pair.  Rows after j read only a_k with
-k > j, so a_j and t_j are not read again in the sweep once row j ends,
-and the update after the row's last pair is skipped.  The activations
-are recomputed in full once per sweep, after the pair updates: that one
-O(n d^2) product gives the sweep's objective value and the next sweep's
-bias step, and it keeps the incremental updates from drifting for longer
-than one sweep.
+An iteration costs the O(n d^3) Hessian, an O(p^3) Cholesky
+factorization and solve (p = d + d(d-1)/2), and one O(n d^2) objective
+per backtracking trial.  Near the maximizer Newton converges
+quadratically: a well-posed fit takes a handful of iterations where the
+block-MM sweeps of Nguyen & Wood (2016) took tens to hundreds.
 """
 
 from __future__ import annotations
@@ -46,17 +48,24 @@ import numpy as np
 
 from .errors import DataError
 from .params import FvbmParams, as_spin_matrix
-from .pseudolikelihood import _log_pl
+from .pseudolikelihood import _activations, _log_pl, pseudo_hessian, pseudo_score
+
+# Largest |entry| of the last accepted step that a converged fit may have.
+STEP_LIMIT = 1e-3
+# Step halvings tried before an iteration gives up.  Sixty shrink any step
+# up to about 100 below the rounding of parameters of order one.
+MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
 class FitConfig:
     """Stopping rules and initialization for :func:`fit`.
 
-    ``objective_tolerance`` is the absolute objective change per sweep
-    below which the fit is declared converged.  ``init`` of ``None``
-    starts from all-zero parameters, which the global-convergence
-    guarantee makes as good as any other start.
+    ``max_iterations`` caps the Newton iterations.  ``objective_tolerance``
+    is the absolute objective change per iteration below which the fit
+    stops (see the module docstring for when that counts as converged).
+    ``init`` of ``None`` starts from all-zero parameters; concavity makes
+    the maximizer, when it exists, the same from any start.
     """
 
     max_iterations: int = 1000
@@ -72,13 +81,15 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted parameters plus the per-sweep objective trace.
+    """Fitted parameters plus the per-iteration objective trace.
 
     ``objective_trace[0]`` is the objective at initialization and each
-    later entry follows one full sweep; the sequence is nondecreasing up
-    to float roundoff.  ``degenerate_columns`` lists data columns whose
-    entries all share one sign; such a column pushes its bias toward
-    infinity and the reported coordinate is not a finite maximizer.
+    later entry follows one accepted Newton step; the sequence is
+    nondecreasing.  ``iterations_used`` counts those steps.
+    ``degenerate_columns`` lists data columns whose entries all share one
+    sign; such a column pushes its bias toward infinity and the reported
+    coordinate is not a finite maximizer.  ``last_step`` is the last
+    accepted step over the flat layout, or ``None`` if no step was taken.
     """
 
     params: FvbmParams
@@ -86,6 +97,13 @@ class FitResult:
     iterations_used: int
     converged: bool
     degenerate_columns: tuple[int, ...] = ()
+    last_step: np.ndarray | None = None
+
+    def large_step_coordinates(self) -> list[int]:
+        """Flat coordinates that the last step moved by more than STEP_LIMIT."""
+        if self.last_step is None:
+            return []
+        return [int(q) for q in np.flatnonzero(np.abs(self.last_step) > STEP_LIMIT)]
 
     def to_json_dict(self, labels: list[str] | None = None) -> dict:
         out = {
@@ -95,6 +113,9 @@ class FitResult:
             "iterations_used": self.iterations_used,
             "converged": self.converged,
             "degenerate_columns": list(self.degenerate_columns),
+            "last_step": (
+                None if self.last_step is None else [float(v) for v in self.last_step]
+            ),
         }
         if labels is not None:
             out["labels"] = list(labels)
@@ -109,72 +130,76 @@ class FitResult:
                 iterations_used=int(obj["iterations_used"]),
                 converged=bool(obj["converged"]),
                 degenerate_columns=tuple(obj.get("degenerate_columns", ())),
+                last_step=(
+                    None
+                    if obj.get("last_step") is None
+                    else np.asarray(obj["last_step"], dtype=np.float64)
+                ),
             )
         except (KeyError, TypeError) as exc:
             raise DataError(f"malformed fit record: {exc}") from exc
+
+
+def _newton_step(score: np.ndarray, hessian: np.ndarray) -> np.ndarray:
+    """Solve (-H + lambda I) step = score through a Cholesky factor, with
+    the first lambda of 0, 1e-12 max|H|, 1e-11 max|H|, ... that has one."""
+    system = -hessian
+    scale = float(np.abs(hessian).max()) or 1.0
+    ridge = 0.0
+    while True:
+        try:
+            chol = np.linalg.cholesky(
+                system + ridge * np.eye(score.size) if ridge else system
+            )
+            break
+        except np.linalg.LinAlgError:
+            ridge = 10.0 * ridge if ridge else 1e-12 * scale
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, score))
 
 
 def fit(data, config: FitConfig | None = None) -> FitResult:
     """Compute the maximum pseudolikelihood estimate for +/-1 data."""
     config = config or FitConfig()
     x = as_spin_matrix(data)
-    n, d = x.shape
-
-    if config.init is not None:
-        if config.init.d != d:
-            raise DataError(
-                f"initializer has d={config.init.d}, data has {d} columns"
-            )
-        b = config.init.bias.copy()
-        m = config.init.interaction.copy()
+    d = x.shape[1]
+    if config.init is None:
+        params = FvbmParams.zeros(d)
+    elif config.init.d != d:
+        raise DataError(f"initializer has d={config.init.d}, data has {d} columns")
     else:
-        b = np.zeros(d)
-        m = np.zeros((d, d))
+        params = config.init
 
     degenerate = tuple(int(j) for j in np.flatnonzero(np.abs(x.mean(axis=0)) == 1.0))
-    xt = np.ascontiguousarray(x.T)
-    gram = xt @ x
-    xrows = list(xt)
-
-    # a holds the activations a_ij = m_j'x_i + b_j, recomputed in full once
-    # per sweep; during the pair updates act[j] and t[j] hold a_j and its
-    # tanh as contiguous rows, updated incrementally row by row of pairs
-    # (module docstring).
-    a = x @ m + b
-    trace = [_log_pl(x, a)]
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, config.max_iterations + 1):
-        step_b = (x - np.tanh(a)).mean(axis=0)
-        b = b + step_b
-        act = np.ascontiguousarray(a.T) + step_b[:, None]
-        t = np.tanh(act)
-        for j in range(d - 1):
-            rest = slice(j + 1, d)
-            act_j, t_j, g_j = act[j], t[j], gram[j]
-            cross = t[rest] @ xrows[j]
-            steps = []
-            for k in range(j + 1, d):
-                step = (g_j[k] - 0.5 * (xrows[k] @ t_j + cross[k - j - 1])) / n
-                steps.append(step)
-                if k < d - 1:
-                    act_j += step * xrows[k]
-                    np.tanh(act_j, out=t_j)
-            steps = np.array(steps)
-            m[j, rest] += steps
-            m[rest, j] = m[j, rest]
-            act[rest] += steps[:, None] * xrows[j]
-            np.tanh(act[rest], out=t[rest])
-        a = x @ m + b
-        trace.append(_log_pl(x, a))
+    theta = params.to_flat()
+    trace = [_log_pl(x, _activations(params, x))]
+    last_step = None
+    stopped = False
+    for _ in range(config.max_iterations):
+        step = _newton_step(pseudo_score(params, x), pseudo_hessian(params, x))
+        for _ in range(MAX_HALVINGS + 1):
+            candidate = theta + step
+            if np.all(np.isfinite(candidate)):
+                trial = FvbmParams.from_flat(d, candidate)
+                value = _log_pl(x, _activations(trial, x))
+                if value >= trace[-1]:
+                    break
+            step *= 0.5
+        else:
+            break
+        theta, params, last_step = candidate, trial, step
+        trace.append(value)
         if abs(trace[-1] - trace[-2]) < config.objective_tolerance:
-            converged = True
+            stopped = True
             break
 
+    converged = (
+        stopped and not degenerate and float(np.abs(last_step).max()) <= STEP_LIMIT
+    )
     return FitResult(
-        params=FvbmParams(bias=b, interaction=m),
+        params=params,
         objective_trace=np.asarray(trace),
-        iterations_used=sweeps,
+        iterations_used=len(trace) - 1,
         converged=converged,
         degenerate_columns=degenerate,
+        last_step=last_step,
     )

@@ -117,7 +117,13 @@ def pmf(params: FvbmParams, x, cap: int = ENUMERATION_CAP) -> float:
 
 @dataclass(frozen=True)
 class PmfTable:
-    """Full PMF over all 2^d states in the canonical index order."""
+    """Full PMF over all 2^d states in the canonical index order.
+
+    Direct construction and :meth:`from_json_dict` copy the probabilities
+    and check their shape, range and sum; :func:`enumerate_pmf`, which
+    builds a valid vector itself, skips both (the copy alone is 8 MB at
+    d=20).
+    """
 
     d: int
     probabilities: np.ndarray
@@ -139,6 +145,16 @@ class PmfTable:
         return {"d": self.d, "probabilities": [float(v) for v in self.probabilities]}
 
     @classmethod
+    def _trusted(cls, d: int, probabilities: np.ndarray) -> "PmfTable":
+        """Wrap a 2^d vector built in this module without copying or
+        validating it; the table takes ownership and makes it read-only."""
+        table = object.__new__(cls)
+        probabilities.setflags(write=False)
+        object.__setattr__(table, "d", d)
+        object.__setattr__(table, "probabilities", probabilities)
+        return table
+
+    @classmethod
     def from_json_dict(cls, obj: dict) -> "PmfTable":
         try:
             return cls(d=int(obj["d"]), probabilities=np.asarray(obj["probabilities"]))
@@ -150,7 +166,7 @@ def enumerate_pmf(params: FvbmParams, cap: int = ENUMERATION_CAP) -> PmfTable:
     """Probabilities of all 2^d states; sums to one within 1e-12."""
     logw = _log_weights(params, cap)
     logw -= _log_sum_exp(logw)
-    return PmfTable(d=params.d, probabilities=np.exp(logw, out=logw))
+    return PmfTable._trusted(params.d, np.exp(logw, out=logw))
 
 
 def _fixed_sum(table: PmfTable, fixed: dict[int, int]) -> float:

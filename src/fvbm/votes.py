@@ -433,13 +433,53 @@ def write_spin_csv(path, labels: list[str], values: np.ndarray) -> None:
     Path(path).write_bytes(header + cells[keep].tobytes())
 
 
+def _canonical_cells(body: bytes, d: int) -> np.ndarray | None:
+    """The cells of a CSV body in :func:`write_spin_csv`'s own form, or None.
+
+    That form is rows of d tokens ``1`` or ``-1``, joined by commas, each
+    row ending in a newline.  With only those four byte values present,
+    writing each ``-1`` as ``0`` leaves one byte per token, so a body in
+    that form becomes exactly d (token, separator) byte pairs per row:
+    tokens ``0`` or ``1``, separators d-1 commas and then a newline.  Any
+    other body, a stray ``-`` included, breaks that layout.
+    """
+    if body.translate(None, b"-1,\n"):
+        return None
+    pairs = np.frombuffer(body.replace(b"-1", b"0"), dtype=np.uint8)
+    if pairs.size % (2 * d):
+        return None
+    pairs = pairs.reshape(-1, d, 2)
+    tokens, seps = pairs[..., 0], pairs[..., 1]
+    plus = tokens == ord("1")
+    if not (
+        np.all(plus | (tokens == ord("0")))
+        and np.all(seps[:, :-1] == ord(","))
+        and np.all(seps[:, -1] == ord("\n"))
+    ):
+        return None
+    return np.where(plus, 1.0, -1.0)
+
+
 def read_spin_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a +/-1 CSV produced by :func:`write_spin_csv`.
 
-    Rows go straight into one packed float buffer: no per-cell Python
-    object outlives its row, so a large file leaves no fragmented
-    small-object memory behind in a long-running process.
+    A file in the writer's own form (an unquoted header, then ``1`` and
+    ``-1`` cells and ``\\n`` line ends only) is decoded from its bytes in
+    one vectorized pass; ``csv.reader`` would read such a file to the same
+    values.  Any other file goes through ``csv.reader``, row by row into
+    one packed float buffer: no per-cell Python object outlives its row,
+    so a large file leaves no fragmented small-object memory behind in a
+    long-running process.
     """
+    head, newline, body = Path(path).read_bytes().partition(b"\n")
+    if newline and head and not any(c in head for c in b'"\r\x00'):
+        try:
+            labels = [h.strip() for h in head.decode("utf-8").split(",")]
+        except UnicodeDecodeError:
+            labels = None
+        values = None if labels is None else _canonical_cells(body, len(labels))
+        if values is not None:
+            return labels, as_spin_matrix(values, allow_empty=True)
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)

@@ -199,6 +199,86 @@ def incremental_fit(data, config=None) -> "fvbm.FitResult":
     )
 
 
+def row_sweep_fit(data, config=None) -> "fvbm.FitResult":
+    """Block-MM fit of Nguyen & Wood (2016), its pair steps batched by rows.
+
+    Each sweep first updates every bias, b_j += mean_i[x_ij - tanh(a_ij)],
+    then runs the pairs (j, k) in lexicographic order with
+
+        m_jk += (1/2) mean_i[2 x_ij x_ik - x_ik tanh(a_ij) - x_ij tanh(a_ik)]
+
+    on the freshest values; the objective never decreases.  Row j is the
+    pairs (j, j+1), ..., (j, d-1): within it a_k (k > j) is read and moved
+    by pair (j, k) alone, so one product t[j+1:] @ x_j gives every cross
+    term at the start of the row, and one outer-product add and one tanh
+    move a_{j+1}, ..., a_{d-1} at its end.  Only a_j's chain is per pair,
+    and its update after the row's last pair is skipped, because a_j is not
+    read again in the sweep.  The activations are recomputed in full once
+    per sweep, which gives the trace entry and the next bias step.
+    """
+    config = config or fvbm.FitConfig()
+    x = fvbm.as_spin_matrix(data)
+    n, d = x.shape
+
+    if config.init is not None:
+        if config.init.d != d:
+            raise DataError(
+                f"initializer has d={config.init.d}, data has {d} columns"
+            )
+        b = config.init.bias.copy()
+        m = config.init.interaction.copy()
+    else:
+        b = np.zeros(d)
+        m = np.zeros((d, d))
+
+    degenerate = tuple(int(j) for j in np.flatnonzero(np.abs(x.mean(axis=0)) == 1.0))
+    xt = np.ascontiguousarray(x.T)
+    gram = xt @ x
+    xrows = list(xt)
+
+    # a holds the activations a_ij = m_j'x_i + b_j, recomputed in full once
+    # per sweep; during the pair updates act[j] and t[j] hold a_j and its
+    # tanh as contiguous rows, updated incrementally row by row of pairs.
+    a = x @ m + b
+    trace = [_log_pl(x, a)]
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, config.max_iterations + 1):
+        step_b = (x - np.tanh(a)).mean(axis=0)
+        b = b + step_b
+        act = np.ascontiguousarray(a.T) + step_b[:, None]
+        t = np.tanh(act)
+        for j in range(d - 1):
+            rest = slice(j + 1, d)
+            act_j, t_j, g_j = act[j], t[j], gram[j]
+            cross = t[rest] @ xrows[j]
+            steps = []
+            for k in range(j + 1, d):
+                step = (g_j[k] - 0.5 * (xrows[k] @ t_j + cross[k - j - 1])) / n
+                steps.append(step)
+                if k < d - 1:
+                    act_j += step * xrows[k]
+                    np.tanh(act_j, out=t_j)
+            steps = np.array(steps)
+            m[j, rest] += steps
+            m[rest, j] = m[j, rest]
+            act[rest] += steps[:, None] * xrows[j]
+            np.tanh(act[rest], out=t[rest])
+        a = x @ m + b
+        trace.append(_log_pl(x, a))
+        if abs(trace[-1] - trace[-2]) < config.objective_tolerance:
+            converged = True
+            break
+
+    return fvbm.FitResult(
+        params=FvbmParams(bias=b, interaction=m),
+        objective_trace=np.asarray(trace),
+        iterations_used=sweeps,
+        converged=converged,
+        degenerate_columns=degenerate,
+    )
+
+
 def activation_design(x: np.ndarray, l: int) -> np.ndarray:
     """n-by-p matrix whose rows are grad(a_l) per observation."""
     n, d = x.shape

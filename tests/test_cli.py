@@ -29,6 +29,45 @@ _SPLITS = """date,number,senator,vote
 """
 
 
+def _well_posed_votes(rows: int = 160) -> tuple[str, str]:
+    """Seeded divisions and split records shaped like ``_VOTES``.
+
+    Each party follows the previous column with a fixed agreement rate,
+    about 5% of party cells are ``-``, and CCC splits on about 10% of the
+    rows, where cull votes against burton and hans.  At 160 rows the
+    prepared matrix has a finite maximum pseudolikelihood estimate, which
+    the 8 rows of ``_VOTES`` do not.
+    """
+    rng = np.random.default_rng(2016)
+    votes = ["date,number,GOV,AAA,BBB,CCC"]
+    splits = ["date,number,senator,vote"]
+    for r in range(rows):
+        line = [rng.random() < 0.5]
+        for agree in (0.7, 0.6, 0.4):
+            line.append(line[-1] if rng.random() < agree else not line[-1])
+        cells = ["Yes" if v else "No" for v in line]
+        for c in (1, 2, 3):
+            if rng.random() < 0.05:
+                cells[c] = "-"
+        date, number = f"{r // 4 + 1}/1", str(r % 4 + 1)
+        if rng.random() < 0.1:
+            party = "Yes" if line[3] else "No"
+            rebel = "No" if line[3] else "Yes"
+            cells[3] = "Split"
+            for senator, vote in (("burton", party), ("cull", rebel), ("hans", party)):
+                splits.append(f"{date},{number},{senator},{vote}")
+        votes.append(",".join([date, number, *cells]))
+    return "\n".join(votes) + "\n", "\n".join(splits) + "\n"
+
+
+@pytest.fixture
+def well_posed_csvs(tmp_path):
+    votes, splits = _well_posed_votes()
+    (tmp_path / "wp_votes.csv").write_text(votes, encoding="utf-8")
+    (tmp_path / "wp_splits.csv").write_text(splits, encoding="utf-8")
+    return tmp_path / "wp_votes.csv", tmp_path / "wp_splits.csv"
+
+
 @pytest.fixture
 def votes_csv(tmp_path):
     path = tmp_path / "votes.csv"
@@ -216,8 +255,8 @@ def test_simulate_fit_recovers_truth(tmp_path):
     assert np.all(np.abs(fitted.to_flat() - params.to_flat()) <= 4.0 * se)
 
 
-def test_full_pipeline_composition(tmp_path, votes_csv, splits_csv):
-    _, matrix = _prepare(tmp_path, votes_csv, splits_csv)
+def test_full_pipeline_composition(tmp_path, well_posed_csvs):
+    _, matrix = _prepare(tmp_path, *well_posed_csvs)
     fit_path = tmp_path / "fit.json"
     report_path = tmp_path / "report.json"
     tables_path = tmp_path / "tables.txt"
@@ -226,6 +265,7 @@ def test_full_pipeline_composition(tmp_path, votes_csv, splits_csv):
     probs_path = tmp_path / "probs.json"
 
     assert main(["fit", str(matrix), "-o", str(fit_path)]) == 0
+    assert json.loads(fit_path.read_text())["converged"] is True
     assert (
         main(
             [
@@ -270,8 +310,8 @@ def test_full_pipeline_composition(tmp_path, votes_csv, splits_csv):
     assert pair["concordance"] == fvbm.concordance(table, j, k)
 
 
-def test_infer_bh_never_exceeds_by(tmp_path, votes_csv, splits_csv):
-    _, matrix = _prepare(tmp_path, votes_csv, splits_csv)
+def test_infer_bh_never_exceeds_by(tmp_path, well_posed_csvs):
+    _, matrix = _prepare(tmp_path, *well_posed_csvs)
     fit_path = tmp_path / "fit.json"
     main(["fit", str(matrix), "-o", str(fit_path)])
     by_path = tmp_path / "by.json"
@@ -336,10 +376,51 @@ def test_infer_dimension_mismatch_is_data_error(tmp_path):
 def test_infer_singular_information_is_numerical_error(tmp_path):
     path = tmp_path / "degenerate.csv"
     fvbm.write_spin_csv(path, ["a", "b"], np.ones((10, 2)))
+    # a hand-written record that claims convergence, so that infer gets as
+    # far as the information matrix, which is singular on this data
+    record = fvbm.FitResult(
+        params=fvbm.FvbmParams.zeros(2),
+        objective_trace=np.zeros(1),
+        iterations_used=0,
+        converged=True,
+    )
     fit_path = tmp_path / "fit.json"
-    assert main(["fit", str(path), "-o", str(fit_path)]) == 0
+    fvbm.jsonio.dump(record.to_json_dict(["a", "b"]), fit_path)
     code = main(["infer", str(fit_path), str(path), "-o", str(tmp_path / "r.json")])
     assert code == 3
+
+
+def test_infer_refuses_unconverged_fit(tmp_path, votes_csv, splits_csv, capsys):
+    # the 8-row fixture has no finite estimate: Newton meets the objective
+    # tolerance with steps of order one
+    _, matrix = _prepare(tmp_path, votes_csv, splits_csv)
+    fit_path = tmp_path / "fit.json"
+    capsys.readouterr()
+    assert main(["fit", str(matrix), "-o", str(fit_path)]) == 0
+    warning = capsys.readouterr().err
+    assert "large last step" in warning
+    assert "AAA:CULL" in warning
+    assert "does not exist" in warning
+    assert "max_iterations" not in warning
+    assert json.loads(fit_path.read_text())["converged"] is False
+    report_path = tmp_path / "report.json"
+    code = main(["infer", str(fit_path), str(matrix), "-o", str(report_path)])
+    assert code == 2
+    error = capsys.readouterr().err
+    assert str(fit_path) in error
+    assert "unconverged" in error and "large" in error
+    assert not report_path.exists()
+
+
+def test_fit_warns_when_the_iteration_cap_is_hit(tmp_path, capsys):
+    _, _, data_path = _simulate(tmp_path, n=2000)
+    capsys.readouterr()
+    fit_path = tmp_path / "fit.json"
+    assert main(["fit", str(data_path), "-o", str(fit_path), "--max-iter", "1"]) == 0
+    warning = capsys.readouterr().err
+    assert "stopped at max_iterations=1 without meeting the objective tolerance" in warning
+    code = main(["infer", str(fit_path), str(data_path), "-o", str(tmp_path / "r.json")])
+    assert code == 2
 
 
 def test_graph_requires_an_output(tmp_path, votes_csv, splits_csv):

@@ -272,6 +272,35 @@ def test_build_report_shapes_and_groups():
     assert np.all((report.p_values >= 0) & (report.p_values <= 1))
 
 
+def test_build_report_refuses_unconverged_fits():
+    rng = np.random.default_rng(63)
+    data = random_spins(rng, 60, 3)
+    names = fvbm.flat_labels(["a", "b", "c"])
+
+    constant = data.copy()
+    constant[:, 1] = 1.0
+    with pytest.raises(fvbm.DataError, match=r"column\(s\) b are constant"):
+        fvbm.build_report(fvbm.fit(constant), constant, coordinate_names=names)
+
+    separated = data.copy()
+    separated[:, 2] = separated[:, 0]
+    with pytest.raises(fvbm.DataError, match=r"last step was large .*a:c"):
+        fvbm.build_report(fvbm.fit(separated), separated, coordinate_names=names)
+
+    result = fvbm.fit(data)
+    assert result.converged
+    capped = fvbm.FitResult(
+        params=result.params,
+        objective_trace=result.objective_trace,
+        iterations_used=result.iterations_used,
+        converged=False,
+        last_step=np.zeros(6),
+    )
+    with pytest.raises(fvbm.DataError, match="did not meet its objective tolerance"):
+        fvbm.build_report(capped, data)
+    assert fvbm.build_report(result, data).n_params == 6
+
+
 def test_grouped_adjustment_differs_from_single_group():
     result, data = _small_fit()
     grouped = fvbm.build_report(result, data)

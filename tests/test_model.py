@@ -270,6 +270,36 @@ def test_pmf_table_validation():
         fvbm.PmfTable(d=2, probabilities=np.array([0.5, 0.5, 0.5]))
 
 
+def test_pmf_table_from_json_still_validates():
+    good = fvbm.enumerate_pmf(fvbm.FvbmParams.zeros(2)).to_json_dict()
+    for probabilities in (
+        [0.5, 0.5, 0.5],  # wrong length
+        [0.5, 0.5, 0.25, -0.25],  # negative
+        [0.5, 0.5, 0.25, 0.25],  # sums to 1.5
+    ):
+        with pytest.raises(ValueError):
+            fvbm.PmfTable.from_json_dict({**good, "probabilities": probabilities})
+    with pytest.raises(fvbm.DataError):
+        fvbm.PmfTable.from_json_dict({"d": 2})
+    # from_json_dict copies: the caller's array stays writable and separate
+    source = np.full(4, 0.25)
+    table = fvbm.PmfTable.from_json_dict({"d": 2, "probabilities": source})
+    assert table.probabilities is not source
+    assert source.flags.writeable
+
+
+@pytest.mark.parametrize("d", [1, 6, 13])
+def test_enumerated_table_equals_validated_table(d):
+    # enumerate_pmf skips the copy and checks of direct construction; the
+    # table it returns passes them and is read-only all the same
+    table = fvbm.enumerate_pmf(random_params(np.random.default_rng(640 + d), d))
+    checked = fvbm.PmfTable(d=d, probabilities=table.probabilities)
+    np.testing.assert_array_equal(checked.probabilities, table.probabilities)
+    assert not table.probabilities.flags.writeable
+    with pytest.raises(ValueError):
+        table.probabilities[0] = 0.5
+
+
 def test_pmf_table_json_round_trip():
     pair = fvbm.FvbmParams(bias=[0.3, -0.2], interaction=[[0, 0.4], [0.4, 0]])
     table = fvbm.enumerate_pmf(pair)

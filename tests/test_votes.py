@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fvbm
+from fvbm import votes as votes_module
 from fvbm.votes import Vote
 from oracles import list_read_spin_csv, loop_knn_impute_cells, loop_write_spin_csv
 
@@ -513,4 +514,84 @@ def test_read_spin_csv_matches_list_oracle(tmp_path_factory, header, n, ending, 
     labels, values = fvbm.read_spin_csv(path)
     assert labels == expected[0]
     assert values.shape == expected[1].shape
+    np.testing.assert_array_equal(values, expected[1])
+
+
+_NEAR_CANONICAL = ["0", "11", "1-1", "--1", "-", "", "-11", "1-", "+1", "01"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 5),
+    n=st.integers(0, 6),
+    fault=st.sampled_from(
+        [None, "token", "short", "long", "blank", "no final newline", "trailing comma"]
+    ),
+    data=st.data(),
+)
+def test_read_spin_csv_byte_pass_matches_list_oracle(tmp_path_factory, d, n, fault, data):
+    # files in the writer's own form up to one fault, so that both the
+    # vectorized byte pass and its csv.reader fallback are exercised
+    cells = st.lists(st.sampled_from(["1", "-1"]), min_size=d, max_size=d)
+    rows = data.draw(st.lists(cells, min_size=n, max_size=n))
+    if fault is not None and rows:
+        i = data.draw(st.integers(0, len(rows) - 1))
+        if fault == "token":
+            rows[i][data.draw(st.integers(0, d - 1))] = data.draw(
+                st.sampled_from(_NEAR_CANONICAL)
+            )
+        elif fault == "short":
+            rows[i] = rows[i][:-1]
+        elif fault == "long":
+            rows[i] = rows[i] + ["-1"]
+        elif fault == "blank":
+            rows[i] = []
+        elif fault == "trailing comma":
+            rows[i] = rows[i] + [""]
+    body = "".join(",".join(r) + "\n" for r in rows)
+    if fault == "no final newline":
+        body = body[:-1]
+    header = ",".join(f"c{j}" for j in range(d))
+    if fault is None:
+        assert votes_module._canonical_cells(body.encode(), d) is not None
+    path = tmp_path_factory.mktemp("bytes") / "spins.csv"
+    path.write_bytes((header + "\n" + body).encode("utf-8"))
+    try:
+        expected = list_read_spin_csv(path)
+    except fvbm.DataError as exc:
+        with pytest.raises(fvbm.DataError) as raised:
+            fvbm.read_spin_csv(path)
+        assert str(raised.value) == str(exc)
+        return
+    labels, values = fvbm.read_spin_csv(path)
+    assert labels == expected[0]
+    assert values.shape == expected[1].shape
+    np.testing.assert_array_equal(values, expected[1])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "c0\n1\n-",  # a last token cut short, without a final newline
+        "c0\n1\n-1",
+        "c0,c1\n1,-1\n-1,-",
+        "c0\n\n1\n",
+        "c0\n1\n\n",
+        "c0,c1\n-1,1\n",
+        "c0,c1\n1\n-1\n",  # two short rows that hold 2 tokens in all
+        "c0,c1,c2\n1,1\n-1\n1,1,1\n",
+    ],
+)
+def test_read_spin_csv_edge_files_match_list_oracle(tmp_path, text):
+    path = tmp_path / "spins.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = list_read_spin_csv(path)
+    except fvbm.DataError as exc:
+        with pytest.raises(fvbm.DataError) as raised:
+            fvbm.read_spin_csv(path)
+        assert str(raised.value) == str(exc)
+        return
+    labels, values = fvbm.read_spin_csv(path)
+    assert labels == expected[0]
     np.testing.assert_array_equal(values, expected[1])

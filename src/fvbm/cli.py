@@ -1,8 +1,9 @@
 """Command-line front end: prepare | fit | infer | probs | graph | simulate.
 
-Every subcommand accepts ``--config FILE`` (a flat JSON object whose keys
-are the long option names with underscores); explicit flags win over the
-config file, which wins over built-in defaults.  Exit codes are stable:
+Every subcommand accepts ``--config FILE``, a flat JSON object whose keys
+are the long option names with underscores.  Its entries are parsed by the
+same argparse declarations as the flags; explicit flags win over the config
+file, which wins over the declared defaults.  Exit codes are stable:
 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -51,65 +53,96 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# The parent of every subcommand parser, and of the pre-pass that finds the file.
+_CONFIG = _Parser(add_help=False)
+_CONFIG.add_argument(
+    "--config",
+    metavar="FILE",
+    help="JSON object of option values keyed by long option name; flags win",
+)
+
+
 def _load_config(path) -> dict:
-    if path is None:
-        return {}
     cfg = jsonio.load(path)
     if not isinstance(cfg, dict):
         raise DataError(f"config file {path} must hold a JSON object")
     return cfg
 
 
-def _effective(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge CLI flags, config-file values, and defaults (in that order)."""
-    cfg = _load_config(getattr(args, "config", None))
-    unknown = set(cfg) - set(defaults)
+def _config_tokens(action: argparse.Action, value) -> list[str]:
+    """The argv tokens that give ``action`` a config file's ``value``.
+
+    ``null`` gives none.  A switch takes only ``true`` or ``false``, and only
+    a repeatable option takes a list, one token per item.
+    """
+    if value is None:
+        return []
+    flag = action.option_strings[-1]
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise UsageError(f"config key {action.dest!r} must be true or false, got {value!r}")
+        return [flag] if value else []
+    repeatable = isinstance(action, argparse._AppendAction)
+    items = value if repeatable and isinstance(value, list) else [value]
+    if any(item is None or isinstance(item, (bool, list, dict)) for item in items):
+        kind = "a string or number, or a list of them" if repeatable else "a string or number"
+        raise UsageError(f"config key {action.dest!r} must be {kind}, got {value!r}")
+    return [f"{flag}={item}" for item in items]
+
+
+def _parse_args(parser, commands: dict, argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with its ``--config`` entries spliced in after the
+    subcommand, ahead of the explicit options, which therefore win.
+
+    Config keys are the dests of the subcommand's options.  Flags of a
+    repeatable option replace the config's items instead of adding to them.
+    """
+    found = _Parser(add_help=False, parents=[_CONFIG])
+    found.add_argument("-h", "--help", action="store_true")
+    known = found.parse_known_args(argv)[0]
+    if known.config is None or known.help or not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    cfg = _load_config(known.config)
+    actions = {
+        a.dest: a
+        for a in commands[argv[0]]._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+    unknown = sorted(set(cfg) - set(actions))
     if unknown:
-        raise UsageError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    merged = {}
-    for key, default in defaults.items():
-        cli = getattr(args, key, None)
-        if cli is not None and cli is not False:
-            merged[key] = cli
-        elif key in cfg:
-            merged[key] = cfg[key]
-        else:
-            merged[key] = default
-    return merged
-
-
-def _require(merged: dict, key: str, flag: str):
-    if merged[key] is None:
-        raise UsageError(f"{flag} is required (flag or config file)")
-    return merged[key]
+        raise UsageError(f"unknown config key(s) for {argv[0]}: {', '.join(unknown)}")
+    tokens = {key: _config_tokens(actions[key], value) for key, value in cfg.items()}
+    args = parser.parse_args([argv[0], *(t for ts in tokens.values() for t in ts), *argv[1:]])
+    for key, ts in tokens.items():
+        given = getattr(args, key)
+        if isinstance(actions[key], argparse._AppendAction) and len(given or ()) > len(ts):
+            setattr(args, key, given[len(ts):])
+    return args
 
 
 def _default_labels(d: int) -> list[str]:
     return [f"X{i + 1}" for i in range(d)]
 
 
+def _repeated(labels: list[str]) -> list[str]:
+    return [label for label, count in Counter(labels).items() if count > 1]
+
+
+def _read_spins(path) -> tuple[list[str], np.ndarray]:
+    """A spin CSV whose column labels are distinct, as outputs key on them."""
+    labels, data = read_spin_csv(path)
+    if repeated := _repeated(labels):
+        raise DataError(f"spin CSV {path} repeats column label(s) {', '.join(repeated)}")
+    return labels, data
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-_PREPARE_DEFAULTS = {
-    "splits": None,
-    "reference": None,
-    "extract_member": None,
-    "extract_label": None,
-    "k": 3,
-    "drop_threshold": 0.5,
-    "output": None,
-    "json": None,
-    "provenance": None,
-}
-
 
 def cmd_prepare(args) -> None:
-    opt = _effective(args, _PREPARE_DEFAULTS)
-    reference = _require(opt, "reference", "--reference")
-    output = Path(_require(opt, "output", "--output"))
-
+    output = Path(args.output)
     table = parse_votes(args.votes)
     split_cells = [
         (r, c)
@@ -117,43 +150,39 @@ def cmd_prepare(args) -> None:
         for c, v in enumerate(row)
         if v is Vote.SPLIT
     ]
-    if split_cells and opt["splits"] is None:
+    if split_cells and args.splits is None:
         r, c = split_cells[0]
         raise DataError(
             f"split cell at {table.dates[r]} #{table.numbers[r]} "
             f"(party {table.parties[c]!r}) but no split records file was given"
         )
-    resolution = (
-        parse_split_records(opt["splits"]) if opt["splits"] else SplitResolution({})
-    )
+    resolution = parse_split_records(args.splits) if args.splits else SplitResolution({})
     resolved = resolve_splits(
         table,
         resolution,
-        extract_member=opt["extract_member"],
-        extract_label=opt["extract_label"],
+        extract_member=args.extract_member,
+        extract_label=args.extract_label,
     )
-    kept = drop_sparse_columns(resolved, threshold=float(opt["drop_threshold"]))
+    kept = drop_sparse_columns(resolved, threshold=args.drop_threshold)
     dropped = [p for p in resolved.parties if p not in kept.parties]
     missing = sum(v is Vote.MISSING for row in kept.cells for v in row)
-    complete = knn_impute(kept, ImputeConfig(k=int(opt["k"])))
-    agreement = encode_agreement(complete, reference)
+    complete = knn_impute(kept, ImputeConfig(k=args.k))
+    agreement = encode_agreement(complete, args.reference)
     write_spin_csv(output, agreement.labels, agreement.values)
-    if opt["json"]:
-        jsonio.dump(
-            spin_matrix_to_json_dict(agreement.labels, agreement.values), opt["json"]
-        )
+    if args.json:
+        jsonio.dump(spin_matrix_to_json_dict(agreement.labels, agreement.values), args.json)
 
-    prov_path = Path(opt["provenance"]) if opt["provenance"] else output.with_suffix(
+    prov_path = Path(args.provenance) if args.provenance else output.with_suffix(
         output.suffix + ".prov.json"
     )
     jsonio.dump(
         {
             "schema_version": 1,
             "rows": table.n,
-            "reference": reference,
-            "extract_member": opt["extract_member"],
-            "k": int(opt["k"]),
-            "drop_threshold": float(opt["drop_threshold"]),
+            "reference": args.reference,
+            "extract_member": args.extract_member,
+            "k": args.k,
+            "drop_threshold": args.drop_threshold,
             "split_cells_resolved": len(split_cells),
             "dropped_columns": dropped,
             "imputed_cells": int(missing),
@@ -163,32 +192,17 @@ def cmd_prepare(args) -> None:
     )
 
 
-_FIT_DEFAULTS = {
-    "output": None,
-    "tol": 1e-8,
-    "max_iter": 1000,
-    "init": None,
-    "strict": False,
-}
-
-
 def cmd_fit(args) -> None:
-    opt = _effective(args, _FIT_DEFAULTS)
-    output = _require(opt, "output", "--output")
-    labels, data = read_spin_csv(args.data)
-    init = (
-        FvbmParams.from_json_dict(jsonio.load(opt["init"])) if opt["init"] else None
-    )
+    labels, data = _read_spins(args.data)
+    init = FvbmParams.from_json_dict(jsonio.load(args.init)) if args.init else None
     config = FitConfig(
-        max_iterations=int(opt["max_iter"]),
-        objective_tolerance=float(opt["tol"]),
-        init=init,
+        max_iterations=args.max_iter, objective_tolerance=args.tol, init=init
     )
     result = fit(data, config)
     if result.degenerate_columns:
         names = ", ".join(labels[j] for j in result.degenerate_columns)
         message = f"column(s) {names} are constant; their biases have no finite optimum"
-        if opt["strict"]:
+        if args.strict:
             raise DataError(message)
         print(f"warning: {message}", file=sys.stderr)
     trace = result.objective_trace
@@ -214,15 +228,7 @@ def cmd_fit(args) -> None:
             f"(separation or a constant column)",
             file=sys.stderr,
         )
-    jsonio.dump(result.to_json_dict(labels), output)
-
-
-_INFER_DEFAULTS = {
-    "output": None,
-    "tables": None,
-    "fdr": "by",
-    "groups": "subtables",
-}
+    jsonio.dump(result.to_json_dict(labels), args.output)
 
 
 def _load_fit(path) -> tuple[FitResult, list[str] | None]:
@@ -233,12 +239,8 @@ def _load_fit(path) -> tuple[FitResult, list[str] | None]:
 
 
 def cmd_infer(args) -> None:
-    opt = _effective(args, _INFER_DEFAULTS)
-    output = _require(opt, "output", "--output")
-    if opt["groups"] not in ("subtables", "single"):
-        raise UsageError(f"--groups must be 'subtables' or 'single', got {opt['groups']!r}")
     fit_result, fit_labels = _load_fit(args.fit)
-    labels, data = read_spin_csv(args.data)
+    labels, data = _read_spins(args.data)
     d = fit_result.params.d
     if data.shape[1] != d:
         raise DataError(f"fit has d={d} but data has {data.shape[1]} columns")
@@ -248,7 +250,7 @@ def cmd_infer(args) -> None:
         )
     groups = (
         default_groups(d)
-        if opt["groups"] == "subtables"
+        if args.groups == "subtables"
         else {"all": list(range(flat_length(d)))}
     )
     try:
@@ -256,24 +258,19 @@ def cmd_infer(args) -> None:
             fit_result,
             data,
             groups=groups,
-            method=str(opt["fdr"]),
+            method=args.fdr,
             coordinate_names=flat_labels(labels),
         )
     except DataError as exc:
         raise DataError(f"fit file {args.fit}: {exc}") from exc
-    jsonio.dump(report.to_json_dict(labels), output)
+    jsonio.dump(report.to_json_dict(labels), args.output)
     tables_path = (
-        Path(opt["tables"]) if opt["tables"] else Path(output).with_suffix(".tables.txt")
+        Path(args.tables) if args.tables else Path(args.output).with_suffix(".tables.txt")
     )
     tables_path.write_text(format_report_tables(report, labels), encoding="utf-8")
 
 
-_PROBS_DEFAULTS = {"output": None, "pair": None}
-
-
 def cmd_probs(args) -> None:
-    opt = _effective(args, _PROBS_DEFAULTS)
-    output = _require(opt, "output", "--output")
     fit_result, labels = _load_fit(args.fit)
     params = fit_result.params
     if labels is None:
@@ -283,7 +280,7 @@ def cmd_probs(args) -> None:
         label: marginal_probability(table, j) for j, label in enumerate(labels)
     }
     pairs_out = []
-    for spec in opt["pair"] or []:
+    for spec in args.pair or []:
         names = [s.strip() for s in spec.split(",")]
         if len(names) != 2:
             raise UsageError(f"--pair wants 'A,B', got {spec!r}")
@@ -312,16 +309,12 @@ def cmd_probs(args) -> None:
             "marginals": marginals,
             "pairs": pairs_out,
         },
-        output,
+        args.output,
     )
 
 
-_GRAPH_DEFAULTS = {"mode": "raw", "level": 0.05, "dot": None, "json": None}
-
-
 def cmd_graph(args) -> None:
-    opt = _effective(args, _GRAPH_DEFAULTS)
-    if opt["dot"] is None and opt["json"] is None:
+    if args.dot is None and args.json is None:
         raise UsageError("at least one of --dot or --json is required")
     obj = jsonio.load(args.report)
     report = InferenceReport.from_json_dict(obj)
@@ -336,33 +329,29 @@ def cmd_graph(args) -> None:
                 f"bias-plus-upper-triangle layout"
             )
         labels = _default_labels(dims[0])
-    spec = build_network(report, labels, mode=str(opt["mode"]), level=float(opt["level"]))
-    if opt["dot"]:
-        Path(opt["dot"]).write_text(emit_dot(spec), encoding="utf-8")
-    if opt["json"]:
-        jsonio.dump(network_to_json_dict(spec), opt["json"])
-
-
-_SIMULATE_DEFAULTS = {"n": None, "seed": 0, "output": None, "labels": None}
+    spec = build_network(report, labels, mode=args.mode, level=args.level)
+    if args.dot:
+        Path(args.dot).write_text(emit_dot(spec), encoding="utf-8")
+    if args.json:
+        jsonio.dump(network_to_json_dict(spec), args.json)
 
 
 def cmd_simulate(args) -> None:
-    opt = _effective(args, _SIMULATE_DEFAULTS)
-    output = _require(opt, "output", "--output")
-    n = int(_require(opt, "n", "--n"))
-    if n < 0:
-        raise UsageError(f"--n must be nonnegative, got {n}")
+    if args.n < 0:
+        raise UsageError(f"--n must be nonnegative, got {args.n}")
     params = FvbmParams.from_json_dict(jsonio.load(args.params))
-    if opt["labels"]:
-        labels = [s.strip() for s in str(opt["labels"]).split(",")]
+    if args.labels:
+        labels = [s.strip() for s in args.labels.split(",")]
         if len(labels) != params.d:
             raise UsageError(
                 f"{len(labels)} labels given for a model with d={params.d}"
             )
+        if repeated := _repeated(labels):
+            raise UsageError(f"--labels repeats {', '.join(repeated)}")
     else:
         labels = _default_labels(params.d)
-    draws = sample(params, n, seed=int(opt["seed"]))
-    write_spin_csv(output, labels, draws)
+    draws = sample(params, args.n, seed=args.seed)
+    write_spin_csv(args.output, labels, draws)
 
 
 # ---------------------------------------------------------------------------
@@ -370,89 +359,80 @@ def cmd_simulate(args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``fvbm`` parser and its subcommand parsers by name."""
     parser = _Parser(
         prog="fvbm",
         description="Fit and analyze fully-visible Boltzmann machines on +/-1 data.",
     )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    p = sub.add_parser("prepare", help="votes CSV -> +/-1 agreement matrix CSV")
+    def command(name, func, help):
+        p = sub.add_parser(name, parents=[_CONFIG], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("prepare", cmd_prepare, "votes CSV -> +/-1 agreement matrix CSV")
     p.add_argument("votes", help="party-level divisions CSV")
     p.add_argument("--splits", help="member-level records CSV for Split cells")
-    p.add_argument("--reference", help="reference (government) party column")
+    p.add_argument("--reference", required=True, help="reference (government) party column")
     p.add_argument("--extract-member", dest="extract_member", help="senator to pull out as a separate column")
     p.add_argument("--extract-label", dest="extract_label", help="column label for the extracted member")
-    p.add_argument("--k", type=int, help="neighbors for k-NN imputation (default 3)")
-    p.add_argument("--drop-threshold", dest="drop_threshold", type=float, help="drop columns with a higher missing fraction (default 0.5)")
-    p.add_argument("-o", "--output", help="output +/-1 CSV path")
+    p.add_argument("--k", type=int, default=ImputeConfig.k, help="neighbors for k-NN imputation (default %(default)s)")
+    p.add_argument("--drop-threshold", dest="drop_threshold", type=float, default=0.5, help="drop columns with a higher missing fraction (default %(default)s)")
+    p.add_argument("-o", "--output", required=True, help="output +/-1 CSV path")
     p.add_argument("--json", help="also write the matrix as JSON here")
     p.add_argument("--provenance", help="provenance JSON path (default <output>.prov.json)")
-    p.add_argument("--config", help="JSON config file")
-    p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("fit", help="+/-1 CSV -> fitted parameters JSON")
+    p = command("fit", cmd_fit, "+/-1 CSV -> fitted parameters JSON")
     p.add_argument("data", help="+/-1 matrix CSV with a header row")
-    p.add_argument("-o", "--output", help="output fit JSON path")
-    p.add_argument("--tol", type=float, help="objective tolerance (default 1e-8)")
-    p.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap (default 1000)")
+    p.add_argument("-o", "--output", required=True, help="output fit JSON path")
+    p.add_argument("--tol", type=float, default=FitConfig.objective_tolerance, help="objective tolerance (default %(default)s)")
+    p.add_argument("--max-iter", dest="max_iter", type=int, default=FitConfig.max_iterations, help="iteration cap (default %(default)s)")
     p.add_argument("--init", help="params JSON to start from (default zeros)")
     p.add_argument("--strict", action="store_true", help="treat degenerate columns as errors")
-    p.add_argument("--config", help="JSON config file")
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("infer", help="fit JSON + data CSV -> report JSON (+ text tables)")
+    p = command("infer", cmd_infer, "fit JSON + data CSV -> report JSON (+ text tables)")
     p.add_argument("fit", help="fit JSON from the fit subcommand")
     p.add_argument("data", help="the +/-1 CSV the fit came from")
-    p.add_argument("-o", "--output", help="output report JSON path")
+    p.add_argument("-o", "--output", required=True, help="output report JSON path")
     p.add_argument("--tables", help="text tables path (default <output>.tables.txt)")
-    p.add_argument("--fdr", choices=["by", "bh"], help="FDR adjustment method (default by)")
-    p.add_argument("--groups", choices=["subtables", "single"], help="adjust bias/interaction blocks separately (default) or together")
-    p.add_argument("--config", help="JSON config file")
-    p.set_defaults(func=cmd_infer)
+    p.add_argument("--fdr", choices=["by", "bh"], default="by", help="FDR adjustment method (default %(default)s)")
+    p.add_argument("--groups", choices=["subtables", "single"], default="subtables", help="adjust bias/interaction blocks separately or together (default %(default)s)")
 
-    p = sub.add_parser("probs", help="fit JSON -> exact marginal/joint probabilities")
+    p = command("probs", cmd_probs, "fit JSON -> exact marginal/joint probabilities")
     p.add_argument("fit", help="fit JSON")
-    p.add_argument("-o", "--output", help="output probabilities JSON path")
+    p.add_argument("-o", "--output", required=True, help="output probabilities JSON path")
     p.add_argument("--pair", action="append", help="column pair 'A,B' to report jointly (repeatable)")
-    p.add_argument("--config", help="JSON config file")
-    p.set_defaults(func=cmd_probs)
 
-    p = sub.add_parser("graph", help="report JSON -> significance network (DOT/JSON)")
+    p = command("graph", cmd_graph, "report JSON -> significance network (DOT/JSON)")
     p.add_argument("report", help="report JSON from the infer subcommand")
-    p.add_argument("--mode", choices=["raw", "fdr"], help="p-values driving significance (default raw)")
-    p.add_argument("--level", type=float, help="significance / FDR level (default 0.05)")
+    p.add_argument("--mode", choices=["raw", "fdr"], default="raw", help="p-values driving significance (default %(default)s)")
+    p.add_argument("--level", type=float, default=0.05, help="significance / FDR level (default %(default)s)")
     p.add_argument("--dot", help="output DOT path")
     p.add_argument("--json", help="output network JSON path")
-    p.add_argument("--config", help="JSON config file")
-    p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("simulate", help="params JSON -> seeded exact sample CSV")
+    p = command("simulate", cmd_simulate, "params JSON -> seeded exact sample CSV")
     p.add_argument("params", help="params JSON ({d, bias, interaction_upper})")
-    p.add_argument("--n", type=int, help="number of rows to draw")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    p.add_argument("--n", type=int, required=True, help="number of rows to draw")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
     p.add_argument("--labels", help="comma-separated column labels")
-    p.add_argument("-o", "--output", help="output CSV path")
-    p.add_argument("--config", help="JSON config file")
-    p.set_defaults(func=cmd_simulate)
+    p.add_argument("-o", "--output", required=True, help="output CSV path")
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        args = _parse_args(parser, commands, argv)
+        if getattr(args, "func", None) is None:
+            parser.print_help(sys.stderr)
+            return 1
+        args.func(args)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (None, 0) else 1
-    if getattr(args, "func", None) is None:
-        parser.print_help(sys.stderr)
-        return 1
-    try:
-        args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -20,9 +20,10 @@ below the current one, so the objective trace never decreases.  If
 ``MAX_HALVINGS`` halvings find no such point, the fit takes no step,
 stops, and is not converged.
 
-The stopping rule is that of the MM sweeps it replaces: the fit stops
-when an iteration changes the objective by less than
-``objective_tolerance``.  That alone does not mean an estimate exists.
+The fit stops when an accepted step changes the objective by less than
+``objective_tolerance``, after ``max_iterations`` steps, or when
+backtracking finds no step.  Stopping on the tolerance alone does not
+mean that an estimate exists.
 On separated data (no finite maximizer; Albert & Anderson 1984) the
 objective approaches its supremum while the parameters run off to
 infinity, so its change dies out while every Newton step stays of order
@@ -124,11 +125,15 @@ class FitResult:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FitResult":
         try:
+            if not isinstance(obj["converged"], bool):
+                raise DataError(
+                    f"malformed fit record: converged is {obj['converged']!r}, not a boolean"
+                )
             return cls(
                 params=FvbmParams.from_json_dict(obj["params"]),
                 objective_trace=np.asarray(obj["objective_trace"], dtype=np.float64),
                 iterations_used=int(obj["iterations_used"]),
-                converged=bool(obj["converged"]),
+                converged=obj["converged"],
                 degenerate_columns=tuple(obj.get("degenerate_columns", ())),
                 last_step=(
                     None

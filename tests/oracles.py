@@ -12,6 +12,8 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import fvbm
 from fvbm import DataError, FvbmParams
@@ -29,6 +31,14 @@ def random_params(rng: np.random.Generator, d: int, scale: float = 1.0) -> FvbmP
 
 def random_spins(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return rng.choice([-1.0, 1.0], size=(n, d))
+
+
+@st.composite
+def small_spin_tables(draw) -> np.ndarray:
+    """Hypothesis strategy: +/-1 tables of 1-4 columns and 1-40 rows, most
+    of them separated (no finite maximum pseudolikelihood estimate)."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    return draw(arrays(np.float64, (n, d), elements=st.sampled_from([-1.0, 1.0])))
 
 
 def correlated_spins(

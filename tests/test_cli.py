@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fvbm
 from fvbm.cli import main
@@ -430,3 +432,171 @@ def test_graph_requires_an_output(tmp_path, votes_csv, splits_csv):
     main(["fit", str(matrix), "-o", str(fit_path)])
     main(["infer", str(fit_path), str(matrix), "-o", str(report_path)])
     assert main(["graph", str(report_path)]) == 1
+
+
+# ---------------------------------------------------------------------------
+# --config entries go through the flags' own declarations
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def chain_files(tmp_path):
+    """A degenerate spin CSV, a well-posed one, its fit and its report."""
+    flat = tmp_path / "flat.csv"
+    fvbm.write_spin_csv(flat, ["a", "b"], np.column_stack([np.ones(10), -np.ones(10)]))
+    _, _, data = _simulate(tmp_path, n=2000)
+    fit_path, report = tmp_path / "fit.json", tmp_path / "report.json"
+    assert main(["fit", str(data), "-o", str(fit_path)]) == 0
+    assert main(["infer", str(fit_path), str(data), "-o", str(report)]) == 0
+    return {
+        "fit": ["fit", str(flat)],
+        "infer": ["infer", str(fit_path), str(data)],
+        "graph": ["graph", str(report)],
+    }
+
+
+# (subcommand, config entry, the equivalent flags, exit code of both)
+_CONFIG_PROBES = [
+    ("fit", {"tol": None}, [], 0),
+    ("fit", {"output": ["out"]}, ["extra"], 1),
+    ("fit", {"strict": "false"}, ["--strict", "false"], 1),
+    ("fit", {"max_iter": 2.7}, ["--max-iter", "2.7"], 1),
+    ("infer", {"fdr": "xx"}, ["--fdr", "xx"], 1),
+    ("graph", {"mode": "xx"}, ["--mode", "xx"], 1),
+    ("infer", {"groups": "xx"}, ["--groups", "xx"], 1),
+]
+
+
+@pytest.mark.parametrize("command, entry, flags, code", _CONFIG_PROBES)
+def test_config_entry_exits_like_its_flag(tmp_path, chain_files, command, entry, flags, code):
+    output = "dot" if command == "graph" else "output"
+    out = str(tmp_path / "out")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({output: out, **entry}))
+    assert main([*chain_files[command], "--config", str(config)]) == code
+    assert main([*chain_files[command], f"--{output}", out, *flags]) == code
+
+
+def test_config_refuses_keys_that_are_not_option_dests(tmp_path, chain_files):
+    config = tmp_path / "config.json"
+    for key in ("out", "config", "data", "help", "func"):
+        config.write_text(json.dumps({"output": str(tmp_path / "f.json"), key: "x"}))
+        assert main([*chain_files["fit"], "--config", str(config)]) == 1, key
+
+
+def test_config_that_is_not_an_object_is_data_error(tmp_path, chain_files):
+    config = tmp_path / "config.json"
+    config.write_text("[]")
+    out = str(tmp_path / "f.json")
+    assert main([*chain_files["fit"], "-o", out, "--config", str(config)]) == 2
+
+
+def test_config_switch_and_null(tmp_path, chain_files):
+    config = tmp_path / "config.json"
+    out = str(tmp_path / "f.json")
+    config.write_text(json.dumps({"strict": True, "tol": None}))
+    assert main([*chain_files["fit"], "-o", out, "--config", str(config)]) == 2
+    config.write_text(json.dumps({"strict": False}))
+    assert main([*chain_files["fit"], "-o", out, "--config", str(config)]) == 0
+    assert main([*chain_files["fit"], "-o", out, "--config", str(config), "--strict"]) == 2
+
+
+def test_help_wins_over_the_config_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["fit", "--help", "--config", missing]) == 0
+    assert "iteration cap (default 1000)" in capsys.readouterr().out
+
+
+def test_pair_flags_replace_the_config_pairs(tmp_path):
+    _, _, data = _simulate(tmp_path, n=200)
+    fit_path = tmp_path / "fit.json"
+    assert main(["fit", str(data), "-o", str(fit_path)]) == 0
+    config = tmp_path / "config.json"
+    out = tmp_path / "probs.json"
+
+    def pairs(config_pairs, *flags):
+        config.write_text(json.dumps({"pair": config_pairs}))
+        argv = ["probs", str(fit_path), "-o", str(out), "--config", str(config), *flags]
+        assert main(argv) == 0
+        return [(p["a"], p["b"]) for p in json.loads(out.read_text())["pairs"]]
+
+    assert pairs(["P,Q", "Q,P"]) == [("P", "Q"), ("Q", "P")]
+    assert pairs("P,Q") == [("P", "Q")]
+    assert pairs(["P,Q", "Q,P"], "--pair", "Q,P") == [("Q", "P")]
+    assert pairs(None, "--pair", "Q,P", "--pa", "P,Q") == [("Q", "P"), ("P", "Q")]
+
+
+# the options of each subcommand, then its positional names
+_CONFIG_KEYS = {
+    "prepare": ["splits", "reference", "extract_member", "extract_label", "k",
+                "drop_threshold", "output", "json", "provenance", "votes"],
+    "fit": ["output", "tol", "max_iter", "init", "strict", "data"],
+    "infer": ["output", "tables", "fdr", "groups", "fit", "data"],
+    "probs": ["output", "pair", "fit"],
+    "graph": ["mode", "level", "dot", "json", "report"],
+    "simulate": ["n", "seed", "labels", "output", "params"],
+}
+# valid entries for the options a run cannot do without
+_REQUIRED = {
+    "prepare": {"reference": "GOV", "output": "out"},
+    "fit": {"output": "out"},
+    "infer": {"output": "out"},
+    "probs": {"output": "out"},
+    "graph": {"dot": "out"},
+    "simulate": {"n": 1, "output": "out"},
+}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), value=_JSON)
+def test_any_config_value_gives_a_stable_exit_code(tmp_path_factory, data, value):
+    command = data.draw(st.sampled_from(sorted(_CONFIG_KEYS)))
+    key = data.draw(st.sampled_from([*_CONFIG_KEYS[command], "config", "out"]))
+    directory = tmp_path_factory.getbasetemp() / "config-values"
+    directory.mkdir(exist_ok=True)
+    config = directory / "config.json"
+    config.write_text(json.dumps({**_REQUIRED[command], key: value}))
+    # the inputs do not exist, so no run gets as far as writing a file
+    inputs = [str(directory / "missing")] * (2 if command == "infer" else 1)
+    assert main([command, *inputs, "--config", str(config)]) in (0, 1, 2, 3)
+
+
+def test_fit_refuses_repeated_column_labels(tmp_path, capsys):
+    path = tmp_path / "spins.csv"
+    fvbm.write_spin_csv(path, ["A", "A", "B"], np.random.default_rng(0).choice([-1.0, 1.0], (50, 3)))
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text('"A",B,A\n1,1,-1\n-1,1,1\n', encoding="utf-8")
+    for csv_path in (path, quoted):
+        capsys.readouterr()
+        assert main(["fit", str(csv_path), "-o", str(tmp_path / "f.json")]) == 2
+        assert "repeats column label(s) A" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
+def test_simulate_refuses_repeated_labels(tmp_path):
+    params_path = tmp_path / "params.json"
+    fvbm.jsonio.dump(fvbm.FvbmParams.zeros(3).to_json_dict(), params_path)
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", str(params_path), "--n", "5", "--labels", "A,A,B", "-o", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+
+
+def test_infer_refuses_a_fit_record_whose_converged_is_not_a_boolean(
+    tmp_path, votes_csv, splits_csv
+):
+    # the 8-row fixture is separated: its fit is unconverged, and a record
+    # that says "false" must not pass for converged
+    _, matrix = _prepare(tmp_path, votes_csv, splits_csv)
+    fit_path = tmp_path / "fit.json"
+    assert main(["fit", str(matrix), "-o", str(fit_path)]) == 0
+    record = json.loads(fit_path.read_text())
+    for converged in ("false", "true", 1, None):
+        record["converged"] = converged
+        fit_path.write_text(json.dumps(record))
+        assert main(["infer", str(fit_path), str(matrix), "-o", str(tmp_path / "r.json")]) == 2

@@ -10,6 +10,7 @@ file, which wins over the declared defaults.  Exit codes are stable:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import Counter
 from pathlib import Path
@@ -128,12 +129,17 @@ def _repeated(labels: list[str]) -> list[str]:
     return [label for label, count in Counter(labels).items() if count > 1]
 
 
-def _read_spins(path) -> tuple[list[str], np.ndarray]:
-    """A spin CSV whose column labels are distinct, as outputs key on them."""
-    labels, data = read_spin_csv(path)
+def _distinct(labels: list[str], source: str) -> list[str]:
+    """``labels`` if no label repeats, as outputs key on them."""
     if repeated := _repeated(labels):
-        raise DataError(f"spin CSV {path} repeats column label(s) {', '.join(repeated)}")
-    return labels, data
+        raise DataError(f"{source} repeats column label(s) {', '.join(repeated)}")
+    return labels
+
+
+def _read_spins(path) -> tuple[list[str], np.ndarray]:
+    """A spin CSV whose column labels are distinct."""
+    labels, data = read_spin_csv(path)
+    return _distinct(labels, f"spin CSV {path}"), data
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +279,11 @@ def cmd_infer(args) -> None:
 def cmd_probs(args) -> None:
     fit_result, labels = _load_fit(args.fit)
     params = fit_result.params
-    if labels is None:
-        labels = _default_labels(params.d)
+    labels = (
+        _default_labels(params.d)
+        if labels is None
+        else _distinct(labels, f"fit file {args.fit}")
+    )
     table = enumerate_pmf(params)
     marginals = {
         label: marginal_probability(table, j) for j, label in enumerate(labels)
@@ -329,6 +338,7 @@ def cmd_graph(args) -> None:
                 f"bias-plus-upper-triangle layout"
             )
         labels = _default_labels(dims[0])
+    _distinct(labels, f"report file {args.report}")
     spec = build_network(report, labels, mode=args.mode, level=args.level)
     if args.dot:
         Path(args.dot).write_text(emit_dot(spec), encoding="utf-8")
@@ -359,20 +369,22 @@ def cmd_simulate(args) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The ``fvbm`` parser and its subcommand parsers by name."""
+    """The ``fvbm`` parser and its subcommand parsers by name, built once.
+
+    Parsing leaves the parsers unchanged, so every call shares them.
+    """
     parser = _Parser(
         prog="fvbm",
         description="Fit and analyze fully-visible Boltzmann machines on +/-1 data.",
     )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def command(name, func, help):
-        p = sub.add_parser(name, parents=[_CONFIG], help=help)
-        p.set_defaults(func=func)
-        return p
+    def command(name, help):
+        return sub.add_parser(name, parents=[_CONFIG], help=help)
 
-    p = command("prepare", cmd_prepare, "votes CSV -> +/-1 agreement matrix CSV")
+    p = command("prepare", "votes CSV -> +/-1 agreement matrix CSV")
     p.add_argument("votes", help="party-level divisions CSV")
     p.add_argument("--splits", help="member-level records CSV for Split cells")
     p.add_argument("--reference", required=True, help="reference (government) party column")
@@ -384,7 +396,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--json", help="also write the matrix as JSON here")
     p.add_argument("--provenance", help="provenance JSON path (default <output>.prov.json)")
 
-    p = command("fit", cmd_fit, "+/-1 CSV -> fitted parameters JSON")
+    p = command("fit", "+/-1 CSV -> fitted parameters JSON")
     p.add_argument("data", help="+/-1 matrix CSV with a header row")
     p.add_argument("-o", "--output", required=True, help="output fit JSON path")
     p.add_argument("--tol", type=float, default=FitConfig.objective_tolerance, help="objective tolerance (default %(default)s)")
@@ -392,7 +404,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--init", help="params JSON to start from (default zeros)")
     p.add_argument("--strict", action="store_true", help="treat degenerate columns as errors")
 
-    p = command("infer", cmd_infer, "fit JSON + data CSV -> report JSON (+ text tables)")
+    p = command("infer", "fit JSON + data CSV -> report JSON (+ text tables)")
     p.add_argument("fit", help="fit JSON from the fit subcommand")
     p.add_argument("data", help="the +/-1 CSV the fit came from")
     p.add_argument("-o", "--output", required=True, help="output report JSON path")
@@ -400,19 +412,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--fdr", choices=["by", "bh"], default="by", help="FDR adjustment method (default %(default)s)")
     p.add_argument("--groups", choices=["subtables", "single"], default="subtables", help="adjust bias/interaction blocks separately or together (default %(default)s)")
 
-    p = command("probs", cmd_probs, "fit JSON -> exact marginal/joint probabilities")
+    p = command("probs", "fit JSON -> exact marginal/joint probabilities")
     p.add_argument("fit", help="fit JSON")
     p.add_argument("-o", "--output", required=True, help="output probabilities JSON path")
     p.add_argument("--pair", action="append", help="column pair 'A,B' to report jointly (repeatable)")
 
-    p = command("graph", cmd_graph, "report JSON -> significance network (DOT/JSON)")
+    p = command("graph", "report JSON -> significance network (DOT/JSON)")
     p.add_argument("report", help="report JSON from the infer subcommand")
     p.add_argument("--mode", choices=["raw", "fdr"], default="raw", help="p-values driving significance (default %(default)s)")
     p.add_argument("--level", type=float, default=0.05, help="significance / FDR level (default %(default)s)")
     p.add_argument("--dot", help="output DOT path")
     p.add_argument("--json", help="output network JSON path")
 
-    p = command("simulate", cmd_simulate, "params JSON -> seeded exact sample CSV")
+    p = command("simulate", "params JSON -> seeded exact sample CSV")
     p.add_argument("params", help="params JSON ({d, bias, interaction_upper})")
     p.add_argument("--n", type=int, required=True, help="number of rows to draw")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
@@ -427,10 +439,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(parser, commands, argv)
-        if getattr(args, "func", None) is None:
+        if args.command is None:
             parser.print_help(sys.stderr)
             return 1
-        args.func(args)
+        # Looked up by name on each call, not bound into the shared parser,
+        # so that a wrapper put in place of a ``cmd_*`` function is called.
+        globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (None, 0) else 1
     except UsageError as exc:

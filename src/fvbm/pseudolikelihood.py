@@ -19,13 +19,20 @@ where grad(a_j) is 1 at b_j and x_k at m_jk (pair slots touching j).
 All derivatives are over the canonical flat layout of ``params``.
 
 Since grad(a_l) is nonzero only on the d slots (b_l, m_lk for k != l),
-the Hessian is a sum of d scattered d-by-d blocks.  With z the data with
-column l set to 1, conditional l contributes
+every Hessian entry is a sum over conditionals l and observations of s_il
+times one of 1, x_ik or x_ik x_im.  A precomputed gather adds them up from
 
-    -z' diag(s_l) z    at rows and columns (b_l, m_lk for k != l),
+    G = s' W,   W = [1, x, x_j x_k for j < k],   p = d + d(d-1)/2,
 
-so the whole Hessian costs O(n d^3) instead of O(n d p^2) with
-p = d + d(d-1)/2.
+at O(n d p), half the cost of d separate d-by-d blocks.  G is one product
+per block of observations, with W's rows for the block built in a buffer,
+so the n-by-p matrix W is never formed.  Equal or opposite columns of W
+then give equal or opposite sums: with identical or mirror-image data
+columns the Hessian keeps the exact near-null direction whose tiny
+curvature sets the Newton step on such separated data.  An
+entry and its mirror sum the same terms in the same order, so the result
+is exactly symmetric.  Against the block form, entries differ by rounding
+only: at most 1e-12 n in the tests.
 """
 
 from __future__ import annotations
@@ -33,7 +40,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .params import FvbmParams, as_spin_matrix, as_spin_vector, slot_map, upper_indices
+from .params import (
+    FvbmParams,
+    as_spin_matrix,
+    as_spin_vector,
+    flat_length,
+    slot_map,
+    upper_indices,
+)
 
 
 def _activations(params: FvbmParams, x: np.ndarray) -> np.ndarray:
@@ -107,6 +121,14 @@ def log_pseudolikelihood(params: FvbmParams, data) -> float:
     return _log_pl(x, _activations(params, x))
 
 
+def _score(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The score from data and activations of equal shape."""
+    resid = x - np.tanh(a)
+    rows, cols = upper_indices(x.shape[1])
+    cross = resid.T @ x
+    return np.concatenate([resid.sum(axis=0), cross[rows, cols] + cross[cols, rows]])
+
+
 def pseudo_score(params: FvbmParams, data) -> np.ndarray:
     """Analytic gradient of the log-pseudolikelihood over the flat layout.
 
@@ -115,48 +137,82 @@ def pseudo_score(params: FvbmParams, data) -> np.ndarray:
     """
     x = as_spin_matrix(data)
     _check_dims(params, x)
-    d = params.d
-    resid = x - np.tanh(_activations(params, x))
-    rows, cols = upper_indices(d)
-    cross = resid.T @ x
-    return np.concatenate([resid.sum(axis=0), cross[rows, cols] + cross[cols, rows]])
+    return _score(x, _activations(params, x))
 
 
 def per_observation_scores(params: FvbmParams, data) -> np.ndarray:
     """n-by-p matrix whose rows are each observation's total score vector.
 
-    Rows sum to :func:`pseudo_score`.
+    Rows sum to :func:`pseudo_score`.  The matrix is the transpose of a
+    p-by-n buffer, so that each coordinate's scores are contiguous.
     """
     x = as_spin_matrix(data)
     _check_dims(params, x)
     d = params.d
     slot = slot_map(d)
-    resid = x - np.tanh(_activations(params, x))
-    scores = np.empty((x.shape[0], params.n_params))
-    scores[:, :d] = resid
+    xt = np.ascontiguousarray(x.T)
+    resid = xt - np.tanh(_activations(params, x).T)
+    scores = np.empty((params.n_params, x.shape[0]))
+    scores[:d] = resid
     # The pairs (j, k > j) of one row fill a contiguous run of slots; filling
-    # a run at a time keeps temporaries at n-by-d, not n-by-p.
+    # a run at a time keeps temporaries at d-by-n, not p-by-n.
     for j in range(d - 1):
         run = slice(slot[j, j + 1], slot[j, d - 1] + 1)
-        scores[:, run] = resid[:, j : j + 1] * x[:, j + 1 :] + x[:, j : j + 1] * resid[:, j + 1 :]
-    return scores
+        scores[run] = resid[j] * xt[j + 1 :] + xt[j] * resid[j + 1 :]
+    return scores.T
+
+
+def _hessian_gather(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into the p-by-p Hessian and into the transpose of G,
+    (1+p)-by-d, for every (l, u, v).
+
+    Conditional l adds s_il z_u z_v to the entry (slot[l, u], slot[l, v]),
+    where z is x with z_l = 1.  z_u z_v is 1 when u == v, the x of the other
+    coordinate when one of them is l, and x_u x_v otherwise: W's columns 0,
+    1 + slot[k, k] and 1 + slot[u, v].
+    """
+    p = flat_length(d)
+    slot = slot_map(d)
+    l, u, v = np.ogrid[:d, :d, :d]
+    pair = slot[np.where(u == l, v, u), np.where(v == l, u, v)]
+    source = np.where(u == v, 0, 1 + pair) * d + l
+    target = slot[l, u] * p + slot[l, v]
+    return target.ravel(), source.ravel()
+
+
+def _hessian(
+    x: np.ndarray, a: np.ndarray, gather: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """The Hessian from data, activations and :func:`_hessian_gather` (d)."""
+    n, d = x.shape
+    p = flat_length(d)
+    rows, cols = upper_indices(d)
+    xt = np.ascontiguousarray(x.T)
+    s = _sech2(a)
+    # Observations per block of the design: enough for an efficient product,
+    # few enough that the block (about 256 KB) stays in cache.
+    block = max(64, (1 << 15) // (1 + p))
+    design = np.empty((1 + p, min(block, n)))
+    design[0] = 1.0
+    gt = np.zeros((1 + p, d))
+    for start in range(0, n, block):
+        xb = xt[:, start : start + block]
+        w = design[:, : xb.shape[1]]
+        w[1 : d + 1] = xb
+        pairs = w[d + 1 :]
+        np.take(xb, rows, axis=0, out=pairs)
+        pairs *= xb[cols]
+        gt += w @ s[start : start + block]
+    target, source = gather
+    h = np.bincount(target, weights=gt.ravel()[source], minlength=p * p)
+    return np.negative(h, out=h).reshape(p, p)
 
 
 def pseudo_hessian(params: FvbmParams, data) -> np.ndarray:
     """Analytic Hessian of the log-pseudolikelihood (symmetric, p-by-p).
 
-    Built from d scattered d-by-d blocks, one per conditional (see the
-    module docstring), in O(n d^3) time.
+    Gathered from G (see the module docstring) in O(n d p) time.
     """
     x = as_spin_matrix(data)
     _check_dims(params, x)
-    d = params.d
-    slot = slot_map(d)
-    s = _sech2(_activations(params, x))
-    h = np.zeros((params.n_params, params.n_params))
-    z = x.copy()
-    for l in range(d):
-        z[:, l] = 1.0
-        h[np.ix_(slot[l], slot[l])] -= (z * s[:, l : l + 1]).T @ z
-        z[:, l] = x[:, l]
-    return (h + h.T) / 2.0
+    return _hessian(x, _activations(params, x), _hessian_gather(params.d))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fvbm
+from fvbm import cli
 from fvbm.cli import main
 
 _VOTES = """date,number,GOV,AAA,BBB,CCC
@@ -576,6 +577,75 @@ def test_fit_refuses_repeated_column_labels(tmp_path, capsys):
         assert main(["fit", str(csv_path), "-o", str(tmp_path / "f.json")]) == 2
         assert "repeats column label(s) A" in capsys.readouterr().err
     assert not (tmp_path / "f.json").exists()
+
+
+def test_probs_and_graph_refuse_repeated_labels(tmp_path, chain_files, capsys):
+    fit_path, out = tmp_path / "hand.json", tmp_path / "out.json"
+    fit_path.write_text(json.dumps({
+        "schema_version": 1,
+        "params": {"d": 2, "bias": [0.0, 0.0], "interaction_upper": [0.0]},
+        "objective_trace": [0.0],
+        "iterations_used": 0,
+        "converged": False,
+        "labels": ["A", "A"],
+    }))
+    capsys.readouterr()
+    assert main(["probs", str(fit_path), "-o", str(out)]) == 2
+    assert "repeats column label(s) A" in capsys.readouterr().err
+    report_path = tmp_path / "report.json"
+    report = json.loads(report_path.read_text())
+    report["labels"] = ["P", "P"]
+    report_path.write_text(json.dumps(report))
+    assert main(["graph", str(report_path), "--json", str(out)]) == 2
+    assert "repeats column label(s) P" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_back_to_back_calls_behave_like_fresh_ones(tmp_path, chain_files):
+    fit_path = chain_files["infer"][1]
+    out = tmp_path / "out.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pair": ["P,Q", "Q,P"], "output": str(out)}))
+    strict = tmp_path / "strict.json"
+    strict.write_text(json.dumps({"strict": True}))
+    argvs = [
+        ["probs", fit_path, "--config", str(config)],
+        ["probs", fit_path, "--config", str(config), "--pair", "Q,P"],
+        ["probs", fit_path, "--config", str(config)],
+        ["probs", fit_path, "-o", str(out)],
+        [*chain_files["fit"], "-o", str(out), "--config", str(strict)],
+        [*chain_files["fit"], "-o", str(out)],
+        ["probs", fit_path, "--pair", "P", "-o", str(out)],
+        [],
+    ]
+
+    def run(fresh):
+        outcomes = []
+        for argv in argvs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            out.unlink(missing_ok=True)
+            code = main(argv)
+            outcomes.append((code, out.read_text() if out.exists() else None))
+        return outcomes
+
+    shared = run(fresh=False)
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _ in shared] == [0, 0, 0, 0, 2, 0, 1, 1]
+    pairs = [[(p["a"], p["b"]) for p in json.loads(text)["pairs"]] for _, text in shared[:4]]
+    assert pairs == [[("P", "Q"), ("Q", "P")], [("Q", "P")], [("P", "Q"), ("Q", "P")], []]
+    assert run(fresh=False) == shared
+    assert run(fresh=True) == shared
+
+
+def test_main_calls_the_subcommand_function_bound_at_call_time(tmp_path, chain_files, monkeypatch):
+    fit_path = chain_files["infer"][1]
+    assert main(["probs", fit_path, "-o", str(tmp_path / "a.json")]) == 0
+    calls = []
+    original = cli.cmd_probs
+    monkeypatch.setattr(cli, "cmd_probs", lambda args: calls.append(args) or original(args))
+    assert main(["probs", fit_path, "-o", str(tmp_path / "b.json")]) == 0
+    assert len(calls) == 1 and (tmp_path / "b.json").exists()
 
 
 def test_simulate_refuses_repeated_labels(tmp_path):

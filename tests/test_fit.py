@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fvbm
@@ -19,6 +19,8 @@ from fvbm import jsonio
 import reference_values as ref
 from oracles import (
     ORACLE_SHAPES,
+    cholesky_newton_fit,
+    cholesky_newton_step,
     correlated_spins,
     incremental_fit,
     pair_loop_fit,
@@ -283,6 +285,48 @@ def test_verdict_matches_mm_on_paper_scale_draws():
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+# fit and the Cholesky-Newton oracle differ in the Hessian's summation
+# order and, above 64 parameters, in the blocking of the solves.  On 36
+# benchmark-shaped inputs (d=24, n=2000, tolerance 1e-10) and the 500
+# paper-scale draws, iteration counts and verdicts were equal; parameters
+# differed by at most 1.4e-8, and not at all on the draws.
+NEWTON_ORACLE_ATOL = 1e-7
+
+
+def _assert_same_newton_fit(result, oracle):
+    assert result.iterations_used == oracle.iterations_used
+    assert result.converged == oracle.converged
+    assert result.degenerate_columns == oracle.degenerate_columns
+    if result.converged:
+        np.testing.assert_allclose(
+            result.params.to_flat(), oracle.params.to_flat(), rtol=0.0, atol=NEWTON_ORACLE_ATOL
+        )
+
+
+@pytest.mark.parametrize("case", ["zeros", "init", "cutoff"])
+@pytest.mark.parametrize("d, n", ORACLE_SHAPES)
+def test_fit_matches_cholesky_newton_oracle(d, n, case):
+    rng = np.random.default_rng(1000 * d + n)
+    data = correlated_spins(rng, n, d)
+    config = fvbm.FitConfig(objective_tolerance=1e-10)
+    if case == "init":
+        config = fvbm.FitConfig(init=random_params(rng, d, scale=0.5))
+    elif case == "cutoff":
+        config = fvbm.FitConfig(max_iterations=2)
+    result, oracle = fvbm.fit(data, config), cholesky_newton_fit(data, config)
+    _assert_same_newton_fit(result, oracle)
+    np.testing.assert_allclose(
+        result.params.to_flat(), oracle.params.to_flat(), rtol=0.0, atol=NEWTON_ORACLE_ATOL
+    )
+
+
+def test_fit_matches_cholesky_newton_oracle_on_paper_scale_draws():
+    params = fvbm.FvbmParams.from_flat(8, np.asarray(ref.FLAT_ESTIMATES))
+    for r in range(40):
+        data = fvbm.sample(params, 147, seed=r)
+        _assert_same_newton_fit(fvbm.fit(data), cholesky_newton_fit(data))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     d=st.integers(1, 8),
@@ -290,6 +334,10 @@ def test_verdict_matches_mm_on_paper_scale_draws():
     scale=st.floats(0.0, 3.0),
     seed=st.integers(0, 2**32 - 1),
 )
+# separated tables on which Newton steps from LU solves of -H read as converged
+@example(d=8, n=8, scale=2.5895090590304592, seed=6153)
+@example(d=3, n=5, scale=2.800576515108108, seed=230863312)
+@example(d=7, n=13, scale=2.227204605826325, seed=3477265738)
 def test_converged_fit_has_vanishing_score(d, n, scale, seed):
     rng = np.random.default_rng(seed)
     data = random_spins(rng, n, d)
@@ -349,6 +397,33 @@ def test_newton_step_adds_ridge_when_cholesky_fails():
     # with a positive definite -H it is the plain Newton step
     step = fit_module._newton_step(np.array([1.0, 1.0]), -np.diag([2.0, 4.0]))
     np.testing.assert_allclose(step, [0.5, 0.25], rtol=1e-15)
+
+
+@pytest.mark.parametrize("p", [1, 36, 64, 65, 300])
+def test_newton_step_matches_two_solves_with_the_whole_factor(p):
+    rng = np.random.default_rng(p)
+    root = rng.normal(size=(p, p + 5))
+    hessian = -(root @ root.T)
+    score = rng.normal(size=p)
+    step = fit_module._newton_step(score, hessian)
+    expected = cholesky_newton_step(score, hessian)
+    if p <= fit_module.SOLVE_BLOCK:
+        np.testing.assert_array_equal(step, expected)
+    else:
+        np.testing.assert_allclose(step, expected, rtol=0.0, atol=1e-10 * np.abs(expected).max())
+
+
+def test_identical_columns_keep_newton_steps_of_one_half():
+    # on x_1 = x_0 the Newton step on m_01 stays near 1/2 only if the
+    # Hessian keeps the exact near-null direction of the two columns; a
+    # Hessian whose sums of s came from a separate column sum ended this
+    # fit with a last step of 8.4e-3, eight times STEP_LIMIT
+    rng = np.random.default_rng(1)
+    data = correlated_spins(rng, 10_000, 8)
+    data[:, 1] = data[:, 0]
+    result = fvbm.fit(data, fvbm.FitConfig(objective_tolerance=1e-10))
+    assert not result.converged
+    assert np.abs(result.last_step).max() > 0.4
 
 
 def test_newton_step_on_zero_hessian_is_finite():

@@ -12,6 +12,7 @@ from fvbm.pseudolikelihood import _log_pl
 
 from oracles import (
     ORACLE_SHAPES,
+    block_hessian,
     correlated_spins,
     design_hessian,
     fd_gradient,
@@ -178,6 +179,16 @@ def test_per_observation_scores_sum_to_score():
     )
 
 
+def test_per_observation_scores_are_single_row_scores():
+    rng = np.random.default_rng(31)
+    params = random_params(rng, 5)
+    data = random_spins(rng, 12, 5)
+    scores = fvbm.per_observation_scores(params, data)
+    assert scores.shape == (12, params.n_params)
+    for row, observation in zip(scores, data):
+        np.testing.assert_array_equal(row, fvbm.pseudo_score(params, observation))
+
+
 def test_hessian_zero_params_bias_block():
     d = 3
     h = fvbm.pseudo_hessian(fvbm.FvbmParams.zeros(d), np.ones((1, d)))
@@ -204,6 +215,54 @@ def test_hessian_matches_design_oracle(d, n):
     data = correlated_spins(rng, n, d)
     gap = np.abs(fvbm.pseudo_hessian(params, data) - design_hessian(params, data))
     assert gap.max() <= 1e-12 * n
+
+
+@pytest.mark.parametrize("d, n", ORACLE_SHAPES)
+def test_hessian_matches_block_oracle_and_is_exactly_symmetric(d, n):
+    rng = np.random.default_rng(2000 * d + n)
+    params = random_params(rng, d, scale=0.5)
+    data = correlated_spins(rng, n, d)
+    h = fvbm.pseudo_hessian(params, data)
+    assert np.abs(h - block_hessian(params, data)).max() <= 1e-12 * n
+    assert np.array_equal(h, h.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 8),
+    n=st.integers(1, 60),
+    scale=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hessian_matches_both_oracles_property(d, n, scale, seed):
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, d, scale)
+    data = random_spins(rng, n, d)
+    h = fvbm.pseudo_hessian(params, data)
+    assert np.array_equal(h, h.T)
+    for oracle in (block_hessian, design_hessian):
+        assert np.abs(h - oracle(params, data)).max() <= 1e-12 * n, oracle.__name__
+
+
+def test_hessian_keeps_identical_and_mirror_columns_exact():
+    # with x_1 = x_0 and x_2 = -x_0, and conditionals 0-2 saturated (sech^2
+    # underflows to 0), each other conditional l gives m_l1 the same Hessian
+    # column as m_l0 and m_l2 its negation: an exact null direction
+    rng = np.random.default_rng(32)
+    d = 5
+    data = correlated_spins(rng, 500, d)
+    data[:, 1] = data[:, 0]
+    data[:, 2] = -data[:, 0]
+    params = random_params(rng, d, scale=0.5)
+    params = fvbm.FvbmParams(
+        bias=np.r_[1000.0, 1000.0, 1000.0, params.bias[3:]], interaction=params.interaction
+    )
+    h = fvbm.pseudo_hessian(params, data)
+    slot = fvbm.params.slot_map(d)
+    for l in (3, 4):
+        assert np.array_equal(h[:, slot[l, 1]], h[:, slot[l, 0]])
+        assert np.array_equal(h[:, slot[l, 2]], -h[:, slot[l, 0]])
+        assert h[slot[l, 0], slot[l, 0]] < -1.0
 
 
 def test_hessian_symmetric():

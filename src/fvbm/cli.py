@@ -5,6 +5,10 @@ are the long option names with underscores.  Its entries are parsed by the
 same argparse declarations as the flags; explicit flags win over the config
 file, which wins over the declared defaults.  Exit codes are stable:
 0 success, 1 usage error, 2 data error, 3 numerical failure.
+
+Column labels read from a spin CSV, fit file or report file must be d
+distinct strings (``params.check_labels``); a record without labels gets
+X1..Xd.  Anything else is a data error naming the file.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +31,7 @@ from .inference import (
     format_report_tables,
 )
 from .model import enumerate_pmf, marginal_probability, pairwise_joint, sample
-from .params import FvbmParams, flat_labels, flat_length
+from .params import FvbmParams, check_labels, flat_labels, flat_length
 from .votes import (
     ImputeConfig,
     SplitResolution,
@@ -121,25 +124,21 @@ def _parse_args(parser, commands: dict, argv: list[str]) -> argparse.Namespace:
     return args
 
 
-def _default_labels(d: int) -> list[str]:
-    return [f"X{i + 1}" for i in range(d)]
-
-
-def _repeated(labels: list[str]) -> list[str]:
-    return [label for label, count in Counter(labels).items() if count > 1]
-
-
-def _distinct(labels: list[str], source: str) -> list[str]:
-    """``labels`` if no label repeats, as outputs key on them."""
-    if repeated := _repeated(labels):
-        raise DataError(f"{source} repeats column label(s) {', '.join(repeated)}")
-    return labels
+def _labels(labels, d: int, source: str) -> list[str]:
+    """The column labels of a record from ``source``: X1..Xd if it has none,
+    else ``labels`` if :func:`check_labels` accepts them."""
+    if labels is None:
+        return [f"X{i + 1}" for i in range(d)]
+    try:
+        return check_labels(labels, d)
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from exc
 
 
 def _read_spins(path) -> tuple[list[str], np.ndarray]:
     """A spin CSV whose column labels are distinct."""
     labels, data = read_spin_csv(path)
-    return _distinct(labels, f"spin CSV {path}"), data
+    return _labels(labels, data.shape[1], f"spin CSV {path}"), data
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +149,6 @@ def _read_spins(path) -> tuple[list[str], np.ndarray]:
 def cmd_prepare(args) -> None:
     output = Path(args.output)
     table = parse_votes(args.votes)
-    split_cells = [
-        (r, c)
-        for r, row in enumerate(table.cells)
-        for c, v in enumerate(row)
-        if v is Vote.SPLIT
-    ]
-    if split_cells and args.splits is None:
-        r, c = split_cells[0]
-        raise DataError(
-            f"split cell at {table.dates[r]} #{table.numbers[r]} "
-            f"(party {table.parties[c]!r}) but no split records file was given"
-        )
     resolution = parse_split_records(args.splits) if args.splits else SplitResolution({})
     resolved = resolve_splits(
         table,
@@ -189,7 +176,7 @@ def cmd_prepare(args) -> None:
             "extract_member": args.extract_member,
             "k": args.k,
             "drop_threshold": args.drop_threshold,
-            "split_cells_resolved": len(split_cells),
+            "split_cells_resolved": sum(v is Vote.SPLIT for row in table.cells for v in row),
             "dropped_columns": dropped,
             "imputed_cells": int(missing),
             "columns": agreement.labels,
@@ -205,15 +192,15 @@ def cmd_fit(args) -> None:
         max_iterations=args.max_iter, objective_tolerance=args.tol, init=init
     )
     result = fit(data, config)
-    if result.degenerate_columns:
-        names = ", ".join(labels[j] for j in result.degenerate_columns)
-        message = f"column(s) {names} are constant; their biases have no finite optimum"
-        if args.strict:
-            raise DataError(message)
-        print(f"warning: {message}", file=sys.stderr)
+    reason = result.unconverged_reason(flat_labels(labels))
+    if args.strict and result.degenerate_columns:
+        raise DataError(reason)
     trace = result.objective_trace
     met = trace.size > 1 and abs(trace[-1] - trace[-2]) < config.objective_tolerance
-    large = result.large_step_coordinates()
+    # Only here is it known why a fit stopped short of its tolerance; the
+    # shared reason would blame the last step.
+    if reason and (met or result.degenerate_columns):
+        print(f"warning: unconverged fit: {reason}", file=sys.stderr)
     if not met:
         where = (
             f"at max_iterations={config.max_iterations}"
@@ -225,41 +212,24 @@ def cmd_fit(args) -> None:
             f"warning: fit stopped {where} without meeting the objective tolerance",
             file=sys.stderr,
         )
-    elif large:
-        names = flat_labels(labels)
-        print(
-            f"warning: fit stopped with a large last step (up to "
-            f"{np.abs(result.last_step).max():.3g}) on "
-            f"{', '.join(names[q] for q in large)}; the estimate does not exist "
-            f"(separation or a constant column)",
-            file=sys.stderr,
-        )
     jsonio.dump(result.to_json_dict(labels), args.output)
 
 
-def _load_fit(path) -> tuple[FitResult, list[str] | None]:
-    obj = jsonio.load(path)
-    result = FitResult.from_json_dict(obj)
-    labels = obj.get("labels")
-    return result, labels
-
-
 def cmd_infer(args) -> None:
-    fit_result, fit_labels = _load_fit(args.fit)
+    obj = jsonio.load(args.fit)
     labels, data = _read_spins(args.data)
-    d = fit_result.params.d
-    if data.shape[1] != d:
-        raise DataError(f"fit has d={d} but data has {data.shape[1]} columns")
-    if fit_labels is not None and fit_labels != labels:
-        raise DataError(
-            f"fit labels {fit_labels} do not match data labels {labels}"
-        )
-    groups = (
-        default_groups(d)
-        if args.groups == "subtables"
-        else {"all": list(range(flat_length(d)))}
-    )
     try:
+        fit_result = FitResult.from_json_dict(obj)
+        d = fit_result.params.d
+        if data.shape[1] != d:
+            raise DataError(f"fit has d={d} but data has {data.shape[1]} columns")
+        if obj.get("labels") not in (None, labels):
+            raise DataError(f"fit labels {obj['labels']} do not match data labels {labels}")
+        groups = (
+            default_groups(d)
+            if args.groups == "subtables"
+            else {"all": list(range(flat_length(d)))}
+        )
         report = build_report(
             fit_result,
             data,
@@ -277,13 +247,9 @@ def cmd_infer(args) -> None:
 
 
 def cmd_probs(args) -> None:
-    fit_result, labels = _load_fit(args.fit)
-    params = fit_result.params
-    labels = (
-        _default_labels(params.d)
-        if labels is None
-        else _distinct(labels, f"fit file {args.fit}")
-    )
+    obj = jsonio.load(args.fit)
+    params = FitResult.from_json_dict(obj).params
+    labels = _labels(obj.get("labels"), params.d, f"fit file {args.fit}")
     table = enumerate_pmf(params)
     marginals = {
         label: marginal_probability(table, j) for j, label in enumerate(labels)
@@ -327,18 +293,13 @@ def cmd_graph(args) -> None:
         raise UsageError("at least one of --dot or --json is required")
     obj = jsonio.load(args.report)
     report = InferenceReport.from_json_dict(obj)
-    labels = obj.get("labels")
-    if labels is None:
-        dims = [
-            d for d in range(1, report.n_params + 1) if flat_length(d) == report.n_params
-        ]
-        if not dims:
-            raise DataError(
-                f"report has {report.n_params} coordinates, which matches no "
-                f"bias-plus-upper-triangle layout"
-            )
-        labels = _default_labels(dims[0])
-    _distinct(labels, f"report file {args.report}")
+    dims = [d for d in range(1, report.n_params + 1) if flat_length(d) == report.n_params]
+    if not dims:
+        raise DataError(
+            f"report has {report.n_params} coordinates, which matches no "
+            f"bias-plus-upper-triangle layout"
+        )
+    labels = _labels(obj.get("labels"), dims[0], f"report file {args.report}")
     spec = build_network(report, labels, mode=args.mode, level=args.level)
     if args.dot:
         Path(args.dot).write_text(emit_dot(spec), encoding="utf-8")
@@ -350,16 +311,11 @@ def cmd_simulate(args) -> None:
     if args.n < 0:
         raise UsageError(f"--n must be nonnegative, got {args.n}")
     params = FvbmParams.from_json_dict(jsonio.load(args.params))
-    if args.labels:
-        labels = [s.strip() for s in args.labels.split(",")]
-        if len(labels) != params.d:
-            raise UsageError(
-                f"{len(labels)} labels given for a model with d={params.d}"
-            )
-        if repeated := _repeated(labels):
-            raise UsageError(f"--labels repeats {', '.join(repeated)}")
-    else:
-        labels = _default_labels(params.d)
+    given = [s.strip() for s in args.labels.split(",")] if args.labels else None
+    try:
+        labels = _labels(given, params.d, "--labels")
+    except DataError as exc:
+        raise UsageError(str(exc)) from exc
     draws = sample(params, args.n, seed=args.seed)
     write_spin_csv(args.output, labels, draws)
 

@@ -108,6 +108,8 @@ class FitResult:
     sign; such a column pushes its bias toward infinity and the reported
     coordinate is not a finite maximizer.  ``last_step`` is the last
     accepted step over the flat layout, or ``None`` if no step was taken.
+    A record whose ``last_step`` or ``degenerate_columns`` does not fit its
+    parameters is malformed.
     """
 
     params: FvbmParams
@@ -122,6 +124,24 @@ class FitResult:
         if self.last_step is None:
             return []
         return [int(q) for q in np.flatnonzero(np.abs(self.last_step) > STEP_LIMIT)]
+
+    def unconverged_reason(self, names: list[str]) -> str | None:
+        """Why the fit is not converged, in the order the verdict checks, or
+        None; ``names`` labels the flat coordinates (see ``flat_labels``)."""
+        if self.converged:
+            return None
+        if self.degenerate_columns:
+            shown = ", ".join(names[j] for j in self.degenerate_columns)
+            return f"column(s) {shown} are constant, so their biases have no finite optimum"
+        if large := self.large_step_coordinates():
+            size = float(np.abs(self.last_step).max())
+            shown = ", ".join(names[q] for q in large)
+            return (
+                f"its last step was large (up to {size:.3g} > {STEP_LIMIT:g}, on {shown}); "
+                f"a large last step means the estimate does not exist (separation) "
+                f"or the fit was cut off early"
+            )
+        return f"it did not meet its objective tolerance in {self.iterations_used} iterations"
 
     def to_json_dict(self, labels: list[str] | None = None) -> dict:
         out = {
@@ -142,24 +162,32 @@ class FitResult:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FitResult":
         try:
-            if not isinstance(obj["converged"], bool):
-                raise DataError(
-                    f"malformed fit record: converged is {obj['converged']!r}, not a boolean"
-                )
-            return cls(
-                params=FvbmParams.from_json_dict(obj["params"]),
+            params = FvbmParams.from_json_dict(obj["params"])
+            converged, columns = obj["converged"], obj.get("degenerate_columns", [])
+            step = obj.get("last_step")
+            step = None if step is None else np.asarray(step, dtype=np.float64)
+            result = cls(
+                params=params,
                 objective_trace=np.asarray(obj["objective_trace"], dtype=np.float64),
                 iterations_used=int(obj["iterations_used"]),
-                converged=obj["converged"],
-                degenerate_columns=tuple(obj.get("degenerate_columns", ())),
-                last_step=(
-                    None
-                    if obj.get("last_step") is None
-                    else np.asarray(obj["last_step"], dtype=np.float64)
-                ),
+                converged=converged,
+                degenerate_columns=tuple(columns),
+                last_step=step,
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed fit record: {exc}") from exc
+        p, d = params.n_params, params.d
+        if not (
+            isinstance(converged, bool)
+            and (step is None or step.shape == (p,))
+            and isinstance(columns, list)
+            and all(type(j) is int and 0 <= j < d for j in columns)
+        ):
+            raise DataError(
+                f"malformed fit record: converged must be true or false, last_step "
+                f"null or {p} numbers, and degenerate_columns indices below d={d}"
+            )
+        return result
 
 
 def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:

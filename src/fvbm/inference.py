@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .fit import STEP_LIMIT, FitResult
+from .fit import FitResult
 from .params import FvbmParams, as_spin_matrix, flat_length, slot_map
 from .pseudolikelihood import per_observation_scores, pseudo_hessian
 
@@ -255,25 +255,6 @@ def grouped_fdr_adjust(
     return adjusted
 
 
-def _unconverged_reason(fit_result: FitResult, coordinate_names: list[str]) -> str:
-    """Why ``fit_result`` is not converged, in the order the verdict checks."""
-    if fit_result.degenerate_columns:
-        shown = ", ".join(coordinate_names[j] for j in fit_result.degenerate_columns)
-        return f"column(s) {shown} are constant, so their biases have no finite optimum"
-    large = fit_result.large_step_coordinates()
-    if large:
-        size = float(np.abs(fit_result.last_step).max())
-        shown = ", ".join(coordinate_names[q] for q in large)
-        return (
-            f"its last step was large (up to {size:.3g} > {STEP_LIMIT:g}, on {shown}): "
-            f"no finite estimate exists (separation), or the fit was cut off early"
-        )
-    return (
-        f"it did not meet its objective tolerance in "
-        f"{fit_result.iterations_used} iterations"
-    )
-
-
 def build_report(
     fit_result: FitResult,
     data,
@@ -287,16 +268,12 @@ def build_report(
     Raises:
         DataError: If the fit is not converged: its standard errors and
             p-values would describe an estimate that may not exist.  The
-            message gives the reason: a constant column, a large last
-            step, or an objective tolerance not met.
+            message gives :meth:`FitResult.unconverged_reason`.
     """
     params = fit_result.params
-    if not fit_result.converged:
-        names = coordinate_names or [str(q) for q in range(params.n_params)]
-        raise DataError(
-            f"refusing inference on an unconverged fit: "
-            f"{_unconverged_reason(fit_result, names)}"
-        )
+    names = coordinate_names or [str(q) for q in range(params.n_params)]
+    if reason := fit_result.unconverged_reason(names):
+        raise DataError(f"refusing inference on an unconverged fit: {reason}")
     theta = params.to_flat()
     cov = sandwich_covariance(params, data, coordinate_names=coordinate_names)
     se = standard_errors(cov)

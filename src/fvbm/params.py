@@ -15,6 +15,8 @@ coordinate indices in the public API are 0-based.
 from __future__ import annotations
 
 import functools
+import reprlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +79,18 @@ def flat_labels(names: list[str]) -> list[str]:
     """
     pairs = pair_indices(len(names))
     return list(names) + [f"{names[j]}:{names[k]}" for j, k in pairs]
+
+
+def check_labels(labels, d: int) -> list[str]:
+    """``labels`` as a list if it is exactly ``d`` distinct strings, else a
+    DataError: outputs are keyed by column label."""
+    if not isinstance(labels, (list, tuple)) or not all(isinstance(s, str) for s in labels):
+        raise DataError(f"column labels must be a list of strings, got {reprlib.repr(labels)}")
+    if len(labels) != d:
+        raise DataError(f"{len(labels)} labels for {d} columns")
+    if repeated := [s for s, count in Counter(labels).items() if count > 1]:
+        raise DataError(f"repeats column label(s) {', '.join(repeated)}")
+    return list(labels)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

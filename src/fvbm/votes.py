@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .params import as_spin_matrix
+from .params import as_spin_matrix, check_labels
 
 log = logging.getLogger(__name__)
 
@@ -343,18 +343,15 @@ def knn_impute(table: VoteTable, config: ImputeConfig | None = None) -> VoteTabl
 
 @dataclass(frozen=True)
 class AgreementMatrix:
-    """+/-1 agreement-encoded observations with their column labels."""
+    """+/-1 agreement-encoded observations with one distinct label per column."""
 
     labels: list[str]
     values: np.ndarray
 
     def __post_init__(self) -> None:
         values = as_spin_matrix(self.values, allow_empty=True)
-        if values.shape[1] != len(self.labels):
-            raise DataError(
-                f"{len(self.labels)} labels for {values.shape[1]} columns"
-            )
         values.setflags(write=False)
+        object.__setattr__(self, "labels", check_labels(self.labels, values.shape[1]))
         object.__setattr__(self, "values", values)
 
 
@@ -394,11 +391,9 @@ def empirical_proportions(values) -> tuple[np.ndarray, np.ndarray]:
 def spin_matrix_to_json_dict(labels: list[str], values: np.ndarray) -> dict:
     """JSON form of a +/-1 matrix (the CSV layout's sibling format)."""
     x = as_spin_matrix(values, allow_empty=True)
-    if x.shape[1] != len(labels):
-        raise DataError(f"{len(labels)} labels for {x.shape[1]} columns")
     return {
         "schema_version": 1,
-        "labels": list(labels),
+        "labels": check_labels(labels, x.shape[1]),
         "values": [[int(v) for v in row] for row in x],
     }
 
@@ -420,10 +415,10 @@ def write_spin_csv(path, labels: list[str], values: np.ndarray) -> None:
 
     Every cell starts as the bytes ``-1,``; +1 cells drop the ``-`` and the
     last ``,`` of each row becomes a newline, so no cell is a Python string.
+    ``labels`` must be one distinct string per column (:func:`check_labels`).
     """
     x = as_spin_matrix(values, allow_empty=True)
-    if x.shape[1] != len(labels):
-        raise DataError(f"{len(labels)} labels for {x.shape[1]} columns")
+    check_labels(labels, x.shape[1])
     cells = np.empty(x.shape + (3,), dtype=np.uint8)
     cells[...] = np.frombuffer(b"-1,", dtype=np.uint8)
     cells[:, -1, 2] = ord("\n")

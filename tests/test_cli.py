@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and pipeline composition."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -569,7 +570,8 @@ def test_any_config_value_gives_a_stable_exit_code(tmp_path_factory, data, value
 
 def test_fit_refuses_repeated_column_labels(tmp_path, capsys):
     path = tmp_path / "spins.csv"
-    fvbm.write_spin_csv(path, ["A", "A", "B"], np.random.default_rng(0).choice([-1.0, 1.0], (50, 3)))
+    rows = np.random.default_rng(0).choice([-1, 1], (50, 3))
+    path.write_text("A,A,B\n" + "".join(",".join(map(str, row)) + "\n" for row in rows))
     quoted = tmp_path / "quoted.csv"
     quoted.write_text('"A",B,A\n1,1,-1\n-1,1,1\n', encoding="utf-8")
     for csv_path in (path, quoted):
@@ -670,3 +672,107 @@ def test_infer_refuses_a_fit_record_whose_converged_is_not_a_boolean(
         record["converged"] = converged
         fit_path.write_text(json.dumps(record))
         assert main(["infer", str(fit_path), str(matrix), "-o", str(tmp_path / "r.json")]) == 2
+
+
+def test_prepare_names_the_split_cell_that_has_no_records(tmp_path, votes_csv, capsys):
+    capsys.readouterr()
+    assert main(["prepare", str(votes_csv), "--reference", "GOV", "-o", str(tmp_path / "m.csv")]) == 2
+    assert "split cell at 1/1 #1 (party 'CCC')" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
+# (subcommand, entries replacing those of its d=2 fit or report record)
+_RECORD_PROBES = [
+    ("probs", {"labels": 5}),
+    ("probs", {"labels": [1, 2]}),
+    ("probs", {"labels": ["A"]}),
+    ("probs", {"labels": ["A", "B", "C"]}),
+    ("graph", {"labels": 5}),
+    ("graph", {"labels": ["A", 3]}),
+    ("graph", {"labels": {"A": 1, "B": 2}}),
+    ("infer", {"converged": False, "last_step": [1.0] * 5}),
+    ("infer", {"converged": False, "degenerate_columns": [7]}),
+    ("infer", {"converged": False, "degenerate_columns": ["x"]}),
+]
+
+
+def _edited_run(chain_files, command, entries, directory):
+    """Run ``command`` on a copy of its chain record with ``entries`` put
+    in; returns the exit code, the edited record's path and the output path."""
+    record_path = Path(chain_files["graph" if command == "graph" else "infer"][1])
+    record = {**json.loads(record_path.read_text()), **entries}
+    edited, out = directory / "edited.json", directory / "out.json"
+    edited.write_text(json.dumps(record))
+    out.unlink(missing_ok=True)
+    inputs = {"probs": [], "graph": [], "infer": chain_files["infer"][2:]}[command]
+    flag = "--json" if command == "graph" else "-o"
+    return main([command, str(edited), *inputs, flag, str(out)]), edited, out
+
+
+@pytest.mark.parametrize("command, entries", _RECORD_PROBES)
+def test_hand_edited_record_is_a_data_error_naming_its_file(
+    tmp_path, chain_files, capsys, command, entries
+):
+    capsys.readouterr()
+    code, edited, out = _edited_run(chain_files, command, entries, tmp_path)
+    error = capsys.readouterr().err
+    assert code == 2
+    assert error.startswith("data error: ") and str(edited) in error
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def record_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("records")
+    _, _, data = _simulate(directory, n=2000)
+    fit_path, report = directory / "fit.json", directory / "report.json"
+    assert main(["fit", str(data), "-o", str(fit_path)]) == 0
+    assert main(["infer", str(fit_path), str(data), "-o", str(report)]) == 0
+    return {"infer": ["infer", str(fit_path), str(data)], "graph": ["graph", str(report)]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["probs", "infer", "graph"]),
+    key=st.sampled_from(["labels", "last_step", "degenerate_columns"]),
+    converged=st.booleans(),
+    value=_JSON | st.lists(st.text(max_size=2) | st.integers(-1, 3) | st.floats(), max_size=5),
+)
+def test_any_record_value_gives_a_stable_exit_code(record_files, command, key, converged, value):
+    entries = {"labels": value} if command == "graph" else {key: value, "converged": converged}
+    directory = Path(record_files["graph"][1]).parent
+    assert _edited_run(record_files, command, entries, directory)[0] in (0, 1, 2, 3)
+
+
+def test_fit_warns_and_strict_refuses_with_the_reason_infer_gives(tmp_path, capsys):
+    data = np.random.default_rng(63).choice([-1.0, 1.0], (60, 3))
+    separated, constant = data.copy(), data.copy()
+    separated[:, 2] = separated[:, 0]
+    constant[:, 1] = 1.0
+    path, out = tmp_path / "spins.csv", tmp_path / "fit.json"
+    for table, flags in ((separated, []), (constant, ["--strict"])):
+        fvbm.write_spin_csv(path, ["a", "b", "c"], table)
+        names = fvbm.flat_labels(["a", "b", "c"])
+        with pytest.raises(fvbm.DataError) as refusal:
+            fvbm.build_report(fvbm.fit(table), table, coordinate_names=names)
+        prefix = "refusing inference on an unconverged fit: "
+        assert str(refusal.value).startswith(prefix)
+        reason = str(refusal.value)[len(prefix):]
+        capsys.readouterr()
+        code = main(["fit", str(path), "-o", str(out), *flags])
+        error = capsys.readouterr().err
+        if flags:
+            assert code == 2 and error == f"data error: {reason}\n"
+        else:
+            assert code == 0 and reason in error and "a:c" in reason
+
+
+@pytest.mark.parametrize("labels, message", [("A,B", "2 labels for 3 columns"), ("A,A,B", "repeats")])
+def test_simulate_labels_are_checked_as_usage(tmp_path, capsys, labels, message):
+    params_path = tmp_path / "params.json"
+    fvbm.jsonio.dump(fvbm.FvbmParams.zeros(3).to_json_dict(), params_path)
+    capsys.readouterr()
+    argv = ["simulate", str(params_path), "--n", "5", "--labels", labels, "-o", str(tmp_path / "s.csv")]
+    assert main(argv) == 1
+    error = capsys.readouterr().err
+    assert error.startswith("usage error: --labels: ") and message in error

@@ -40,6 +40,30 @@ def test_flat_labels():
     assert labels == ["A", "B", "C", "A:B", "A:C", "B:C"]
 
 
+def test_check_labels_accepts_d_distinct_strings():
+    assert fvbm.check_labels(["A", "B"], 2) == ["A", "B"]
+    assert fvbm.check_labels(("A", "", "b"), 3) == ["A", "", "b"]
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (5, "must be a list of strings, got 5"),
+        ("AB", "must be a list of strings"),
+        (None, "must be a list of strings"),
+        ([1, 2], "must be a list of strings"),
+        (["A", 3], "must be a list of strings"),
+        ({"A": 1, "B": 2}, "must be a list of strings"),
+        (["A"], "1 labels for 2 columns"),
+        (["A", "B", "C"], "3 labels for 2 columns"),
+        (["A", "A"], r"repeats column label\(s\) A"),
+    ],
+)
+def test_check_labels_refuses(labels, message):
+    with pytest.raises(fvbm.DataError, match=message):
+        fvbm.check_labels(labels, 2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 12).flatmap(

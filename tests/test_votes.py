@@ -472,6 +472,22 @@ def test_spin_csv_label_count_mismatch(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [(["A", "A", "B"], r"repeats column label\(s\) A"), (["A", "B", 3], "list of strings")],
+)
+def test_writers_refuse_what_check_labels_refuses(tmp_path, labels, message):
+    path = tmp_path / "spins.csv"
+    values = np.ones((4, 3))
+    with pytest.raises(fvbm.DataError, match=message):
+        fvbm.write_spin_csv(path, labels, values)
+    assert not path.exists()
+    with pytest.raises(fvbm.DataError, match=message):
+        fvbm.spin_matrix_to_json_dict(labels, values)
+    with pytest.raises(fvbm.DataError, match=message):
+        fvbm.AgreementMatrix(labels, values)
+
+
 _SPIN_TOKENS = ["1", "-1", " 1", "+1", "1.0", "-1e0", '"1"']
 _BAD_TOKENS = ["0", "2", "x", ""]
 

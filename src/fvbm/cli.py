@@ -8,7 +8,8 @@ file, which wins over the declared defaults.  Exit codes are stable:
 
 Column labels read from a spin CSV, fit file or report file must be d
 distinct strings (``params.check_labels``); a record without labels gets
-X1..Xd.  Anything else is a data error naming the file.
+X1..Xd.  Anything else is a data error naming the file, as is any other
+fault in a fit or report record.
 """
 
 from __future__ import annotations
@@ -248,8 +249,12 @@ def cmd_infer(args) -> None:
 
 def cmd_probs(args) -> None:
     obj = jsonio.load(args.fit)
-    params = FitResult.from_json_dict(obj).params
-    labels = _labels(obj.get("labels"), params.d, f"fit file {args.fit}")
+    source = f"fit file {args.fit}"
+    try:
+        params = FitResult.from_json_dict(obj).params
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from exc
+    labels = _labels(obj.get("labels"), params.d, source)
     table = enumerate_pmf(params)
     marginals = {
         label: marginal_probability(table, j) for j, label in enumerate(labels)
@@ -257,8 +262,8 @@ def cmd_probs(args) -> None:
     pairs_out = []
     for spec in args.pair or []:
         names = [s.strip() for s in spec.split(",")]
-        if len(names) != 2:
-            raise UsageError(f"--pair wants 'A,B', got {spec!r}")
+        if len(names) != 2 or names[0] == names[1]:
+            raise UsageError(f"--pair wants two distinct columns 'A,B', got {spec!r}")
         try:
             j, k = (labels.index(name) for name in names)
         except ValueError:
@@ -292,14 +297,18 @@ def cmd_graph(args) -> None:
     if args.dot is None and args.json is None:
         raise UsageError("at least one of --dot or --json is required")
     obj = jsonio.load(args.report)
-    report = InferenceReport.from_json_dict(obj)
-    dims = [d for d in range(1, report.n_params + 1) if flat_length(d) == report.n_params]
-    if not dims:
-        raise DataError(
-            f"report has {report.n_params} coordinates, which matches no "
-            f"bias-plus-upper-triangle layout"
-        )
-    labels = _labels(obj.get("labels"), dims[0], f"report file {args.report}")
+    source = f"report file {args.report}"
+    try:
+        report = InferenceReport.from_json_dict(obj)
+        dims = [d for d in range(1, report.n_params + 1) if flat_length(d) == report.n_params]
+        if not dims:
+            raise DataError(
+                f"report has {report.n_params} coordinates, which matches no "
+                f"bias-plus-upper-triangle layout"
+            )
+    except ValueError as exc:
+        raise DataError(f"{source}: {exc}") from exc
+    labels = _labels(obj.get("labels"), dims[0], source)
     spec = build_network(report, labels, mode=args.mode, level=args.level)
     if args.dot:
         Path(args.dot).write_text(emit_dot(spec), encoding="utf-8")

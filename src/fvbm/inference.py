@@ -234,7 +234,7 @@ class InferenceReport:
                 },
                 method=str(obj.get("method", "by")),
             )
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise DataError(f"malformed report record: {exc}") from exc
 
 

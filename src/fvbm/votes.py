@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -410,21 +411,40 @@ def spin_matrix_from_json_dict(obj: dict) -> tuple[list[str], np.ndarray]:
     return labels, as_spin_matrix(values, allow_empty=True)
 
 
+# Characters that split, quote or end a header field, or that UTF-8 cannot encode.
+_UNREADABLE = re.compile('[,"\r\n\x00\ud800-\udfff]')
+
+
+def _csv_header(labels: list[str]) -> bytes:
+    """The header line of a spin CSV, if :func:`read_spin_csv` reads it back
+    as ``labels``; otherwise a DataError naming the label that it would not."""
+    for label in labels:
+        if label != label.strip() or _UNREADABLE.search(label):
+            raise DataError(
+                f"column label {label!r} would not read back from a spin CSV, whose "
+                f"labels hold no comma, quote, line break, NUL or lone surrogate and "
+                f"no leading or trailing whitespace"
+            )
+    if labels == [""]:
+        raise DataError("column label '' would not read back from a spin CSV of one column")
+    return (",".join(labels) + "\n").encode("utf-8")
+
+
 def write_spin_csv(path, labels: list[str], values: np.ndarray) -> None:
     """Write a +/-1 matrix as CSV with a label header (deterministic bytes).
 
     Every cell starts as the bytes ``-1,``; +1 cells drop the ``-`` and the
     last ``,`` of each row becomes a newline, so no cell is a Python string.
-    ``labels`` must be one distinct string per column (:func:`check_labels`).
+    ``labels`` must be one distinct string per column (:func:`check_labels`)
+    that the reader gets back as written (:func:`_csv_header`).
     """
     x = as_spin_matrix(values, allow_empty=True)
-    check_labels(labels, x.shape[1])
+    header = _csv_header(check_labels(labels, x.shape[1]))
     cells = np.empty(x.shape + (3,), dtype=np.uint8)
     cells[...] = np.frombuffer(b"-1,", dtype=np.uint8)
     cells[:, -1, 2] = ord("\n")
     keep = np.ones(cells.shape, dtype=bool)
     keep[:, :, 0] = x < 0
-    header = (",".join(labels) + "\n").encode("utf-8")
     Path(path).write_bytes(header + cells[keep].tobytes())
 
 

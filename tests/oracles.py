@@ -487,6 +487,20 @@ def block_log_weights(params: FvbmParams, block: int = 1 << 16) -> np.ndarray:
     return logw
 
 
+def slice_fixed_sum(table: "fvbm.PmfTable", fixed: dict[int, int]) -> float:
+    """Probability that bit j of the state is ``fixed[j]`` for each key j,
+    summed over a strided slice of the table reshaped to ``(2,) * d``, which
+    has coordinate j on axis d-1-j.
+    ``ravel`` keeps the ascending index order a boolean mask selects in."""
+    index = [slice(None)] * table.d
+    for j, bit in fixed.items():
+        if not 0 <= j < table.d:
+            raise ValueError(f"coordinate {j} out of range for d={table.d}")
+        index[table.d - 1 - j] = bit
+    states = table.probabilities.reshape((2,) * table.d)
+    return float(states[tuple(index)].ravel().sum())
+
+
 def _coordinate_signs(table: "fvbm.PmfTable", j: int) -> np.ndarray:
     if not 0 <= j < table.d:
         raise ValueError(f"coordinate {j} out of range for d={table.d}")

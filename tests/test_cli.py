@@ -650,6 +650,37 @@ def test_main_calls_the_subcommand_function_bound_at_call_time(tmp_path, chain_f
     assert len(calls) == 1 and (tmp_path / "b.json").exists()
 
 
+def test_probs_pair_naming_one_column_twice_is_usage_error(tmp_path, chain_files, capsys):
+    out = tmp_path / "probs.json"
+    capsys.readouterr()
+    assert main(["probs", chain_files["infer"][1], "--pair", "P,P", "-o", str(out)]) == 1
+    error = capsys.readouterr().err
+    assert error.startswith("usage error: ") and "'P,P'" in error
+    assert not out.exists()
+
+
+def test_probs_output_is_byte_identical_across_runs(tmp_path):
+    d = 12
+    rng = np.random.default_rng(12)
+    params = fvbm.FvbmParams.from_flat(d, rng.uniform(-0.5, 0.5, fvbm.flat_length(d)))
+    labels = [f"C{j}" for j in range(d)]
+    record = fvbm.FitResult(
+        params=params, objective_trace=np.zeros(1), iterations_used=0, converged=True
+    )
+    fit_path = tmp_path / "fit.json"
+    fvbm.jsonio.dump(record.to_json_dict(labels), fit_path)
+    pairs = [arg for spec in ("C0,C11", "C11,C0", "C4,C5", "C9,C2") for arg in ("--pair", spec)]
+    outputs = []
+    for name in ("a.json", "b.json"):
+        assert main(["probs", str(fit_path), "-o", str(tmp_path / name), *pairs]) == 0
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1]
+    there, back = json.loads(outputs[0])["pairs"][:2]
+    assert [there["joint"][c] for c in ("++", "+-", "-+", "--")] == [
+        back["joint"][c] for c in ("++", "-+", "+-", "--")
+    ]
+
+
 def test_simulate_refuses_repeated_labels(tmp_path):
     params_path = tmp_path / "params.json"
     fvbm.jsonio.dump(fvbm.FvbmParams.zeros(3).to_json_dict(), params_path)
@@ -693,6 +724,9 @@ _RECORD_PROBES = [
     ("infer", {"converged": False, "last_step": [1.0] * 5}),
     ("infer", {"converged": False, "degenerate_columns": [7]}),
     ("infer", {"converged": False, "degenerate_columns": ["x"]}),
+    ("probs", {"converged": False, "last_step": [1.0]}),
+    ("graph", {"estimates": [1.0]}),
+    ("graph", {"adjustment_groups": 3}),
 ]
 
 

@@ -19,8 +19,15 @@ from oracles import (
     mask_pairwise_joint,
     naive_pmf,
     random_params,
+    slice_fixed_sum,
     table_sample,
 )
+
+# Marginals and joints come from the blocked products of ``pair_cells``,
+# whose summation order matches no per-cell sum, so each cell is held to a
+# relative bound against the correctly rounded sum of its own states.  The
+# worst error seen was 1.7e-15, at d <= 20.
+CELL_RTOL = 1e-14
 
 
 def _oracle_log_z(logw: np.ndarray) -> float:
@@ -170,6 +177,24 @@ def test_bias_negation_symmetry():
         )
 
 
+def _fsum_marginal(table, j: int) -> float:
+    plus = (np.arange(1 << table.d) >> j) & 1 == 1
+    return math.fsum(table.probabilities[plus].tolist())
+
+
+def _fsum_joint(table, j: int, k: int) -> np.ndarray:
+    """The 2x2 joint of (X_j, X_k), each cell a ``math.fsum`` of its states."""
+    idx = np.arange(1 << table.d)
+    pj, pk = (idx >> j) & 1 == 1, (idx >> k) & 1 == 1
+    p = table.probabilities
+    return np.array([[math.fsum(p[a & c].tolist()) for c in (pk, ~pk)] for a in (pj, ~pj)])
+
+
+def _assert_within(actual, expected, rtol=CELL_RTOL):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert np.all(np.abs(actual - expected) <= rtol * np.abs(expected)), (actual, expected)
+
+
 def test_marginal_and_joint_against_brute_force():
     rng = np.random.default_rng(9)
     params = random_params(rng, 4, scale=1.0)
@@ -179,17 +204,18 @@ def test_marginal_and_joint_against_brute_force():
         plus = np.array(
             [table.probabilities[i] for i in range(1 << d) if fvbm.index_state(i, d)[j] > 0]
         )
-        # identical selection order makes the summation bit-for-bit equal
-        assert fvbm.marginal_probability(table, j) == plus.sum()
-        assert fvbm.marginal_probability(table, j) == pytest.approx(
-            math.fsum(plus), abs=1e-15
-        )
+        marginal = fvbm.marginal_probability(table, j)
+        _assert_within(marginal, math.fsum(plus))
+        _assert_within(marginal, slice_fixed_sum(table, {j: 1}), 2 * CELL_RTOL)
     joint = fvbm.pairwise_joint(table, 0, 2)
     brute = np.zeros((2, 2))
     for i in range(1 << d):
         x = fvbm.index_state(i, d)
         brute[0 if x[0] > 0 else 1, 0 if x[2] > 0 else 1] += table.probabilities[i]
     np.testing.assert_allclose(joint, brute, atol=1e-15)
+    _assert_within(joint, _fsum_joint(table, 0, 2))
+    sliced = [[slice_fixed_sum(table, {0: a, 2: c}) for c in (1, 0)] for a in (1, 0)]
+    _assert_within(joint, sliced, 2 * CELL_RTOL)
     assert joint.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -204,18 +230,53 @@ def test_joint_zero_params():
     np.testing.assert_allclose(fvbm.pairwise_joint(table, 0, 1), 0.25, atol=1e-14)
 
 
-# Only at d=17 are the selections large enough that summing the strided
-# view without ``ravel`` changes the summation order.
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 12, 17])
 def test_marginal_and_joint_equal_mask_oracle(d):
     table = fvbm.enumerate_pmf(random_params(np.random.default_rng(600 + d), d))
     for j in range(d):
-        assert fvbm.marginal_probability(table, j) == mask_marginal_probability(table, j)
-        for k in range(d):
-            if k != j:
-                assert np.array_equal(
-                    fvbm.pairwise_joint(table, j, k), mask_pairwise_joint(table, j, k)
-                )
+        marginal = fvbm.marginal_probability(table, j)
+        _assert_within(marginal, _fsum_marginal(table, j))
+        _assert_within(marginal, mask_marginal_probability(table, j), 2 * CELL_RTOL)
+        _assert_within(marginal, slice_fixed_sum(table, {j: 1}), 2 * CELL_RTOL)
+        for k in range(j + 1, d):
+            joint = fvbm.pairwise_joint(table, j, k)
+            _assert_within(joint, _fsum_joint(table, j, k))
+            _assert_within(joint, mask_pairwise_joint(table, j, k), 2 * CELL_RTOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 10), scale=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_every_pair_cell_is_within_the_bound(d, scale, seed):
+    table = fvbm.enumerate_pmf(random_params(np.random.default_rng(seed), d, scale=scale))
+    marginals = [fvbm.marginal_probability(table, j) for j in range(d)]
+    _assert_within(marginals, [_fsum_marginal(table, j) for j in range(d)])
+    for j in range(d):
+        for k in range(j + 1, d):
+            joint = fvbm.pairwise_joint(table, j, k)
+            _assert_within(joint, _fsum_joint(table, j, k))
+            assert abs(joint.sum() - 1.0) <= 1e-14
+            _assert_within(joint[0].sum(), marginals[j], 2 * CELL_RTOL)
+            _assert_within(joint[:, 0].sum(), marginals[k], 2 * CELL_RTOL)
+
+
+def test_adjacent_pairs_at_the_enumeration_cap():
+    d = 20
+    table = fvbm.enumerate_pmf(random_params(np.random.default_rng(660), d, scale=0.5))
+    for j in range(d):
+        _assert_within(fvbm.marginal_probability(table, j), _fsum_marginal(table, j))
+    for j in range(d - 1):
+        _assert_within(fvbm.pairwise_joint(table, j, j + 1), _fsum_joint(table, j, j + 1))
+
+
+def test_pair_cells_are_computed_once_read_only_and_not_serialized():
+    table = fvbm.enumerate_pmf(random_params(np.random.default_rng(661), 5))
+    cells = table.pair_cells
+    assert cells.shape == (2, 5, 2, 5) and table.pair_cells is cells
+    assert not cells.flags.writeable
+    assert set(table.to_json_dict()) == {"d", "probabilities"}
+    joint = fvbm.pairwise_joint(table, 1, 3)
+    joint[0, 0] = 2.0
+    assert fvbm.pairwise_joint(table, 1, 3)[0, 0] < 1.0
 
 
 def test_index_errors():

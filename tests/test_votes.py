@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -458,6 +459,10 @@ def test_spin_csv_bytes_match_loop_oracle(tmp_path_factory, shape, seed, label_c
     values = np.random.default_rng(seed).choice([-1.0, 1.0], size=shape)
     labels = [f"{label_chars}{j}" for j in range(shape[1])]
     directory = tmp_path_factory.mktemp("csv")
+    if label_chars != label_chars.lstrip():
+        with pytest.raises(fvbm.DataError, match="would not read back"):
+            fvbm.write_spin_csv(directory / "new.csv", labels, values)
+        return
     fvbm.write_spin_csv(directory / "new.csv", labels, values)
     loop_write_spin_csv(directory / "old.csv", labels, values)
     assert (directory / "new.csv").read_bytes() == (directory / "old.csv").read_bytes()
@@ -486,6 +491,38 @@ def test_writers_refuse_what_check_labels_refuses(tmp_path, labels, message):
         fvbm.spin_matrix_to_json_dict(labels, values)
     with pytest.raises(fvbm.DataError, match=message):
         fvbm.AgreementMatrix(labels, values)
+
+
+_UNREADABLE_LABELS = ["a,b", 'a"b', "a\rb", "a\nb", "a\x00b", " a", "a\t", "\x85a", "\udcff"]
+
+
+@pytest.mark.parametrize("labels", [["x", label] for label in _UNREADABLE_LABELS] + [[""]])
+def test_write_spin_csv_refuses_a_label_it_cannot_read_back(tmp_path, labels):
+    path = tmp_path / "spins.csv"
+    values = np.ones((2, len(labels)))
+    with pytest.raises(fvbm.DataError, match=f"column label {re.escape(repr(labels[-1]))}"):
+        fvbm.write_spin_csv(path, labels, values)
+    assert not path.exists()
+    # JSON records carry any distinct strings
+    assert fvbm.spin_matrix_to_json_dict(labels, values)["labels"] == labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    labels=st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True),
+    n=st.integers(0, 3),
+)
+def test_written_labels_are_refused_or_read_back(tmp_path_factory, labels, n):
+    path = tmp_path_factory.mktemp("labels") / "spins.csv"
+    values = np.ones((n, len(labels)))
+    try:
+        fvbm.write_spin_csv(path, labels, values)
+    except fvbm.DataError:
+        assert not path.exists()
+        return
+    read, loaded = fvbm.read_spin_csv(path)
+    assert read == labels
+    np.testing.assert_array_equal(loaded, values)
 
 
 _SPIN_TOKENS = ["1", "-1", " 1", "+1", "1.0", "-1e0", '"1"']

@@ -32,7 +32,7 @@ from .inference import (
     format_report_tables,
 )
 from .model import enumerate_pmf, marginal_probability, pairwise_joint, sample
-from .params import FvbmParams, check_labels, flat_labels, flat_length
+from .params import FvbmParams, check_labels, flat_dimension, flat_labels, flat_length
 from .votes import (
     ImputeConfig,
     SplitResolution,
@@ -159,7 +159,6 @@ def cmd_prepare(args) -> None:
     )
     kept = drop_sparse_columns(resolved, threshold=args.drop_threshold)
     dropped = [p for p in resolved.parties if p not in kept.parties]
-    missing = sum(v is Vote.MISSING for row in kept.cells for v in row)
     complete = knn_impute(kept, ImputeConfig(k=args.k))
     agreement = encode_agreement(complete, args.reference)
     write_spin_csv(output, agreement.labels, agreement.values)
@@ -177,9 +176,9 @@ def cmd_prepare(args) -> None:
             "extract_member": args.extract_member,
             "k": args.k,
             "drop_threshold": args.drop_threshold,
-            "split_cells_resolved": sum(v is Vote.SPLIT for row in table.cells for v in row),
+            "split_cells_resolved": int(np.count_nonzero(table.cells == Vote.SPLIT)),
             "dropped_columns": dropped,
-            "imputed_cells": int(missing),
+            "imputed_cells": int(np.count_nonzero(kept.cells == Vote.MISSING)),
             "columns": agreement.labels,
         },
         prov_path,
@@ -300,15 +299,15 @@ def cmd_graph(args) -> None:
     source = f"report file {args.report}"
     try:
         report = InferenceReport.from_json_dict(obj)
-        dims = [d for d in range(1, report.n_params + 1) if flat_length(d) == report.n_params]
-        if not dims:
+        d = flat_dimension(report.n_params)
+        if d is None:
             raise DataError(
                 f"report has {report.n_params} coordinates, which matches no "
                 f"bias-plus-upper-triangle layout"
             )
     except ValueError as exc:
         raise DataError(f"{source}: {exc}") from exc
-    labels = _labels(obj.get("labels"), dims[0], source)
+    labels = _labels(obj.get("labels"), d, source)
     spec = build_network(report, labels, mode=args.mode, level=args.level)
     if args.dot:
         Path(args.dot).write_text(emit_dot(spec), encoding="utf-8")

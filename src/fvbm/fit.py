@@ -182,10 +182,12 @@ class FitResult:
             and (step is None or step.shape == (p,))
             and isinstance(columns, list)
             and all(type(j) is int and 0 <= j < d for j in columns)
+            and not (converged and (columns or result.large_step_coordinates()))
         ):
             raise DataError(
                 f"malformed fit record: converged must be true or false, last_step "
-                f"null or {p} numbers, and degenerate_columns indices below d={d}"
+                f"null or {p} numbers, and degenerate_columns indices below d={d}; "
+                f"converged true needs no degenerate column and no |last_step| > {STEP_LIMIT:g}"
             )
         return result
 

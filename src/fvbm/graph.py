@@ -58,7 +58,7 @@ class NetworkSpec:
 
     def __post_init__(self) -> None:
         d = len(self.nodes)
-        if len(self.edges) != d * (d - 1) // 2:
+        if len(self.edges) != (flat_length(d) - d if d else 0):
             raise ValueError("network must carry one edge per coordinate pair")
         if any(not OPACITY_RANGE[0] <= n.opacity <= OPACITY_RANGE[1] for n in self.nodes):
             raise ValueError("node opacity out of range")

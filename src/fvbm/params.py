@@ -15,6 +15,7 @@ coordinate indices in the public API are 0-based.
 from __future__ import annotations
 
 import functools
+import math
 import reprlib
 from collections import Counter
 from dataclasses import dataclass
@@ -29,6 +30,12 @@ def flat_length(d: int) -> int:
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     return d + d * (d - 1) // 2
+
+
+def flat_dimension(p: int) -> int | None:
+    """The d with ``flat_length(d) == p``, or None if there is none."""
+    d = (math.isqrt(8 * p + 1) - 1) // 2 if p > 0 else 0
+    return d if d and flat_length(d) == p else None
 
 
 @functools.lru_cache(maxsize=64)
@@ -179,7 +186,7 @@ class FvbmParams:
             upper = np.asarray(obj["interaction_upper"], dtype=np.float64)
         except (KeyError, TypeError) as exc:
             raise DataError(f"malformed parameter record: {exc}") from exc
-        if bias.shape != (d,) or upper.shape != (d * (d - 1) // 2,):
+        if bias.shape != (d,) or upper.shape != (flat_length(d) - d if d else 0,):
             raise DataError(
                 f"parameter record inconsistent with d={d}: "
                 f"bias has {bias.size} entries, upper triangle {upper.size}"

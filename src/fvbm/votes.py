@@ -9,7 +9,8 @@ as a second CSV with header ``date,number,senator,vote``.
 
 Pipeline order: parse -> resolve splits -> drop sparse columns -> impute
 -> encode agreement.  Imputation happens on the Yes/No table, before the
-+/-1 encoding.  Every stage is deterministic.
++/-1 encoding.  Every stage is deterministic, and reads and writes the one
+int8 matrix of :class:`Vote` codes in ``VoteTable.cells`` as a whole array.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import logging
 import re
 from array import array
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,13 @@ from .params import as_spin_matrix, check_labels
 log = logging.getLogger(__name__)
 
 
-class Vote(Enum):
-    YES = "yes"
-    NO = "no"
-    SPLIT = "split"
-    MISSING = "missing"
+class Vote(IntEnum):
+    """A vote as its code in ``VoteTable.cells``; No < Yes is imputation's last tie-break."""
+
+    NO = 0
+    YES = 1
+    SPLIT = 2
+    MISSING = 3
 
 
 _TOKENS = {"yes": Vote.YES, "no": Vote.NO, "split": Vote.SPLIT, "-": Vote.MISSING, "": Vote.MISSING}
@@ -56,40 +59,46 @@ def _rows_from(source) -> list[list[str]]:
     return list(csv.reader(source))
 
 
-@dataclass
+@dataclass(eq=False)
 class VoteTable:
-    """Rectangular table of party-level votes with per-row division metadata."""
+    """Party-level votes, one row per division, with per-row metadata.
+
+    ``cells`` is a read-only n-by-d int8 matrix of :class:`Vote` codes, one
+    column per party.  It may be given as any n-by-d array-like of codes or
+    Vote members, such as a list of rows.  Tables compare by identity: the
+    generated ``==`` would ask an ndarray for a single truth value.
+    """
 
     dates: list[str]
     numbers: list[str]
     parties: list[str]
-    cells: list[list[Vote]]
+    cells: np.ndarray
 
     def __post_init__(self) -> None:
         if len(set(self.parties)) != len(self.parties):
             raise DataError("party identifiers must be unique")
-        n = len(self.cells)
+        n, d = len(self.cells), len(self.parties)
         if len(self.dates) != n or len(self.numbers) != n:
             raise DataError("per-row metadata must match the number of rows")
-        for i, row in enumerate(self.cells):
-            if len(row) != len(self.parties):
-                raise DataError(
-                    f"data row {i + 1} has {len(row)} cells, "
-                    f"expected {len(self.parties)}"
-                )
+        try:  # a ragged list of rows is a ValueError; no rows at all, shape (0,)
+            cells = np.array(self.cells)
+            valid = cells.shape in ((n, d), (0,)) and np.isin(cells, list(Vote)).all()
+        except ValueError:
+            valid = False
+        if not valid:
+            raise DataError(f"cells must be {n} rows of {d} vote codes 0-3, one per party")
+        self.cells = cells.astype(np.int8).reshape(n, d)
+        self.cells.setflags(write=False)
 
     @property
     def n(self) -> int:
         return len(self.cells)
 
     def column(self, party: str) -> list[Vote]:
-        return [row[self.parties.index(party)] for row in self.cells]
+        return [Vote(v) for v in self.cells[:, self.parties.index(party)].tolist()]
 
     def missing_fraction(self, party: str) -> float:
-        col = self.column(party)
-        if not col:
-            return 0.0
-        return sum(v is Vote.MISSING for v in col) / len(col)
+        return self.column(party).count(Vote.MISSING) / max(self.n, 1)
 
 
 def parse_votes(source) -> VoteTable:
@@ -145,16 +154,6 @@ def parse_split_records(source) -> SplitResolution:
     return SplitResolution(records=records)
 
 
-def _majority(votes: list[Vote]) -> Vote:
-    yes = sum(v is Vote.YES for v in votes)
-    no = sum(v is Vote.NO for v in votes)
-    if yes > no:
-        return Vote.YES
-    if no > yes:
-        return Vote.NO
-    return Vote.MISSING
-
-
 def resolve_splits(
     table: VoteTable,
     resolution: SplitResolution,
@@ -171,28 +170,24 @@ def resolve_splits(
     maps to Missing.
     """
     member = extract_member.lower() if extract_member else None
-    split_rows: list[tuple[int, int]] = []
-    for r, row in enumerate(table.cells):
-        cols = [c for c, v in enumerate(row) if v is Vote.SPLIT]
-        if len(cols) > 1:
-            raise DataError(
-                f"row {r + 1} ({table.dates[r]} #{table.numbers[r]}) has "
-                f"multiple split parties; member records cannot be attributed"
-            )
-        if cols:
-            split_rows.append((r, cols[0]))
+    split_rows, split_cols = np.nonzero(table.cells == Vote.SPLIT)
+    repeated = split_rows[1:][split_rows[1:] == split_rows[:-1]]
+    if repeated.size:
+        r = repeated[0]
+        raise DataError(
+            f"row {r + 1} ({table.dates[r]} #{table.numbers[r]}) has "
+            f"multiple split parties; member records cannot be attributed"
+        )
+    splits = [
+        (r, c, resolution.for_row(table.dates[r], table.numbers[r]))
+        for r, c in zip(split_rows.tolist(), split_cols.tolist())
+    ]
 
     member_col: int | None = None
     if member is not None:
-        parties_seen = set()
-        for r, c in split_rows:
-            rec = resolution.for_row(table.dates[r], table.numbers[r])
-            if rec and member in rec:
-                parties_seen.add(c)
+        parties_seen = {c for _, c, rec in splits if rec and member in rec}
         if not parties_seen:
-            raise DataError(
-                f"extract member {extract_member!r} appears in no split record"
-            )
+            raise DataError(f"extract member {extract_member!r} appears in no split record")
         if len(parties_seen) > 1:
             names = sorted(table.parties[c] for c in parties_seen)
             raise DataError(
@@ -201,29 +196,26 @@ def resolve_splits(
             )
         member_col = parties_seen.pop()
 
-    cells = [list(row) for row in table.cells]
-    for r, c in split_rows:
-        rec = resolution.for_row(table.dates[r], table.numbers[r])
+    # the extracted member's column starts as a copy of their party's
+    extra = [] if member_col is None else [member_col]
+    cells = np.hstack([table.cells, table.cells[:, extra]])
+    for r, c, rec in splits:
         if rec is None:
             raise DataError(
                 f"split cell at {table.dates[r]} #{table.numbers[r]} "
                 f"(party {table.parties[c]!r}) has no member-level records"
             )
-        votes = [v for s, v in sorted(rec.items()) if not (c == member_col and s == member)]
-        cells[r][c] = _majority(votes)
+        votes = [v for s, v in rec.items() if s != member or c != member_col]
+        yes, no = votes.count(Vote.YES), votes.count(Vote.NO)
+        cells[r, c] = Vote.YES if yes > no else Vote.NO if no > yes else Vote.MISSING
+        if c == member_col:
+            cells[r, -1] = rec.get(member, Vote.MISSING)
 
     parties = list(table.parties)
     if member is not None:
         label = extract_label or extract_member[:4].upper()
         if label in parties:
             raise DataError(f"extract label {label!r} collides with an existing party")
-        split_by_row = {r: c for r, c in split_rows}
-        for r in range(table.n):
-            if split_by_row.get(r) == member_col:
-                rec = resolution.for_row(table.dates[r], table.numbers[r]) or {}
-                cells[r].append(rec.get(member, Vote.MISSING))
-            else:
-                cells[r].append(table.cells[r][member_col])
         parties.append(label)
 
     return VoteTable(
@@ -235,19 +227,15 @@ def drop_sparse_columns(table: VoteTable, threshold: float = 0.5) -> VoteTable:
     """Remove columns whose fraction of Missing cells exceeds ``threshold``."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-    keep = [
-        c
-        for c, party in enumerate(table.parties)
-        if table.missing_fraction(party) <= threshold
-    ]
-    dropped = [p for c, p in enumerate(table.parties) if c not in keep]
+    keep = np.count_nonzero(table.cells == Vote.MISSING, axis=0) / max(table.n, 1) <= threshold
+    dropped = [p for p, kept in zip(table.parties, keep) if not kept]
     if dropped:
         log.info("dropping sparse column(s): %s", ", ".join(dropped))
     return VoteTable(
         dates=list(table.dates),
         numbers=list(table.numbers),
-        parties=[table.parties[c] for c in keep],
-        cells=[[row[c] for c in keep] for row in table.cells],
+        parties=[p for p, kept in zip(table.parties, keep) if kept],
+        cells=table.cells[:, keep],
     )
 
 
@@ -259,8 +247,8 @@ class ImputeConfig:
     observed columns, normalized by the number of such columns; rows with
     no mutual overlap rank last.  Neighbor ties break by ascending row
     index.  Vote ties among the selected neighbors (possible only for
-    even ``k``) break toward the column-wide majority, then by category
-    name.
+    even ``k``) break toward the column-wide majority, then to the lowest
+    code, so No before Yes.
     """
 
     k: int = 3
@@ -270,33 +258,21 @@ class ImputeConfig:
             raise ValueError(f"k must be at least 1, got {self.k}")
 
 
-def knn_impute_cells(rows: list[list], k: int) -> list[list]:
-    """Generic categorical k-NN imputation; ``None`` marks a missing cell.
+def _knn_fill(codes: np.ndarray, observed: np.ndarray, k: int) -> np.ndarray:
+    """``codes`` with each cell outside ``observed`` set by the rules of
+    :class:`ImputeConfig`, a final tie going to the lowest code.
 
-    Distances and vote counts are computed on the original observed cells
-    only, so the result does not depend on the order in which missing
-    cells are visited, and observed cells are never altered.  Categories
-    are coded in ``str`` order, so the final tie-break is the lowest code.
-    A distance is a ratio of two small integers divided in float64: the
-    same double as Python's ``int / int``.
+    Distances and vote counts use the observed cells only, so the result
+    does not depend on the order of the missing cells, and observed cells
+    are never altered.  A distance is a ratio of two small integers divided
+    in float64: the same double as Python's ``int / int``.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    n = len(rows)
+    n, d = codes.shape
+    filled = codes.copy()
     if n == 0:
-        return []
-    d = len(rows[0])
-    if any(len(r) != d for r in rows):
-        raise DataError("imputation input must be rectangular")
+        return filled
     if k > n - 1:
         raise DataError(f"k={k} needs at least {k + 1} rows, got {n}")
-    seen = dict.fromkeys(v for r in rows for v in r if v is not None)
-    categories = sorted(seen, key=str)
-    code = {cat: c for c, cat in enumerate(categories)}
-    codes = np.array(
-        [[-1 if v is None else code[v] for v in r] for r in rows], dtype=np.intp
-    ).reshape(n, d)
-    observed = codes >= 0
     empty = ~observed.any(axis=1)
     if empty.any():
         raise DataError(f"row {np.argmax(empty) + 1} has no observed cells")
@@ -308,10 +284,9 @@ def knn_impute_cells(rows: list[list], k: int) -> list[list]:
             f"with that column observed"
         )
 
-    m = len(categories)
+    m = int(codes[observed].max()) + 1
     flat = np.nonzero(observed)[1] * m + codes[observed]
     column_counts = np.bincount(flat, minlength=d * m).reshape(d, m)
-    result = [list(r) for r in rows]
     for i in np.flatnonzero(~observed.all(axis=1)):
         mutual = observed & observed[i]
         overlap = mutual.sum(axis=1)
@@ -321,24 +296,44 @@ def knn_impute_cells(rows: list[list], k: int) -> list[list]:
         order = np.argsort(dist, kind="stable")  # row i never votes: its j is missing
         for j in np.flatnonzero(~observed[i]):
             votes = np.bincount(codes[order[observed[order, j]][:k], j], minlength=m)
-            best = np.where(votes == votes.max(), column_counts[j], -1)
-            result[i][j] = categories[np.argmax(best)]
+            filled[i, j] = np.argmax(np.where(votes == votes.max(), column_counts[j], -1))
+    return filled
+
+
+def knn_impute_cells(rows: list[list], k: int) -> list[list]:
+    """Generic categorical k-NN imputation; ``None`` marks a missing cell.
+
+    The rules are those of :class:`ImputeConfig`, with categories coded in
+    ``str`` order: a final tie goes to the category whose ``str`` sorts first.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if not rows:
+        return []
+    d = len(rows[0])
+    if any(len(r) != d for r in rows):
+        raise DataError("imputation input must be rectangular")
+    categories = sorted(dict.fromkeys(v for r in rows for v in r if v is not None), key=str)
+    code = {cat: c for c, cat in enumerate(categories)}
+    codes = np.array([[-1 if v is None else code[v] for v in r] for r in rows], dtype=np.intp)
+    filled = _knn_fill(codes, codes >= 0, k)
+    result = [list(r) for r in rows]
+    for i, j in np.argwhere(codes < 0).tolist():
+        result[i][j] = categories[filled[i, j]]
     return result
 
 
 def knn_impute(table: VoteTable, config: ImputeConfig | None = None) -> VoteTable:
     """Fill every Missing cell of a split-resolved table."""
     config = config or ImputeConfig()
-    for r, row in enumerate(table.cells):
-        if any(v is Vote.SPLIT for v in row):
-            raise DataError(f"row {r + 1} still contains Split cells; resolve first")
-    raw = [[None if v is Vote.MISSING else v for v in row] for row in table.cells]
-    filled = knn_impute_cells(raw, config.k)
+    split = (table.cells == Vote.SPLIT).any(axis=1)
+    if split.any():
+        raise DataError(f"row {np.argmax(split) + 1} still contains Split cells; resolve first")
     return VoteTable(
         dates=list(table.dates),
         numbers=list(table.numbers),
         parties=list(table.parties),
-        cells=[list(row) for row in filled],
+        cells=_knn_fill(table.cells, table.cells != Vote.MISSING, config.k),
     )
 
 
@@ -364,21 +359,17 @@ def encode_agreement(table: VoteTable, reference: str) -> AgreementMatrix:
     """
     if reference not in table.parties:
         raise DataError(f"reference party {reference!r} not present in the table")
+    incomplete = np.argwhere(table.cells > Vote.YES)
+    if incomplete.size:
+        r, c = incomplete[0]
+        raise DataError(
+            f"cell at row {r + 1}, column {table.parties[c]!r} is "
+            f"{Vote(table.cells[r, c]).name.lower()!r}; agreement encoding needs a complete table"
+        )
     ref_idx = table.parties.index(reference)
-    for r, row in enumerate(table.cells):
-        for c, vote in enumerate(row):
-            if vote not in (Vote.YES, Vote.NO):
-                raise DataError(
-                    f"cell at row {r + 1}, column {table.parties[c]!r} is "
-                    f"{vote.value!r}; agreement encoding needs a complete table"
-                )
-    labels = [p for c, p in enumerate(table.parties) if c != ref_idx]
-    values = np.empty((table.n, len(labels)))
-    for r, row in enumerate(table.cells):
-        ref = row[ref_idx]
-        out = [1.0 if v is ref else -1.0 for c, v in enumerate(row) if c != ref_idx]
-        values[r] = out
-    return AgreementMatrix(labels=labels, values=values)
+    others = [c for c in range(len(table.parties)) if c != ref_idx]
+    values = np.where(table.cells[:, others] == table.cells[:, [ref_idx]], 1.0, -1.0)
+    return AgreementMatrix(labels=[table.parties[c] for c in others], values=values)
 
 
 def empirical_proportions(values) -> tuple[np.ndarray, np.ndarray]:

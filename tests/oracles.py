@@ -9,6 +9,7 @@ import csv
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from fvbm import DataError, FvbmParams
 from fvbm.fit import MAX_HALVINGS, STEP_LIMIT
 from fvbm.params import slot_map
 from fvbm.pseudolikelihood import _activations, _check_dims, _log_pl, _sech2
+from fvbm.votes import ImputeConfig, SplitResolution, Vote
 
 
 def random_params(rng: np.random.Generator, d: int, scale: float = 1.0) -> FvbmParams:
@@ -466,6 +468,165 @@ def loop_knn_impute_cells(rows: list[list], k: int) -> list[list]:
                 tied.sort(key=lambda cat: (-column_counts[j][cat], str(cat)))
             result[i][j] = tied[0]
     return result
+
+
+@dataclass
+class ListVoteTable:
+    """The list-of-lists vote table that the list oracles below read and
+    write: ``cells`` holds one list of :class:`Vote` members per row."""
+
+    dates: list[str]
+    numbers: list[str]
+    parties: list[str]
+    cells: list[list[Vote]]
+
+    @property
+    def n(self) -> int:
+        return len(self.cells)
+
+    def column(self, party: str) -> list[Vote]:
+        return [row[self.parties.index(party)] for row in self.cells]
+
+    def missing_fraction(self, party: str) -> float:
+        col = self.column(party)
+        if not col:
+            return 0.0
+        return sum(v is Vote.MISSING for v in col) / len(col)
+
+
+def _list_majority(votes: list[Vote]) -> Vote:
+    yes = sum(v is Vote.YES for v in votes)
+    no = sum(v is Vote.NO for v in votes)
+    if yes > no:
+        return Vote.YES
+    if no > yes:
+        return Vote.NO
+    return Vote.MISSING
+
+
+def list_resolve_splits(
+    table: ListVoteTable,
+    resolution: SplitResolution,
+    extract_member: str | None = None,
+    extract_label: str | None = None,
+) -> ListVoteTable:
+    """Replace Split cells by the remaining members' majority vote, cell by
+    cell (see :func:`fvbm.resolve_splits`)."""
+    member = extract_member.lower() if extract_member else None
+    split_rows: list[tuple[int, int]] = []
+    for r, row in enumerate(table.cells):
+        cols = [c for c, v in enumerate(row) if v is Vote.SPLIT]
+        if len(cols) > 1:
+            raise DataError(
+                f"row {r + 1} ({table.dates[r]} #{table.numbers[r]}) has "
+                f"multiple split parties; member records cannot be attributed"
+            )
+        if cols:
+            split_rows.append((r, cols[0]))
+
+    member_col: int | None = None
+    if member is not None:
+        parties_seen = set()
+        for r, c in split_rows:
+            rec = resolution.for_row(table.dates[r], table.numbers[r])
+            if rec and member in rec:
+                parties_seen.add(c)
+        if not parties_seen:
+            raise DataError(
+                f"extract member {extract_member!r} appears in no split record"
+            )
+        if len(parties_seen) > 1:
+            names = sorted(table.parties[c] for c in parties_seen)
+            raise DataError(
+                f"extract member {extract_member!r} appears in splits of "
+                f"multiple parties: {names}"
+            )
+        member_col = parties_seen.pop()
+
+    cells = [list(row) for row in table.cells]
+    for r, c in split_rows:
+        rec = resolution.for_row(table.dates[r], table.numbers[r])
+        if rec is None:
+            raise DataError(
+                f"split cell at {table.dates[r]} #{table.numbers[r]} "
+                f"(party {table.parties[c]!r}) has no member-level records"
+            )
+        votes = [v for s, v in sorted(rec.items()) if not (c == member_col and s == member)]
+        cells[r][c] = _list_majority(votes)
+
+    parties = list(table.parties)
+    if member is not None:
+        label = extract_label or extract_member[:4].upper()
+        if label in parties:
+            raise DataError(f"extract label {label!r} collides with an existing party")
+        split_by_row = {r: c for r, c in split_rows}
+        for r in range(table.n):
+            if split_by_row.get(r) == member_col:
+                rec = resolution.for_row(table.dates[r], table.numbers[r]) or {}
+                cells[r].append(rec.get(member, Vote.MISSING))
+            else:
+                cells[r].append(table.cells[r][member_col])
+        parties.append(label)
+
+    return ListVoteTable(
+        dates=list(table.dates), numbers=list(table.numbers), parties=parties, cells=cells
+    )
+
+
+def list_drop_sparse_columns(table: ListVoteTable, threshold: float = 0.5) -> ListVoteTable:
+    """Remove columns whose fraction of Missing cells exceeds ``threshold``."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
+    keep = [
+        c
+        for c, party in enumerate(table.parties)
+        if table.missing_fraction(party) <= threshold
+    ]
+    return ListVoteTable(
+        dates=list(table.dates),
+        numbers=list(table.numbers),
+        parties=[table.parties[c] for c in keep],
+        cells=[[row[c] for c in keep] for row in table.cells],
+    )
+
+
+def list_knn_impute(table: ListVoteTable, config: ImputeConfig | None = None) -> ListVoteTable:
+    """Fill every Missing cell of a split-resolved table through
+    :func:`loop_knn_impute_cells`."""
+    config = config or ImputeConfig()
+    for r, row in enumerate(table.cells):
+        if any(v is Vote.SPLIT for v in row):
+            raise DataError(f"row {r + 1} still contains Split cells; resolve first")
+    raw = [[None if v is Vote.MISSING else v for v in row] for row in table.cells]
+    filled = loop_knn_impute_cells(raw, config.k)
+    return ListVoteTable(
+        dates=list(table.dates),
+        numbers=list(table.numbers),
+        parties=list(table.parties),
+        cells=[list(row) for row in filled],
+    )
+
+
+def list_encode_agreement(table: ListVoteTable, reference: str) -> "fvbm.AgreementMatrix":
+    """Encode each non-reference party's agreement with the reference, cell
+    by cell (see :func:`fvbm.encode_agreement`)."""
+    if reference not in table.parties:
+        raise DataError(f"reference party {reference!r} not present in the table")
+    ref_idx = table.parties.index(reference)
+    for r, row in enumerate(table.cells):
+        for c, vote in enumerate(row):
+            if vote not in (Vote.YES, Vote.NO):
+                raise DataError(
+                    f"cell at row {r + 1}, column {table.parties[c]!r} is "
+                    f"{vote.name.lower()!r}; agreement encoding needs a complete table"
+                )
+    labels = [p for c, p in enumerate(table.parties) if c != ref_idx]
+    values = np.empty((table.n, len(labels)))
+    for r, row in enumerate(table.cells):
+        ref = row[ref_idx]
+        out = [1.0 if v is ref else -1.0 for c, v in enumerate(row) if c != ref_idx]
+        values[r] = out
+    return fvbm.AgreementMatrix(labels=labels, values=values)
 
 
 def block_log_weights(params: FvbmParams, block: int = 1 << 16) -> np.ndarray:

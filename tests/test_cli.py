@@ -727,6 +727,9 @@ _RECORD_PROBES = [
     ("probs", {"converged": False, "last_step": [1.0]}),
     ("graph", {"estimates": [1.0]}),
     ("graph", {"adjustment_groups": 3}),
+    ("infer", {"converged": True, "last_step": [0.0, 0.0, 0.5]}),
+    ("infer", {"converged": True, "degenerate_columns": [1]}),
+    ("probs", {"converged": True, "last_step": [0.0, -0.002, 0.0]}),
 ]
 
 
@@ -810,3 +813,28 @@ def test_simulate_labels_are_checked_as_usage(tmp_path, capsys, labels, message)
     assert main(argv) == 1
     error = capsys.readouterr().err
     assert error.startswith("usage error: --labels: ") and message in error
+
+
+@pytest.mark.parametrize("p, labels", [(4, None), (6, ["X1", "X2", "X3"])])
+def test_graph_finds_the_dimension_of_a_report_from_its_length(tmp_path, capsys, p, labels):
+    report = {
+        "estimates": [0.1] * p,
+        "standard_errors": [1.0] * p,
+        "z_scores": [0.1] * p,
+        "p_values": [0.5] * p,
+        "adjusted_p_values": [0.5] * p,
+        "adjustment_groups": {"all": list(range(p))},
+    }
+    path, out = tmp_path / "report.json", tmp_path / "network.json"
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    code = main(["graph", str(path), "--json", str(out)])
+    if labels is None:
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: report file {path}: report has {p} coordinates, "
+            f"which matches no bias-plus-upper-triangle layout\n"
+        )
+    else:
+        assert code == 0
+        assert [node["label"] for node in json.loads(out.read_text())["nodes"]] == labels

@@ -467,3 +467,31 @@ def test_fit_record_with_a_non_boolean_converged_is_malformed(converged):
     record["converged"] = converged
     with pytest.raises(fvbm.DataError, match="converged"):
         fvbm.FitResult.from_json_dict(record)
+
+
+def test_fit_record_whose_converged_contradicts_its_evidence_is_malformed():
+    a = np.random.default_rng(64).choice([-1.0, 1.0], 60)
+    for data in (np.column_stack([a, a]), np.column_stack([a, np.ones(60)])):
+        record = fvbm.fit(data).to_json_dict()
+        assert record["converged"] is False
+        fvbm.FitResult.from_json_dict(record)  # every record fit writes loads
+        record["converged"] = True
+        with pytest.raises(fvbm.DataError, match="converged true needs no degenerate column"):
+            fvbm.FitResult.from_json_dict(record)
+
+
+def test_converged_records_without_contrary_evidence_load():
+    data = np.random.default_rng(65).choice([-1.0, 1.0], (400, 3))
+    result = fvbm.fit(data)
+    assert result.converged
+    assert fvbm.FitResult.from_json_dict(result.to_json_dict()).converged
+    # a record built from known parameters, as the enumeration benchmark writes
+    record = fvbm.FitResult(
+        params=fvbm.FvbmParams.zeros(3), objective_trace=np.zeros(1),
+        iterations_used=0, converged=True,
+    ).to_json_dict()
+    assert record["last_step"] is None
+    assert fvbm.FitResult.from_json_dict(record).converged
+    # a last step of exactly STEP_LIMIT still counts as converged, as in fit
+    record["last_step"] = [fit_module.STEP_LIMIT] * 6
+    assert fvbm.FitResult.from_json_dict(record).converged

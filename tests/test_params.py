@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import fvbm
 from fvbm import jsonio
-from fvbm.params import slot_map
+from fvbm.params import flat_dimension, slot_map
 
 from oracles import random_params
 
@@ -135,3 +135,23 @@ def test_spin_validation():
     assert out.dtype == np.float64
     with pytest.raises(fvbm.DataError):
         fvbm.as_spin_vector([1.0, 2.0])
+
+
+def test_flat_dimension_inverts_flat_length():
+    lengths = {fvbm.flat_length(d): d for d in range(1, 300)}
+    for p in range(-3, max(lengths) + 1):
+        assert flat_dimension(p) == lengths.get(p)
+    d = 10**8 + 7  # 8p + 1 is past 2**53, where a float square root rounds
+    assert flat_dimension(fvbm.flat_length(d)) == d
+    assert flat_dimension(fvbm.flat_length(d) + 1) is None
+
+
+def test_parameter_record_and_network_sizes_still_allow_zero_columns():
+    # d = 0 and d < 0 keep their own errors, and a network of no nodes is valid
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        fvbm.FvbmParams.from_json_dict({"d": 0, "bias": [], "interaction_upper": []})
+    with pytest.raises(fvbm.DataError, match="inconsistent with d=0"):
+        fvbm.FvbmParams.from_json_dict({"d": 0, "bias": [], "interaction_upper": [1.0]})
+    with pytest.raises(fvbm.DataError, match="inconsistent with d=-1"):
+        fvbm.FvbmParams.from_json_dict({"d": -1, "bias": [], "interaction_upper": []})
+    assert fvbm.NetworkSpec(nodes=[], edges=[], mode="raw", level=0.05).nodes == []

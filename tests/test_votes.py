@@ -1,6 +1,8 @@
 """Vote parsing, split resolution, imputation, and agreement encoding."""
 
+import contextlib
 import io
+import json
 import math
 import re
 
@@ -11,8 +13,18 @@ from hypothesis import strategies as st
 
 import fvbm
 from fvbm import votes as votes_module
+from fvbm.cli import main
 from fvbm.votes import Vote
-from oracles import list_read_spin_csv, loop_knn_impute_cells, loop_write_spin_csv
+from oracles import (
+    ListVoteTable,
+    list_drop_sparse_columns,
+    list_encode_agreement,
+    list_knn_impute,
+    list_read_spin_csv,
+    list_resolve_splits,
+    loop_knn_impute_cells,
+    loop_write_spin_csv,
+)
 
 
 def _table(text: str) -> fvbm.VoteTable:
@@ -37,8 +49,10 @@ def test_parse_normalizes_tokens():
     assert table.parties == ["P1", "P2", "P3"]
     assert table.dates == ["13/9", "14/9"]
     assert table.numbers == ["2", "1"]
-    assert table.cells[0] == [Vote.NO, Vote.YES, Vote.SPLIT]
-    assert table.cells[1] == [Vote.MISSING, Vote.YES, Vote.MISSING]
+    assert table.cells.tolist() == [
+        [Vote.NO, Vote.YES, Vote.SPLIT],
+        [Vote.MISSING, Vote.YES, Vote.MISSING],
+    ]
 
 
 def test_parse_rejects_ragged_rows():
@@ -299,9 +313,9 @@ def test_knn_impute_table_end_to_end():
         "1/1,5,Yes,No\n"
     )
     complete = fvbm.knn_impute(table, fvbm.ImputeConfig(k=3))
-    assert all(v is not Vote.MISSING for row in complete.cells for v in row)
+    assert not np.any(complete.cells == Vote.MISSING)
     # nearest rows to row 3 all carry P2 = No
-    assert complete.cells[2][1] is Vote.NO
+    assert Vote(complete.cells[2, 1]) is Vote.NO
 
 
 def test_knn_tie_rules():
@@ -324,7 +338,7 @@ def test_knn_tie_rules():
         "1/1,5,No,No\n"
     )
     complete = fvbm.knn_impute(table, fvbm.ImputeConfig(k=2))
-    assert complete.cells[0][1] is Vote.NO
+    assert Vote(complete.cells[0, 1]) is Vote.NO
 
 
 def test_knn_cells_reject_k_below_one():
@@ -648,3 +662,216 @@ def test_read_spin_csv_edge_files_match_list_oracle(tmp_path, text):
     labels, values = fvbm.read_spin_csv(path)
     assert labels == expected[0]
     np.testing.assert_array_equal(values, expected[1])
+
+
+# ---------------------------------------------------------------------------
+# the code matrix and the list oracles of its stages
+# ---------------------------------------------------------------------------
+
+
+def test_vote_codes_order_no_before_yes():
+    assert [int(v) for v in (Vote.NO, Vote.YES, Vote.SPLIT, Vote.MISSING)] == [0, 1, 2, 3]
+    assert sorted([Vote.YES, Vote.NO], key=str) == [Vote.NO, Vote.YES]
+
+
+def test_vote_table_cells_are_a_read_only_int8_matrix():
+    table = _table("date,number,P1,P2\n1/1,1,Yes,-\n1/1,2,Split,No\n")
+    assert table.cells.dtype == np.int8 and table.cells.shape == (2, 2)
+    assert not table.cells.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table.cells[0, 0] = Vote.NO
+    column = table.column("P1")
+    assert column == [Vote.YES, Vote.SPLIT]
+    assert all(type(v) is Vote for v in column)
+    fraction = table.missing_fraction("P2")
+    assert type(fraction) is float and fraction == 0.5
+
+
+def test_vote_table_copies_the_matrix_it_is_given():
+    given_cells = np.array([[Vote.YES, Vote.NO]])
+    table = fvbm.VoteTable(["1/1"], ["1"], ["P1", "P2"], given_cells)
+    given_cells[0, 0] = Vote.NO
+    assert table.column("P1") == [Vote.YES]
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [[Vote.YES, Vote.NO], [Vote.YES]],  # ragged
+        [[Vote.YES], [Vote.NO]],  # one cell per row for two parties
+        np.zeros((2, 3), dtype=np.int8),
+        np.zeros((2, 2, 1), dtype=np.int8),
+        [[Vote.YES, 4], [Vote.NO, Vote.NO]],
+        [[Vote.YES, -1], [Vote.NO, Vote.NO]],
+        [[Vote.YES, "yes"], [Vote.NO, Vote.NO]],
+        [[Vote.YES, None], [Vote.NO, Vote.NO]],
+        np.array([[1.0, 0.5], [0.0, 0.0]]),
+    ],
+)
+def test_vote_table_refuses_cells_of_the_wrong_size_or_values(cells):
+    with pytest.raises(fvbm.DataError, match="cells must"):
+        fvbm.VoteTable(["1/1", "1/1"], ["1", "2"], ["P1", "P2"], cells)
+
+
+def test_vote_tables_compare_by_identity():
+    text = "date,number,P1\n1/1,1,Yes\n"
+    table = _table(text)
+    assert table == table
+    assert table != _table(text)
+    assert np.array_equal(table.cells, _table(text).cells)
+
+
+def test_header_only_votes_prepare_to_a_header_only_matrix(tmp_path):
+    votes = tmp_path / "votes.csv"
+    votes.write_text("date,number,GOV,P1,P2\n")
+    out = tmp_path / "m.csv"
+    assert main(["prepare", str(votes), "--reference", "GOV", "-o", str(out)]) == 0
+    assert out.read_text() == "P1,P2\n"
+    prov = json.loads((tmp_path / "m.csv.prov.json").read_text())
+    assert (prov["rows"], prov["imputed_cells"], prov["dropped_columns"]) == (0, 0, [])
+
+
+def test_all_missing_column_is_dropped():
+    table = _table("date,number,GOV,GONE,P1\n1/1,1,Yes,-,No\n1/1,2,No,,No\n1/1,3,Yes,-,Yes\n")
+    assert table.missing_fraction("GONE") == 1.0
+    kept = fvbm.drop_sparse_columns(table, threshold=0.9)
+    assert kept.parties == ["GOV", "P1"]
+    assert kept.cells.tolist() == [[1, 0], [0, 0], [1, 1]]
+    complete = fvbm.knn_impute(kept, fvbm.ImputeConfig(k=2))
+    np.testing.assert_array_equal(
+        fvbm.encode_agreement(complete, "GOV").values, [[-1.0], [1.0], [1.0]]
+    )
+    # kept at threshold 1, it has no observed cell to impute from
+    with pytest.raises(fvbm.DataError, match="column 2 has no neighbor"):
+        fvbm.knn_impute(fvbm.drop_sparse_columns(table, threshold=1.0), fvbm.ImputeConfig(k=2))
+
+
+_CASE_PARTIES = ["GOV", "P1", "P2", "P3"]
+_CASE_MEMBERS = ["ann", "bob", "cy", "mo"]
+
+
+@st.composite
+def vote_cases(draw):
+    """A random vote table as rows of Vote members, with member records,
+    extraction, drop threshold and k.  Columns are Missing at shares of 0
+    up to 1, so some are all-missing; split rows have 1-4 members, so
+    majorities tie; a few rows split in two parties.  The member "mo" sits
+    in party 1 but now and then in another party's split record."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(0, 14)), draw(st.sampled_from([1, 2, 3, 3, 4, 4]))
+    split_share = draw(st.sampled_from([0.0, 0.2, 0.4]))
+    column_missing = rng.choice([0.0, 0.0, 0.1, 0.3, 0.6, 1.0], size=d)
+    column_splits = np.full(d, split_share)
+    column_splits[1 % d] *= 2
+    cells = []
+    for _ in range(n):
+        row = [
+            Vote.MISSING if rng.random() < column_missing[c] else Vote(rng.integers(2))
+            for c in range(d)
+        ]
+        for c in np.flatnonzero(rng.random(d) < column_splits).tolist()[: 1 + (rng.random() < 0.1)]:
+            row[c] = Vote.SPLIT
+        cells.append(row)
+    records = []
+    for r, row in enumerate(cells):
+        if (Vote.SPLIT in row and rng.random() < 0.95) or rng.random() < 0.1:
+            home = row.index(Vote.SPLIT) == 1 % d if Vote.SPLIT in row else False
+            members = rng.permutation(_CASE_MEMBERS[:3])[: rng.integers(1, 4)].tolist()
+            if home or rng.random() < 0.03:
+                members.append("mo")
+            for member in members:
+                records.append((f"{r}/1", "1", member, rng.choice(["Yes", "No", "-"])))
+    return {
+        "parties": _CASE_PARTIES[:d],
+        "cells": cells,
+        "records": records,
+        "extract": draw(st.sampled_from([None, None, None, "mo", "MO", "nobody"])),
+        "label": draw(st.sampled_from([None, "SOLO", "SOLO", "P1"])),
+        "threshold": draw(st.sampled_from([0.25, 0.5, 0.9, 1.0])),
+        "k": draw(st.integers(1, 4)),
+    }
+
+
+def _stage_outcome(stage, *args):
+    """What a stage gives: a table's parties and codes, a matrix's labels
+    and values, or the message of its DataError."""
+    try:
+        out = stage(*args)
+    except fvbm.DataError as exc:
+        return "error", str(exc)
+    if isinstance(out, fvbm.AgreementMatrix):
+        return out.labels, out.values.tolist()
+    cells = out.cells.tolist() if isinstance(out.cells, np.ndarray) else out.cells
+    return out.parties, [[int(v) for v in row] for row in cells]
+
+
+def _oracle_prepare(case, table, resolution):
+    """Outputs and provenance counts of ``prepare``, from the list oracles."""
+    resolved = list_resolve_splits(table, resolution, case["extract"], case["label"])
+    kept = list_drop_sparse_columns(resolved, case["threshold"])
+    missing = sum(v is Vote.MISSING for row in kept.cells for v in row)
+    complete = list_knn_impute(kept, fvbm.ImputeConfig(k=case["k"]))
+    agreement = list_encode_agreement(complete, "GOV")
+    counts = {
+        "split_cells_resolved": sum(v is Vote.SPLIT for row in table.cells for v in row),
+        "dropped_columns": [p for p in resolved.parties if p not in kept.parties],
+        "imputed_cells": missing,
+        "columns": agreement.labels,
+    }
+    return agreement, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=vote_cases())
+def test_array_stages_match_the_list_oracles(tmp_path_factory, case):
+    tokens = {Vote.YES: "Yes", Vote.NO: "no", Vote.SPLIT: "Split", Vote.MISSING: "-"}
+    directory = tmp_path_factory.mktemp("prepare")
+    votes, splits = directory / "votes.csv", directory / "splits.csv"
+    rows = [["date", "number", *case["parties"]]]
+    rows += [[f"{r}/1", "1", *(tokens[v] for v in row)] for r, row in enumerate(case["cells"])]
+    votes.write_text("".join(",".join(row) + "\n" for row in rows))
+    splits.write_text(
+        "date,number,senator,vote\n" + "".join(",".join(rec) + "\n" for rec in case["records"])
+    )
+    table, resolution = fvbm.parse_votes(votes), fvbm.parse_split_records(splits)
+    listed = ListVoteTable(table.dates, table.numbers, table.parties, case["cells"])
+    assert table.cells.tolist() == case["cells"]
+
+    # stage by stage, on the raw table too, so every refusal is reached
+    extract = case["extract"], case["label"]
+    assert _stage_outcome(fvbm.resolve_splits, table, resolution, *extract) == _stage_outcome(
+        list_resolve_splits, listed, resolution, *extract
+    )
+    assert _stage_outcome(fvbm.drop_sparse_columns, table, case["threshold"]) == _stage_outcome(
+        list_drop_sparse_columns, listed, case["threshold"]
+    )
+    config = fvbm.ImputeConfig(k=case["k"])
+    assert _stage_outcome(fvbm.knn_impute, table, config) == _stage_outcome(
+        list_knn_impute, listed, config
+    )
+    assert _stage_outcome(fvbm.encode_agreement, table, "GOV") == _stage_outcome(
+        list_encode_agreement, listed, "GOV"
+    )
+
+    # the whole command, provenance counts included
+    out = directory / "m.csv"
+    argv = ["prepare", str(votes), "--splits", str(splits), "--reference", "GOV", "-o", str(out),
+            "--k", str(case["k"]), "--drop-threshold", str(case["threshold"])]
+    if case["extract"]:
+        argv += ["--extract-member", case["extract"]]
+    if case["label"]:
+        argv += ["--extract-label", case["label"]]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    try:
+        agreement, counts = _oracle_prepare(case, listed, resolution)
+    except fvbm.DataError as exc:
+        assert (code, stderr.getvalue()) == (2, f"data error: {exc}\n")
+        return
+    assert code == 0
+    labels, values = fvbm.read_spin_csv(out)
+    assert labels == agreement.labels
+    np.testing.assert_array_equal(values, agreement.values)
+    prov = json.loads((directory / "m.csv.prov.json").read_text())
+    assert {key: prov[key] for key in counts} == counts

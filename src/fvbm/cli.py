@@ -8,13 +8,15 @@ file, which wins over the declared defaults.  Exit codes are stable:
 
 Column labels read from a spin CSV, fit file or report file must be d
 distinct strings (``params.check_labels``); a record without labels gets
-X1..Xd.  Anything else is a data error naming the file, as is any other
-fault in a fit or report record.
+X1..Xd.  Any fault found while an input file is read and parsed is a data
+error naming the file (``_naming``); ``FitResult.unconverged_reason`` words
+every unconverged fit, in ``fit``'s warning and in ``infer``'s refusal.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from pathlib import Path
@@ -32,7 +34,7 @@ from .inference import (
     format_report_tables,
 )
 from .model import enumerate_pmf, marginal_probability, pairwise_joint, sample
-from .params import FvbmParams, check_labels, flat_dimension, flat_labels, flat_length
+from .params import FvbmParams, as_spin_matrix, check_labels, flat_labels, flat_length
 from .votes import (
     ImputeConfig,
     SplitResolution,
@@ -67,11 +69,15 @@ _CONFIG.add_argument(
 )
 
 
-def _load_config(path) -> dict:
-    cfg = jsonio.load(path)
-    if not isinstance(cfg, dict):
-        raise DataError(f"config file {path} must hold a JSON object")
-    return cfg
+@contextlib.contextmanager
+def _naming(source: str):
+    """Re-raise a ValueError of the block as a DataError led by ``source``, unless it names it."""
+    try:
+        yield
+    except ValueError as exc:
+        if source in str(exc):
+            raise
+        raise DataError(f"{source}: {exc}") from exc
 
 
 def _config_tokens(action: argparse.Action, value) -> list[str]:
@@ -107,7 +113,10 @@ def _parse_args(parser, commands: dict, argv: list[str]) -> argparse.Namespace:
     known = found.parse_known_args(argv)[0]
     if known.config is None or known.help or not argv or argv[0] not in commands:
         return parser.parse_args(argv)
-    cfg = _load_config(known.config)
+    with _naming(f"config file {known.config}"):
+        cfg = jsonio.load(known.config)
+        if not isinstance(cfg, dict):
+            raise DataError("it must hold a JSON object")
     actions = {
         a.dest: a
         for a in commands[argv[0]]._actions
@@ -125,21 +134,16 @@ def _parse_args(parser, commands: dict, argv: list[str]) -> argparse.Namespace:
     return args
 
 
-def _labels(labels, d: int, source: str) -> list[str]:
-    """The column labels of a record from ``source``: X1..Xd if it has none,
-    else ``labels`` if :func:`check_labels` accepts them."""
-    if labels is None:
-        return [f"X{i + 1}" for i in range(d)]
-    try:
-        return check_labels(labels, d)
-    except DataError as exc:
-        raise DataError(f"{source}: {exc}") from exc
+def _labels(labels, d: int) -> list[str]:
+    """X1..Xd for a record without labels, else ``labels`` if :func:`check_labels` accepts them."""
+    return [f"X{i + 1}" for i in range(d)] if labels is None else check_labels(labels, d)
 
 
 def _read_spins(path) -> tuple[list[str], np.ndarray]:
-    """A spin CSV whose column labels are distinct."""
-    labels, data = read_spin_csv(path)
-    return _labels(labels, data.shape[1], f"spin CSV {path}"), data
+    """A spin CSV with at least one row, whose column labels are distinct."""
+    with _naming(f"spin CSV {path}"):
+        labels, data = read_spin_csv(path)
+        return check_labels(labels, data.shape[1]), as_spin_matrix(data)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +153,10 @@ def _read_spins(path) -> tuple[list[str], np.ndarray]:
 
 def cmd_prepare(args) -> None:
     output = Path(args.output)
-    table = parse_votes(args.votes)
-    resolution = parse_split_records(args.splits) if args.splits else SplitResolution({})
+    with _naming(f"votes CSV {args.votes}"):
+        table = parse_votes(args.votes)
+    with _naming(f"splits CSV {args.splits}"):
+        resolution = parse_split_records(args.splits) if args.splits else SplitResolution({})
     resolved = resolve_splits(
         table,
         resolution,
@@ -187,38 +193,21 @@ def cmd_prepare(args) -> None:
 
 def cmd_fit(args) -> None:
     labels, data = _read_spins(args.data)
-    init = FvbmParams.from_json_dict(jsonio.load(args.init)) if args.init else None
-    config = FitConfig(
-        max_iterations=args.max_iter, objective_tolerance=args.tol, init=init
-    )
+    with _naming(f"--init file {args.init}"):
+        init = FvbmParams.from_json_dict(jsonio.load(args.init)) if args.init else None
+    config = FitConfig(max_iterations=args.max_iter, objective_tolerance=args.tol, init=init)
     result = fit(data, config)
-    reason = result.unconverged_reason(flat_labels(labels))
-    if args.strict and result.degenerate_columns:
-        raise DataError(reason)
-    trace = result.objective_trace
-    met = trace.size > 1 and abs(trace[-1] - trace[-2]) < config.objective_tolerance
-    # Only here is it known why a fit stopped short of its tolerance; the
-    # shared reason would blame the last step.
-    if reason and (met or result.degenerate_columns):
+    if reason := result.unconverged_reason(flat_labels(labels)):
+        if args.strict and result.degenerate_columns:
+            raise DataError(reason)
         print(f"warning: unconverged fit: {reason}", file=sys.stderr)
-    if not met:
-        where = (
-            f"at max_iterations={config.max_iterations}"
-            if result.iterations_used == config.max_iterations
-            else f"after {result.iterations_used} iterations, where backtracking "
-            f"found no step that does not lower the objective,"
-        )
-        print(
-            f"warning: fit stopped {where} without meeting the objective tolerance",
-            file=sys.stderr,
-        )
     jsonio.dump(result.to_json_dict(labels), args.output)
 
 
 def cmd_infer(args) -> None:
-    obj = jsonio.load(args.fit)
     labels, data = _read_spins(args.data)
-    try:
+    with _naming(f"fit file {args.fit}"):
+        obj = jsonio.load(args.fit)
         fit_result = FitResult.from_json_dict(obj)
         d = fit_result.params.d
         if data.shape[1] != d:
@@ -237,8 +226,6 @@ def cmd_infer(args) -> None:
             method=args.fdr,
             coordinate_names=flat_labels(labels),
         )
-    except DataError as exc:
-        raise DataError(f"fit file {args.fit}: {exc}") from exc
     jsonio.dump(report.to_json_dict(labels), args.output)
     tables_path = (
         Path(args.tables) if args.tables else Path(args.output).with_suffix(".tables.txt")
@@ -247,13 +234,10 @@ def cmd_infer(args) -> None:
 
 
 def cmd_probs(args) -> None:
-    obj = jsonio.load(args.fit)
-    source = f"fit file {args.fit}"
-    try:
+    with _naming(f"fit file {args.fit}"):
+        obj = jsonio.load(args.fit)
         params = FitResult.from_json_dict(obj).params
-    except DataError as exc:
-        raise DataError(f"{source}: {exc}") from exc
-    labels = _labels(obj.get("labels"), params.d, source)
+        labels = _labels(obj.get("labels"), params.d)
     table = enumerate_pmf(params)
     marginals = {
         label: marginal_probability(table, j) for j, label in enumerate(labels)
@@ -263,10 +247,9 @@ def cmd_probs(args) -> None:
         names = [s.strip() for s in spec.split(",")]
         if len(names) != 2 or names[0] == names[1]:
             raise UsageError(f"--pair wants two distinct columns 'A,B', got {spec!r}")
-        try:
-            j, k = (labels.index(name) for name in names)
-        except ValueError:
+        if any(name not in labels for name in names):
             raise DataError(f"pair {spec!r} names a column not present in {labels}")
+        j, k = (labels.index(name) for name in names)
         joint = pairwise_joint(table, j, k)
         pairs_out.append(
             {
@@ -295,19 +278,10 @@ def cmd_probs(args) -> None:
 def cmd_graph(args) -> None:
     if args.dot is None and args.json is None:
         raise UsageError("at least one of --dot or --json is required")
-    obj = jsonio.load(args.report)
-    source = f"report file {args.report}"
-    try:
+    with _naming(f"report file {args.report}"):
+        obj = jsonio.load(args.report)
         report = InferenceReport.from_json_dict(obj)
-        d = flat_dimension(report.n_params)
-        if d is None:
-            raise DataError(
-                f"report has {report.n_params} coordinates, which matches no "
-                f"bias-plus-upper-triangle layout"
-            )
-    except ValueError as exc:
-        raise DataError(f"{source}: {exc}") from exc
-    labels = _labels(obj.get("labels"), d, source)
+        labels = _labels(obj.get("labels"), report.d)
     spec = build_network(report, labels, mode=args.mode, level=args.level)
     if args.dot:
         Path(args.dot).write_text(emit_dot(spec), encoding="utf-8")
@@ -318,12 +292,13 @@ def cmd_graph(args) -> None:
 def cmd_simulate(args) -> None:
     if args.n < 0:
         raise UsageError(f"--n must be nonnegative, got {args.n}")
-    params = FvbmParams.from_json_dict(jsonio.load(args.params))
+    with _naming(f"params file {args.params}"):
+        params = FvbmParams.from_json_dict(jsonio.load(args.params))
     given = [s.strip() for s in args.labels.split(",")] if args.labels else None
     try:
-        labels = _labels(given, params.d, "--labels")
+        labels = _labels(given, params.d)
     except DataError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"--labels: {exc}") from exc
     draws = sample(params, args.n, seed=args.seed)
     write_spin_csv(args.output, labels, draws)
 

@@ -31,8 +31,8 @@ stops, and is not converged.
 
 The fit stops when an accepted step changes the objective by less than
 ``objective_tolerance``, after ``max_iterations`` steps, or when
-backtracking finds no step.  Stopping on the tolerance alone does not
-mean that an estimate exists.
+backtracking finds no step (``FitResult.stopped_by`` records which).
+Stopping on the tolerance alone does not mean that an estimate exists.
 On separated data (no finite maximizer; Albert & Anderson 1984) the
 objective approaches its supremum while the parameters run off to
 infinity, so its change dies out while every Newton step stays of order
@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import DataError
 from .params import FvbmParams, as_spin_matrix
-from .pseudolikelihood import _activations, _hessian, _hessian_gather, _log_pl, _score
+from .pseudolikelihood import _activations, _hessian_gather, _information, _log_pl, _score
 
 # Largest |entry| of the last accepted step that a converged fit may have.
 STEP_LIMIT = 1e-3
@@ -73,6 +73,8 @@ SOLVE_BLOCK = 64
 # Step halvings tried before an iteration gives up.  Sixty shrink any step
 # up to about 100 below the rounding of parameters of order one.
 MAX_HALVINGS = 60
+# The rules that can stop a fit, as ``FitResult.stopped_by`` names them.
+STOP_RULES = ("tolerance", "max_iterations", "no_ascent")
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,9 @@ class FitResult:
     sign; such a column pushes its bias toward infinity and the reported
     coordinate is not a finite maximizer.  ``last_step`` is the last
     accepted step over the flat layout, or ``None`` if no step was taken.
-    A record whose ``last_step`` or ``degenerate_columns`` does not fit its
-    parameters is malformed.
+    ``stopped_by`` names the rule of ``STOP_RULES`` that stopped the fit
+    (``None`` in an older record).  A record whose fields do not fit its
+    parameters, or whose ``converged`` contradicts them, is malformed.
     """
 
     params: FvbmParams
@@ -118,6 +121,7 @@ class FitResult:
     converged: bool
     degenerate_columns: tuple[int, ...] = ()
     last_step: np.ndarray | None = None
+    stopped_by: str | None = None
 
     def large_step_coordinates(self) -> list[int]:
         """Flat coordinates that the last step moved by more than STEP_LIMIT."""
@@ -126,22 +130,31 @@ class FitResult:
         return [int(q) for q in np.flatnonzero(np.abs(self.last_step) > STEP_LIMIT)]
 
     def unconverged_reason(self, names: list[str]) -> str | None:
-        """Why the fit is not converged, in the order the verdict checks, or
-        None; ``names`` labels the flat coordinates (see ``flat_labels``)."""
+        """Why the fit is not converged, or None: constant columns, then a stop
+        short of the tolerance, joined by "; ", and a large last step only if
+        neither applies.  ``names`` labels the flat coordinates."""
         if self.converged:
             return None
+        n, why = self.iterations_used, []
         if self.degenerate_columns:
             shown = ", ".join(names[j] for j in self.degenerate_columns)
-            return f"column(s) {shown} are constant, so their biases have no finite optimum"
-        if large := self.large_step_coordinates():
+            why.append(f"column(s) {shown} are constant, so their biases have no finite optimum")
+        if self.stopped_by == "max_iterations":
+            why.append(f"it stopped at max_iterations={n} without meeting the objective tolerance")
+        elif self.stopped_by == "no_ascent":
+            why.append(
+                f"it stopped after {n} iterations, where backtracking found no step that does "
+                f"not lower the objective, without meeting the objective tolerance"
+            )
+        if not why and (large := self.large_step_coordinates()):
             size = float(np.abs(self.last_step).max())
             shown = ", ".join(names[q] for q in large)
-            return (
+            why.append(
                 f"its last step was large (up to {size:.3g} > {STEP_LIMIT:g}, on {shown}); "
                 f"a large last step means the estimate does not exist (separation) "
                 f"or the fit was cut off early"
             )
-        return f"it did not meet its objective tolerance in {self.iterations_used} iterations"
+        return "; ".join(why) or f"it did not meet its objective tolerance in {n} iterations"
 
     def to_json_dict(self, labels: list[str] | None = None) -> dict:
         out = {
@@ -149,6 +162,7 @@ class FitResult:
             "params": self.params.to_json_dict(),
             "objective_trace": [float(v) for v in self.objective_trace],
             "iterations_used": self.iterations_used,
+            "stopped_by": self.stopped_by,
             "converged": self.converged,
             "degenerate_columns": list(self.degenerate_columns),
             "last_step": (
@@ -164,7 +178,7 @@ class FitResult:
         try:
             params = FvbmParams.from_json_dict(obj["params"])
             converged, columns = obj["converged"], obj.get("degenerate_columns", [])
-            step = obj.get("last_step")
+            step, stopped_by = obj.get("last_step"), obj.get("stopped_by")
             step = None if step is None else np.asarray(step, dtype=np.float64)
             result = cls(
                 params=params,
@@ -173,21 +187,27 @@ class FitResult:
                 converged=converged,
                 degenerate_columns=tuple(columns),
                 last_step=step,
+                stopped_by=stopped_by,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed fit record: {exc}") from exc
         p, d = params.n_params, params.d
+        large = result.large_step_coordinates()
+        verdict = stopped_by in (None, "tolerance") and not (columns or large)
         if not (
             isinstance(converged, bool)
+            and stopped_by in (None, *STOP_RULES)
             and (step is None or step.shape == (p,))
             and isinstance(columns, list)
             and all(type(j) is int and 0 <= j < d for j in columns)
-            and not (converged and (columns or result.large_step_coordinates()))
+            and (converged == verdict or not converged and stopped_by != "tolerance")
         ):
             raise DataError(
-                f"malformed fit record: converged must be true or false, last_step "
-                f"null or {p} numbers, and degenerate_columns indices below d={d}; "
-                f"converged true needs no degenerate column and no |last_step| > {STEP_LIMIT:g}"
+                f"malformed fit record: converged must be true or false, stopped_by null "
+                f"or one of {', '.join(STOP_RULES)}, last_step null or {p} numbers, and "
+                f"degenerate_columns indices below d={d}; converged true needs no degenerate "
+                f"column, no |last_step| > {STEP_LIMIT:g} and stopped_by null or tolerance, "
+                f"and a tolerance stop with neither of the first two is converged true"
             )
         return result
 
@@ -215,22 +235,19 @@ def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _newton_step(score: np.ndarray, hessian: np.ndarray) -> np.ndarray:
-    """Solve (-H + lambda I) step = score through a Cholesky factor, with
-    the first lambda of 0, 1e-12 max|H|, 1e-11 max|H|, ... that has one."""
-    system = -hessian
+def _newton_step(score: np.ndarray, info: np.ndarray) -> np.ndarray:
+    """Solve (-H + lambda I) step = score by a Cholesky factor of ``info`` = -H
+    plus the first lambda of 0, 1e-12 max|H|, 1e-11 max|H|, ... that has one."""
     ridge = 0.0
     while True:
         try:
-            chol = np.linalg.cholesky(
-                system + ridge * np.eye(score.size) if ridge else system
-            )
+            chol = np.linalg.cholesky(info + ridge * np.eye(score.size) if ridge else info)
             break
         except np.linalg.LinAlgError:
             if ridge:
                 ridge *= 10.0
             else:
-                ridge = 1e-12 * (float(np.abs(hessian).max()) or 1.0)
+                ridge = 1e-12 * (float(np.abs(info).max()) or 1.0)
     return _cholesky_solve(chol, score)
 
 
@@ -252,9 +269,9 @@ def fit(data, config: FitConfig | None = None) -> FitResult:
     a = _activations(params, x)
     trace = [_log_pl(x, a)]
     last_step = None
-    stopped = False
+    stopped_by = "max_iterations"
     for _ in range(config.max_iterations):
-        step = _newton_step(_score(x, a), _hessian(x, a, gather))
+        step = _newton_step(_score(x, a), _information(x, a, gather))
         for _ in range(MAX_HALVINGS + 1):
             candidate = theta + step
             if np.all(np.isfinite(candidate)):
@@ -265,15 +282,18 @@ def fit(data, config: FitConfig | None = None) -> FitResult:
                     break
             step *= 0.5
         else:
+            stopped_by = "no_ascent"
             break
         theta, params, a, last_step = candidate, trial, trial_a, step
         trace.append(value)
         if abs(trace[-1] - trace[-2]) < config.objective_tolerance:
-            stopped = True
+            stopped_by = "tolerance"
             break
 
     converged = (
-        stopped and not degenerate and float(np.abs(last_step).max()) <= STEP_LIMIT
+        stopped_by == "tolerance"
+        and not degenerate
+        and float(np.abs(last_step).max()) <= STEP_LIMIT
     )
     return FitResult(
         params=params,
@@ -282,4 +302,5 @@ def fit(data, config: FitConfig | None = None) -> FitResult:
         converged=converged,
         degenerate_columns=degenerate,
         last_step=last_step,
+        stopped_by=stopped_by,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DataError
 from .inference import InferenceReport
-from .params import flat_length, upper_indices
+from .params import check_labels, flat_length, upper_indices
 
 THICKNESS_RANGE = (0.1, 10.0)
 OPACITY_RANGE = (0.15, 1.0)
@@ -92,11 +92,7 @@ def build_network(
         raise ValueError(f"mode must be 'raw' or 'fdr', got {mode!r}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    d = len(labels)
-    if flat_length(d) != report.n_params:
-        raise DataError(
-            f"{d} labels imply {flat_length(d)} coordinates, report has {report.n_params}"
-        )
+    d = len(check_labels(labels, report.d))
     p_vec = report.p_values if mode == "raw" else report.adjusted_p_values
     biases = report.estimates[:d]
     max_bias = float(max(abs(b) for b in biases))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .fit import FitResult
-from .params import FvbmParams, as_spin_matrix, flat_length, slot_map
+from .params import FvbmParams, as_spin_matrix, check_labels, flat_dimension, flat_length, slot_map
 from .pseudolikelihood import per_observation_scores, pseudo_hessian
 
 CONDITION_LIMIT = 1e12
@@ -158,10 +158,10 @@ def fdr_adjust(p_values, method: str = "by") -> np.ndarray:
 class InferenceReport:
     """Estimates, standard errors, Wald tests, and FDR-adjusted p-values.
 
-    All vectors share the flat parameter layout.  ``adjustment_groups``
-    maps a family name to the coordinate indices adjusted together; the
-    default treats the bias block and the interaction block as separate
-    families.
+    All vectors share the flat layout of a dimension ``d`` (any other length
+    is refused).  ``adjustment_groups`` maps a family name to the coordinate
+    indices adjusted together; the default treats the bias block and the
+    interaction block as separate families.
     """
 
     estimates: np.ndarray
@@ -189,6 +189,11 @@ class InferenceReport:
         length = vectors[0].size
         if any(v.shape != (length,) for v in vectors):
             raise ValueError("all report vectors must share one length")
+        if flat_dimension(length) is None:
+            raise ValueError(
+                f"report has {length} coordinates, which matches no "
+                f"bias-plus-upper-triangle layout"
+            )
         covered = sorted(i for idx in self.adjustment_groups.values() for i in idx)
         if covered != list(range(length)):
             raise ValueError("adjustment groups must partition the flat layout")
@@ -198,6 +203,10 @@ class InferenceReport:
     @property
     def n_params(self) -> int:
         return self.estimates.size
+
+    @property
+    def d(self) -> int:
+        return flat_dimension(self.n_params)
 
     def to_json_dict(self, labels: list[str] | None = None) -> dict:
         out = {
@@ -303,12 +312,7 @@ def _fmt_p(v: float) -> str:
 def format_report_tables(report: InferenceReport, labels: list[str]) -> str:
     """Aligned plain-text tables: one bias row block, lower-triangle blocks
     for the interactions, per reported quantity."""
-    d = len(labels)
-    if flat_length(d) != report.n_params:
-        raise ValueError(
-            f"{d} labels imply {flat_length(d)} coordinates, "
-            f"report has {report.n_params}"
-        )
+    d = len(check_labels(labels, report.d))
     quantities = [
         ("Estimate", report.estimates, _fmt_val),
         ("Std. err.", report.standard_errors, _fmt_val),

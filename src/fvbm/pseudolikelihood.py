@@ -19,7 +19,7 @@ where grad(a_j) is 1 at b_j and x_k at m_jk (pair slots touching j).
 All derivatives are over the canonical flat layout of ``params``.
 
 Since grad(a_l) is nonzero only on the d slots (b_l, m_lk for k != l),
-every Hessian entry is a sum over conditionals l and observations of s_il
+every entry of -H is a sum over conditionals l and observations of s_il
 times one of 1, x_ik or x_ik x_im.  A precomputed gather adds them up from
 
     G = s' W,   W = [1, x, x_j x_k for j < k],   p = d + d(d-1)/2,
@@ -180,10 +180,10 @@ def _hessian_gather(d: int) -> tuple[np.ndarray, np.ndarray]:
     return target.ravel(), source.ravel()
 
 
-def _hessian(
+def _information(
     x: np.ndarray, a: np.ndarray, gather: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """The Hessian from data, activations and :func:`_hessian_gather` (d)."""
+    """The information -H from data, activations and :func:`_hessian_gather` (d)."""
     n, d = x.shape
     p = flat_length(d)
     rows, cols = upper_indices(d)
@@ -204,8 +204,7 @@ def _hessian(
         pairs *= xb[cols]
         gt += w @ s[start : start + block]
     target, source = gather
-    h = np.bincount(target, weights=gt.ravel()[source], minlength=p * p)
-    return np.negative(h, out=h).reshape(p, p)
+    return np.bincount(target, weights=gt.ravel()[source], minlength=p * p).reshape(p, p)
 
 
 def pseudo_hessian(params: FvbmParams, data) -> np.ndarray:
@@ -215,4 +214,5 @@ def pseudo_hessian(params: FvbmParams, data) -> np.ndarray:
     """
     x = as_spin_matrix(data)
     _check_dims(params, x)
-    return _hessian(x, _activations(params, x), _hessian_gather(params.d))
+    h = _information(x, _activations(params, x), _hessian_gather(params.d))
+    return np.negative(h, out=h)

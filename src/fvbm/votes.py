@@ -102,26 +102,29 @@ class VoteTable:
 
 
 def parse_votes(source) -> VoteTable:
-    """Read the division CSV into a :class:`VoteTable`."""
+    """Read the division CSV into a :class:`VoteTable`, normalizing each
+    distinct cell token once; the first faulty row in file order is the error."""
     rows = _rows_from(source)
     if not rows:
         raise DataError("votes file is empty")
     header = [h.strip() for h in rows[0]]
     if len(header) < 3:
         raise DataError("votes header must be date,number,<party>,...")
-    parties = header[2:]
-    dates, numbers, cells = [], [], []
-    for i, raw in enumerate(rows[1:], start=1):
+    parties, body = header[2:], rows[1:]
+    tokens = {t for raw in body for t in raw[2:]}
+    codes = {t: int(_TOKENS.get(t.strip().lower(), -1)) for t in tokens}  # -1: unknown
+    cells = []
+    for i, raw in enumerate(body, start=1):
         if len(raw) != len(header):
             raise DataError(
                 f"data row {i} has {len(raw)} fields, expected {len(header)}"
             )
-        dates.append(raw[0].strip())
-        numbers.append(raw[1].strip())
-        cells.append(
-            [_normalize_cell(tok, i, parties[c]) for c, tok in enumerate(raw[2:])]
-        )
-    return VoteTable(dates=dates, numbers=numbers, parties=parties, cells=cells)
+        cells.append(row := [codes[t] for t in raw[2:]])
+        if -1 in row:  # the row's first unknown token raises
+            c = row.index(-1)
+            _normalize_cell(raw[2 + c], i, parties[c])
+    dates, numbers = [raw[0].strip() for raw in body], [raw[1].strip() for raw in body]
+    return VoteTable(dates, numbers, parties, np.array(cells, dtype=np.int8))
 
 
 @dataclass

@@ -21,7 +21,7 @@ from fvbm import DataError, FvbmParams
 from fvbm.fit import MAX_HALVINGS, STEP_LIMIT
 from fvbm.params import slot_map
 from fvbm.pseudolikelihood import _activations, _check_dims, _log_pl, _sech2
-from fvbm.votes import ImputeConfig, SplitResolution, Vote
+from fvbm.votes import ImputeConfig, SplitResolution, Vote, _normalize_cell, _rows_from
 
 
 def random_params(rng: np.random.Generator, d: int, scale: float = 1.0) -> FvbmParams:
@@ -468,6 +468,26 @@ def loop_knn_impute_cells(rows: list[list], k: int) -> list[list]:
                 tied.sort(key=lambda cat: (-column_counts[j][cat], str(cat)))
             result[i][j] = tied[0]
     return result
+
+
+def cell_parse_votes(source) -> "fvbm.VoteTable":
+    """``parse_votes`` one cell at a time: each token normalized where it
+    stands, each row checked for its field count before its tokens."""
+    rows = _rows_from(source)
+    if not rows:
+        raise DataError("votes file is empty")
+    header = [h.strip() for h in rows[0]]
+    if len(header) < 3:
+        raise DataError("votes header must be date,number,<party>,...")
+    parties = header[2:]
+    dates, numbers, cells = [], [], []
+    for i, raw in enumerate(rows[1:], start=1):
+        if len(raw) != len(header):
+            raise DataError(f"data row {i} has {len(raw)} fields, expected {len(header)}")
+        dates.append(raw[0].strip())
+        numbers.append(raw[1].strip())
+        cells.append([_normalize_cell(tok, i, parties[c]) for c, tok in enumerate(raw[2:])])
+    return fvbm.VoteTable(dates=dates, numbers=numbers, parties=parties, cells=cells)
 
 
 @dataclass

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import fvbm
 from fvbm import cli
 from fvbm.cli import main
+from fvbm.fit import STOP_RULES
 
 _VOTES = """date,number,GOV,AAA,BBB,CCC
 1/1,1,Yes,No,Yes,Split
@@ -414,6 +415,14 @@ def test_infer_refuses_unconverged_fit(tmp_path, votes_csv, splits_csv, capsys):
     assert str(fit_path) in error
     assert "unconverged" in error and "large" in error
     assert not report_path.exists()
+    _assert_one_reason(warning, error, fit_path)
+
+
+def _assert_one_reason(warning, refusal, fit_path):
+    """``fit``'s warning and ``infer``'s refusal give the same reason."""
+    prefix = f"data error: fit file {fit_path}: refusing inference on an unconverged fit: "
+    assert refusal.startswith(prefix)
+    assert warning == f"warning: unconverged fit: {refusal[len(prefix):]}"
 
 
 def test_fit_warns_when_the_iteration_cap_is_hit(tmp_path, capsys):
@@ -425,6 +434,7 @@ def test_fit_warns_when_the_iteration_cap_is_hit(tmp_path, capsys):
     assert "stopped at max_iterations=1 without meeting the objective tolerance" in warning
     code = main(["infer", str(fit_path), str(data_path), "-o", str(tmp_path / "r.json")])
     assert code == 2
+    _assert_one_reason(warning, capsys.readouterr().err, fit_path)
 
 
 def test_graph_requires_an_output(tmp_path, votes_csv, splits_csv):
@@ -771,9 +781,11 @@ def record_files(tmp_path_factory):
 @settings(max_examples=150, deadline=None)
 @given(
     command=st.sampled_from(["probs", "infer", "graph"]),
-    key=st.sampled_from(["labels", "last_step", "degenerate_columns"]),
+    key=st.sampled_from(["labels", "last_step", "degenerate_columns", "stopped_by"]),
     converged=st.booleans(),
-    value=_JSON | st.lists(st.text(max_size=2) | st.integers(-1, 3) | st.floats(), max_size=5),
+    value=_JSON
+    | st.lists(st.text(max_size=2) | st.integers(-1, 3) | st.floats(), max_size=5)
+    | st.sampled_from(STOP_RULES),
 )
 def test_any_record_value_gives_a_stable_exit_code(record_files, command, key, converged, value):
     entries = {"labels": value} if command == "graph" else {key: value, "converged": converged}
@@ -802,6 +814,41 @@ def test_fit_warns_and_strict_refuses_with_the_reason_infer_gives(tmp_path, caps
             assert code == 2 and error == f"data error: {reason}\n"
         else:
             assert code == 0 and reason in error and "a:c" in reason
+
+
+# (input kind, a faulty file of that kind, the argv that reads it as BAD)
+_FAULTY_INPUTS = [
+    ("fit file", "{", ["probs", "BAD", "-o", "OUT"]),
+    ("fit file", "[1, 2", ["infer", "BAD", "SPINS", "-o", "OUT"]),
+    ("report file", "{", ["graph", "BAD", "--json", "OUT"]),
+    ("params file", '{"d": 2, "bias": [0.0, 0.0]}', ["simulate", "BAD", "--n", "3", "-o", "OUT"]),
+    ("--init file", '{"d": 2, "bias": [0.0]}', ["fit", "SPINS", "--init", "BAD", "-o", "OUT"]),
+    ("config file", "{'k': 1}", ["fit", "SPINS", "--config", "BAD", "-o", "OUT"]),
+    ("config file", "[]", ["fit", "SPINS", "--config", "BAD", "-o", "OUT"]),
+    ("spin CSV", "a,b\n1,-1\n1,yes\n", ["fit", "BAD", "-o", "OUT"]),
+    ("spin CSV", "a,b\n1,-1\n0,1\n", ["infer", "FIT", "BAD", "-o", "OUT"]),
+    ("spin CSV", "", ["fit", "BAD", "-o", "OUT"]),  # the reader's message names it
+    ("spin CSV", "a,b\n", ["infer", "FIT", "BAD", "-o", "OUT"]),
+    ("votes CSV", "date,number,GOV,AAA\n1/1,1,Yes,Abstain\n", ["prepare", "BAD", "--reference", "GOV", "-o", "OUT"]),
+    ("splits CSV", "date,number,senator\n1/1,1,cull\n", ["prepare", "VOTES", "--splits", "BAD", "--reference", "GOV", "-o", "OUT"]),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, text, argv", _FAULTY_INPUTS, ids=[f"{argv[0]}-{i}" for i, (_, _, argv) in enumerate(_FAULTY_INPUTS)]
+)
+def test_an_input_fault_is_a_data_error_naming_its_file_once(
+    tmp_path, record_files, votes_csv, capsys, kind, text, argv
+):
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    bad.write_text(text, encoding="utf-8")
+    paths = {"BAD": bad, "OUT": out, "VOTES": votes_csv}
+    paths["FIT"], paths["SPINS"] = record_files["infer"][1:]
+    capsys.readouterr()
+    assert main([str(paths.get(arg, arg)) for arg in argv]) == 2
+    error = capsys.readouterr().err
+    assert error.startswith(f"data error: {kind} {bad}") and error.count(str(bad)) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("labels, message", [("A,B", "2 labels for 3 columns"), ("A,A,B", "repeats")])

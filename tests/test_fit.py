@@ -389,13 +389,13 @@ def test_constant_column_is_never_converged():
 
 
 def test_newton_step_adds_ridge_when_cholesky_fails():
-    # -H = diag(2, 0) has no Cholesky factor; the first ridge, 1e-12 * 2,
-    # makes one and is the only lambda added
-    h = -np.diag([2.0, 0.0])
-    step = fit_module._newton_step(np.array([1.0, 3e-12]), h)
+    # the information -H = diag(2, 0) has no Cholesky factor; the first
+    # ridge, 1e-12 * 2, makes one and is the only lambda added
+    info = np.diag([2.0, 0.0])
+    step = fit_module._newton_step(np.array([1.0, 3e-12]), info)
     np.testing.assert_allclose(step, [1.0 / (2.0 + 2e-12), 1.5], rtol=1e-12)
     # with a positive definite -H it is the plain Newton step
-    step = fit_module._newton_step(np.array([1.0, 1.0]), -np.diag([2.0, 4.0]))
+    step = fit_module._newton_step(np.array([1.0, 1.0]), np.diag([2.0, 4.0]))
     np.testing.assert_allclose(step, [0.5, 0.25], rtol=1e-15)
 
 
@@ -405,7 +405,7 @@ def test_newton_step_matches_two_solves_with_the_whole_factor(p):
     root = rng.normal(size=(p, p + 5))
     hessian = -(root @ root.T)
     score = rng.normal(size=p)
-    step = fit_module._newton_step(score, hessian)
+    step = fit_module._newton_step(score, -hessian)
     expected = cholesky_newton_step(score, hessian)
     if p <= fit_module.SOLVE_BLOCK:
         np.testing.assert_array_equal(step, expected)
@@ -445,6 +445,11 @@ def test_backtracking_halves_an_overshooting_step(monkeypatch):
     assert not stuck.converged
     assert stuck.iterations_used == 0
     assert stuck.last_step is None
+    assert stuck.stopped_by == "no_ascent"
+    assert stuck.unconverged_reason(["b"]) == (
+        "it stopped after 0 iterations, where backtracking found no step that does "
+        "not lower the objective, without meeting the objective tolerance"
+    )
     assert stuck.objective_trace.size == 1
     np.testing.assert_array_equal(stuck.params.to_flat(), [5.0])
 
@@ -495,3 +500,62 @@ def test_converged_records_without_contrary_evidence_load():
     # a last step of exactly STEP_LIMIT still counts as converged, as in fit
     record["last_step"] = [fit_module.STEP_LIMIT] * 6
     assert fvbm.FitResult.from_json_dict(record).converged
+
+
+def test_fit_records_the_rule_that_stopped_it():
+    data = np.random.default_rng(65).choice([-1.0, 1.0], (400, 3))
+    names = fvbm.flat_labels(["a", "b", "c"])
+    result = fvbm.fit(data)
+    assert (result.stopped_by, result.converged) == ("tolerance", True)
+    capped = fvbm.fit(data, fvbm.FitConfig(max_iterations=1))
+    assert (capped.stopped_by, capped.converged) == ("max_iterations", False)
+    stop = "it stopped at max_iterations=1 without meeting the objective tolerance"
+    assert capped.unconverged_reason(names) == stop
+    # failed conditions are joined in the verdict's order
+    data[:, 1] = 1.0
+    capped = fvbm.fit(data, fvbm.FitConfig(max_iterations=1))
+    assert capped.unconverged_reason(names) == (
+        f"column(s) b are constant, so their biases have no finite optimum; {stop}"
+    )
+    # a constant column stopped by the tolerance is not also blamed on its last step
+    assert fvbm.fit(data).unconverged_reason(names) == (
+        "column(s) b are constant, so their biases have no finite optimum"
+    )
+
+
+def test_fit_record_keeps_stopped_by_and_older_records_read_as_before():
+    data = np.random.default_rng(65).choice([-1.0, 1.0], (400, 3))
+    record = fvbm.fit(data, fvbm.FitConfig(max_iterations=1)).to_json_dict()
+    assert record["stopped_by"] == "max_iterations"
+    assert fvbm.FitResult.from_json_dict(record).stopped_by == "max_iterations"
+    del record["stopped_by"]
+    older = fvbm.FitResult.from_json_dict(record)
+    assert older.stopped_by is None
+    assert older.unconverged_reason([str(q) for q in range(6)]).startswith(
+        "its last step was large"
+    )
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"stopped_by": "converged"},
+        {"stopped_by": ["tolerance"]},
+        {"stopped_by": "max_iterations"},
+        {"stopped_by": "no_ascent"},
+        {"converged": False},
+    ],
+)
+def test_fit_record_whose_stopped_by_is_unknown_or_contradicted_is_malformed(entries):
+    # on a converged fit's record: an unknown rule, a converged fit that
+    # stopped short of its tolerance, and a tolerance stop without any
+    # failed condition that reads unconverged
+    data = np.random.default_rng(65).choice([-1.0, 1.0], (400, 3))
+    record = {**fvbm.fit(data).to_json_dict(), **entries}
+    with pytest.raises(fvbm.DataError, match="stopped_by"):
+        fvbm.FitResult.from_json_dict(record)
+    del record["stopped_by"]
+    if "converged" in entries:  # without stopped_by, the record reads as before
+        reason = fvbm.FitResult.from_json_dict(record).unconverged_reason([""] * 6)
+        n = record["iterations_used"]
+        assert reason == f"it did not meet its objective tolerance in {n} iterations"

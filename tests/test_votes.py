@@ -17,6 +17,7 @@ from fvbm.cli import main
 from fvbm.votes import Vote
 from oracles import (
     ListVoteTable,
+    cell_parse_votes,
     list_drop_sparse_columns,
     list_encode_agreement,
     list_knn_impute,
@@ -68,6 +69,53 @@ def test_parse_rejects_unknown_token():
 def test_parse_rejects_duplicate_parties():
     with pytest.raises(fvbm.DataError):
         _table("date,number,P1,P1\n1/1,1,Yes,No\n")
+
+
+def test_parse_reports_the_first_faulty_row():
+    # an unknown token before a later short row, and a short row before a
+    # later unknown token
+    with pytest.raises(fvbm.DataError, match="unknown vote token 'Abstain' at data row 1"):
+        _table("date,number,P1,P2\n1/1,1,Yes,Abstain\n1/1,2,Yes\n")
+    with pytest.raises(fvbm.DataError, match="data row 1 has 3 fields"):
+        _table("date,number,P1,P2\n1/1,1,Yes\n1/1,2,Yes,Abstain\n")
+    with pytest.raises(fvbm.DataError, match="token 'x' at data row 1, column 'P1'"):
+        _table("date,number,P1,P2\n1/1,1,x,y\n")
+
+
+# known tokens four times as likely as unknown ones
+_PARSE_TOKENS = ["Yes", "no", " YES ", "Split", "sPlit ", "-", " - ", ""] * 4 + ["Abstain", "y", "-1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # "P2" and "P2 " strip to one party, which the table refuses
+    parties=st.lists(st.sampled_from(["P1", "P2", " P3", "P4", "P2 "]), max_size=4, unique=True),
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from([0] * 12 + [-1, 1]),
+            st.lists(st.sampled_from(_PARSE_TOKENS), min_size=1, max_size=6),
+        ),
+        max_size=8,
+    ),
+)
+def test_parse_votes_matches_the_per_cell_oracle(parties, rows):
+    # a row is as wide as the header unless its offset of -1 or +1 makes it
+    # short or long; its tokens repeat to fill it
+    width = len(parties)
+    lines = [",".join(["date", "number", *parties])]
+    for r, (offset, tokens) in enumerate(rows):
+        cells = (tokens * (width + 1))[: max(width + offset, 0)]
+        lines.append(",".join([f"{r}/1", str(r % 3), *cells]))
+    text = "\n".join(lines) + "\n"
+
+    def outcome(parse):
+        try:
+            table = parse(io.StringIO(text))
+        except fvbm.DataError as exc:
+            return "error", str(exc)
+        return table.dates, table.numbers, table.parties, table.cells.tolist()
+
+    assert outcome(fvbm.parse_votes) == outcome(cell_parse_votes)
 
 
 def test_parse_split_records():

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -193,10 +194,11 @@ def cmd_prepare(args) -> None:
 
 def cmd_fit(args) -> None:
     labels, data = _read_spins(args.data)
-    with _naming(f"--init file {args.init}"):
+    config = FitConfig(max_iterations=args.max_iter, objective_tolerance=args.tol)
+    # With the data read, fit's one data error is an initializer of another dimension.
+    with _naming(f"--init file {args.init}") if args.init else contextlib.nullcontext():
         init = FvbmParams.from_json_dict(jsonio.load(args.init)) if args.init else None
-    config = FitConfig(max_iterations=args.max_iter, objective_tolerance=args.tol, init=init)
-    result = fit(data, config)
+        result = fit(data, dataclasses.replace(config, init=init))
     if reason := result.unconverged_reason(flat_labels(labels)):
         if args.strict and result.degenerate_columns:
             raise DataError(reason)

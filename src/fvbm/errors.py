@@ -10,7 +10,7 @@ class DataError(ValueError):
 
     Examples: malformed CSV cells, unresolved split votes, unimputable
     missing entries, spin matrices containing values other than -1/+1,
-    or an enumeration request beyond the configured dimension cap.
+    or an enumeration request beyond the dimension cap ``ENUMERATION_CAP``.
     """
 
 

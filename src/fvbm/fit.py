@@ -149,10 +149,11 @@ class FitResult:
         if not why and (large := self.large_step_coordinates()):
             size = float(np.abs(self.last_step).max())
             shown = ", ".join(names[q] for q in large)
+            # A record with ``stopped_by`` words a cut-off fit by its stop above.
+            cut_off = "" if self.stopped_by else " or the fit was cut off early"
             why.append(
                 f"its last step was large (up to {size:.3g} > {STEP_LIMIT:g}, on {shown}); "
-                f"a large last step means the estimate does not exist (separation) "
-                f"or the fit was cut off early"
+                f"a large last step means the estimate does not exist (separation){cut_off}"
             )
         return "; ".join(why) or f"it did not meet its objective tolerance in {n} iterations"
 

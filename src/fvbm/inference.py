@@ -11,8 +11,8 @@ evaluated at the fitted parameters, the estimator covariance is
     Cov = (1/n) * inv(I1) I2 inv(I1)
 
 and per-coordinate standard errors are the square roots of its diagonal.
-Wald z-scores divide (estimate - null) by those standard errors; two-sided
-p-values come from the standard normal tail via erfc.
+Wald z-scores divide the estimates by those standard errors (a null of
+zero); two-sided p-values come from the standard normal tail via erfc.
 
 ``fdr_adjust`` implements the step-up adjusted p-values
 
@@ -47,11 +47,13 @@ def empirical_info_1(params: FvbmParams, data) -> np.ndarray:
 def empirical_info_2(params: FvbmParams, data) -> np.ndarray:
     """Mean outer product of per-observation scores (the "meat").
 
-    A Gram matrix, hence symmetric positive semi-definite by construction.
+    A Gram matrix, hence symmetric positive semi-definite.  numpy computes
+    ``scores.T @ scores`` as a symmetric rank-k update of one triangle and
+    mirrors it, so the product is exactly symmetric without averaging it
+    with its transpose.
     """
     scores = per_observation_scores(params, data)
-    g = scores.T @ scores / scores.shape[0]
-    return (g + g.T) / 2.0
+    return scores.T @ scores / scores.shape[0]
 
 
 def _symmetric_inverse(a: np.ndarray, coordinate_names: list[str] | None) -> np.ndarray:
@@ -99,35 +101,29 @@ def standard_errors(covariance: np.ndarray) -> np.ndarray:
     return np.sqrt(diag)
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def two_sided_p_value(z: float) -> float:
     """2 * (1 - Phi(|z|)), computed as erfc(|z|/sqrt(2)) for full accuracy."""
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def wald_test(estimates, standard_errors, null_values=None):
-    """Per-coordinate z-scores and two-sided normal p-values.
+def wald_test(estimates, standard_errors):
+    """Per-coordinate z-scores and two-sided normal p-values against a null
+    of zero.
 
     Args:
         estimates: Flat vector of fitted values.
         standard_errors: Matching vector of positive standard errors.
-        null_values: Hypothesized values; defaults to all zeros.
 
     Returns:
         (z_scores, p_values) as float arrays.
     """
     est = np.asarray(estimates, dtype=np.float64)
     se = np.asarray(standard_errors, dtype=np.float64)
-    null = np.zeros_like(est) if null_values is None else np.asarray(null_values)
-    if est.shape != se.shape or est.shape != null.shape:
-        raise ValueError("estimates, standard errors, and nulls must align")
+    if est.shape != se.shape:
+        raise ValueError("estimates and standard errors must align")
     if np.any(se <= 0):
         raise ValueError("standard errors must be strictly positive")
-    z = (est - null) / se
+    z = est / se
     p = np.array([two_sided_p_value(v) for v in z])
     return z, p
 
@@ -269,7 +265,6 @@ def build_report(
     data,
     groups: dict[str, list[int]] | None = None,
     method: str = "by",
-    null_values=None,
     coordinate_names: list[str] | None = None,
 ) -> InferenceReport:
     """Assemble the full inference report for a fitted model.
@@ -286,7 +281,7 @@ def build_report(
     theta = params.to_flat()
     cov = sandwich_covariance(params, data, coordinate_names=coordinate_names)
     se = standard_errors(cov)
-    z, p = wald_test(theta, se, null_values)
+    z, p = wald_test(theta, se)
     if groups is None:
         groups = default_groups(params.d)
     adjusted = grouped_fdr_adjust(p, groups, method=method)

@@ -20,9 +20,9 @@ def format_float(x: float) -> str:
     return text
 
 
-def _emit(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _emit(obj, level: int) -> str:
+    pad = "  " * level
+    inner = "  " * (level + 1)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -36,7 +36,7 @@ def _emit(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        items = [_emit(v, indent, level + 1) for v in obj]
+        items = [_emit(v, level + 1) for v in obj]
         return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if len(obj) == 0:
@@ -45,14 +45,15 @@ def _emit(obj, indent: int, level: int) -> str:
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            items.append(f"{inner}{json.dumps(key)}: {_emit(value, indent, level + 1)}")
+            items.append(f"{inner}{json.dumps(key)}: {_emit(value, level + 1)}")
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Serialize to deterministic JSON text (trailing newline included)."""
-    return _emit(obj, indent, 0) + "\n"
+def dumps(obj) -> str:
+    """Serialize to deterministic JSON text, indented by two spaces per
+    level (trailing newline included)."""
+    return _emit(obj, 0) + "\n"
 
 
 def dump(obj, path) -> None:
@@ -61,7 +62,3 @@ def dump(obj, path) -> None:
 
 def load(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def loads(text: str):
-    return json.loads(text)

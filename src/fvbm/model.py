@@ -6,13 +6,12 @@ The probability of a +/-1 configuration ``x`` is
 
 so anything exact (the normalization constant, the full PMF table,
 marginals, pairwise joints, exact sampling) costs 2^d work.  Operations
-that enumerate refuse dimensions above ``ENUMERATION_CAP`` (default 20)
-rather than silently blowing up.
+that enumerate refuse dimensions above ``ENUMERATION_CAP`` (20) rather
+than silently blowing up.
 
-State indexing convention, fixed so PMF tables are portable: state index
-``i`` encodes coordinate ``j`` (0-based) in bit ``j`` of ``i``, with a set
-bit meaning +1.  Index 0 is the all-minus-one state and index 2^d - 1 the
-all-plus-one state.
+State indexing convention: state index ``i`` encodes coordinate ``j``
+(0-based) in bit ``j`` of ``i``, with a set bit meaning +1.  Index 0 is the
+all-minus-one state and index 2^d - 1 the all-plus-one state.
 
 Appending coordinate j to the states of coordinates 0..j-1 doubles the
 log-weight table: with the field f_j = b_j + sum_{k<j} m_jk x_k, set
@@ -50,14 +49,6 @@ from .params import FvbmParams, as_spin_vector
 ENUMERATION_CAP = 20
 
 
-def _check_cap(d: int, cap: int) -> None:
-    if d > cap:
-        raise DataError(
-            f"enumeration over 2^{d} states exceeds the cap of d<={cap}; "
-            f"raise the cap explicitly if you really want this"
-        )
-
-
 def _spins(idx, d: int) -> np.ndarray:
     """+/-1 configurations of state indices: bit j of each index is coordinate j."""
     bits = (np.asarray(idx)[..., None] >> np.arange(d)) & 1
@@ -77,10 +68,13 @@ def state_index(x) -> int:
     return int(sum(1 << j for j in range(x.size) if x[j] > 0))
 
 
-def _log_weights(params: FvbmParams, cap: int) -> np.ndarray:
+def _log_weights(params: FvbmParams) -> np.ndarray:
     """Exponents 0.5 * x'Mx + x'b of all 2^d states (module docstring)."""
     d = params.d
-    _check_cap(d, cap)
+    if d > ENUMERATION_CAP:
+        raise DataError(
+            f"enumeration over 2^{d} states exceeds the cap of d<={ENUMERATION_CAP}"
+        )
     m = params.interaction
     logw = np.zeros(1 << d)
     field = params.bias[:, None].copy()
@@ -110,25 +104,25 @@ def log_unnormalized(params: FvbmParams, x) -> float:
     return float(0.5 * x @ params.interaction @ x + x @ params.bias)
 
 
-def log_normalization(params: FvbmParams, cap: int = ENUMERATION_CAP) -> float:
+def log_normalization(params: FvbmParams) -> float:
     """log z as a max-shifted log-sum-exp over the 2^d log-weights of the
     doubling recurrence (module docstring): 8 MB at d=20, plus at most as
     much again in temporaries (the fields, then the shifted copy).  That
-    peak, 16 MB at d=20, doubles with each d, so it passes the ~21 MB of
-    streaming the states in 2^16 blocks only if ``cap`` is raised past 20.
+    peak doubles with each d; at ``ENUMERATION_CAP`` it is 16 MB, below
+    the ~21 MB of streaming the states in 2^16 blocks.
     """
-    return _log_sum_exp(_log_weights(params, cap))
+    return _log_sum_exp(_log_weights(params))
 
 
-def normalization_constant(params: FvbmParams, cap: int = ENUMERATION_CAP) -> float:
+def normalization_constant(params: FvbmParams) -> float:
     """The plain normalization constant z.  May overflow to inf for extreme
     parameters; use :func:`log_normalization` in that regime."""
-    return float(np.exp(log_normalization(params, cap=cap)))
+    return float(np.exp(log_normalization(params)))
 
 
-def pmf(params: FvbmParams, x, cap: int = ENUMERATION_CAP) -> float:
+def pmf(params: FvbmParams, x) -> float:
     """Exact probability of one configuration."""
-    return float(np.exp(log_unnormalized(params, x) - log_normalization(params, cap=cap)))
+    return float(np.exp(log_unnormalized(params, x) - log_normalization(params)))
 
 
 def _indicators(bits: int) -> np.ndarray:
@@ -147,16 +141,15 @@ def _within(c: np.ndarray, mass: np.ndarray) -> np.ndarray:
 class PmfTable:
     """Full PMF over all 2^d states in the canonical index order.
 
-    Direct construction and :meth:`from_json_dict` copy the probabilities
-    and check their shape, range and sum; :func:`enumerate_pmf`, which
-    builds a valid vector itself, skips both (the copy alone is 8 MB at
-    d=20).
+    Direct construction copies the probabilities and checks their shape,
+    range and sum; :func:`enumerate_pmf`, which builds a valid vector
+    itself, skips both (the copy alone is 8 MB at d=20).
 
     :attr:`pair_cells` holds every marginal and pairwise joint of the
     table in a 2-by-d-by-2-by-d array (module docstring).  It is computed
     on first use by two passes over the table and one product, ~3 ms at
     d=20; each cell is within a relative 1e-14 of the correctly rounded
-    sum of its states.  It is never serialized.
+    sum of its states.
     """
 
     d: int
@@ -192,9 +185,6 @@ class PmfTable:
         cells.setflags(write=False)
         return cells
 
-    def to_json_dict(self) -> dict:
-        return {"d": self.d, "probabilities": [float(v) for v in self.probabilities]}
-
     @classmethod
     def _trusted(cls, d: int, probabilities: np.ndarray) -> "PmfTable":
         """Wrap a 2^d vector built in this module without copying or
@@ -205,17 +195,10 @@ class PmfTable:
         object.__setattr__(table, "probabilities", probabilities)
         return table
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "PmfTable":
-        try:
-            return cls(d=int(obj["d"]), probabilities=np.asarray(obj["probabilities"]))
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"malformed PMF record: {exc}") from exc
 
-
-def enumerate_pmf(params: FvbmParams, cap: int = ENUMERATION_CAP) -> PmfTable:
+def enumerate_pmf(params: FvbmParams) -> PmfTable:
     """Probabilities of all 2^d states; sums to one within 1e-12."""
-    logw = _log_weights(params, cap)
+    logw = _log_weights(params)
     logw -= _log_sum_exp(logw)
     return PmfTable._trusted(params.d, np.exp(logw, out=logw))
 
@@ -252,9 +235,7 @@ def concordance(table: PmfTable, j: int, k: int) -> float:
     return float(joint[0, 0] + joint[1, 1])
 
 
-def sample(
-    params: FvbmParams, n: int, seed: int, cap: int = ENUMERATION_CAP
-) -> np.ndarray:
+def sample(params: FvbmParams, n: int, seed: int) -> np.ndarray:
     """Exact i.i.d. draws by inverse CDF over the enumerated PMF.
 
     Deterministic for a fixed seed.  Returns an n-by-d matrix of +/-1;
@@ -267,7 +248,7 @@ def sample(
         return np.empty((0, d))
     # Neither the table nor its CDF outlives the search, so the 2^d vectors
     # are freed before the n-by-d decode allocates.
-    cdf = np.cumsum(enumerate_pmf(params, cap=cap).probabilities)
+    cdf = np.cumsum(enumerate_pmf(params).probabilities)
     cdf[-1] = 1.0
     # Searching the uniforms in sorted order walks the CDF (8 MB at d=20)
     # once from front to back instead of at random.

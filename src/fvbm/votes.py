@@ -309,8 +309,7 @@ def knn_impute_cells(rows: list[list], k: int) -> list[list]:
     The rules are those of :class:`ImputeConfig`, with categories coded in
     ``str`` order: a final tie goes to the category whose ``str`` sorts first.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    ImputeConfig(k=k)  # refuses k < 1
     if not rows:
         return []
     d = len(rows[0])
@@ -391,18 +390,6 @@ def spin_matrix_to_json_dict(labels: list[str], values: np.ndarray) -> dict:
         "labels": check_labels(labels, x.shape[1]),
         "values": [[int(v) for v in row] for row in x],
     }
-
-
-def spin_matrix_from_json_dict(obj: dict) -> tuple[list[str], np.ndarray]:
-    try:
-        labels = [str(s) for s in obj["labels"]]
-        rows = obj["values"]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"malformed spin matrix record: {exc}") from exc
-    values = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, len(labels)))
-    if values.ndim != 2 or values.shape[1] != len(labels):
-        raise DataError("spin matrix values do not match the label count")
-    return labels, as_spin_matrix(values, allow_empty=True)
 
 
 # Characters that split, quote or end a header field, or that UTF-8 cannot encode.

@@ -751,3 +751,27 @@ def table_sample(params: FvbmParams, n: int, seed: int) -> np.ndarray:
     idx = np.minimum(idx, (1 << d) - 1)
     bits = (idx[:, None] >> np.arange(d)[None, :]) & 1
     return bits.astype(np.float64) * 2.0 - 1.0
+
+
+def listed_network_to_json_dict(spec) -> dict:
+    """The network record with every node and edge field listed by hand."""
+    return {
+        "schema_version": 1,
+        "mode": spec.mode,
+        "level": spec.level,
+        "nodes": [
+            {"label": n.label, "bias": n.bias, "decision": n.decision, "opacity": n.opacity}
+            for n in spec.nodes
+        ],
+        "edges": [
+            {
+                "source": e.source,
+                "target": e.target,
+                "sign": e.sign,
+                "significant": e.significant,
+                "thickness": e.thickness,
+                "p_value": e.p_value,
+            }
+            for e in spec.edges
+        ],
+    }

@@ -133,10 +133,10 @@ def test_prepare_json_mirror(tmp_path, votes_csv, splits_csv):
     json_path = tmp_path / "matrix.json"
     code, out = _prepare(tmp_path, votes_csv, splits_csv, "--json", str(json_path))
     assert code == 0
-    labels, values = fvbm.spin_matrix_from_json_dict(json.loads(json_path.read_text()))
+    obj = json.loads(json_path.read_text())
     csv_labels, csv_values = fvbm.read_spin_csv(out)
-    assert labels == csv_labels
-    np.testing.assert_array_equal(values, csv_values)
+    assert obj["labels"] == csv_labels
+    np.testing.assert_array_equal(np.array(obj["values"], dtype=np.float64), csv_values)
 
 
 def test_prepare_split_without_records_fails(tmp_path, votes_csv):
@@ -407,13 +407,15 @@ def test_infer_refuses_unconverged_fit(tmp_path, votes_csv, splits_csv, capsys):
     assert "AAA:CULL" in warning
     assert "does not exist" in warning
     assert "max_iterations" not in warning
+    # a tolerance stop is not a cut-off fit, so the sentence drops that clause
+    assert "cut off" not in warning
     assert json.loads(fit_path.read_text())["converged"] is False
     report_path = tmp_path / "report.json"
     code = main(["infer", str(fit_path), str(matrix), "-o", str(report_path)])
     assert code == 2
     error = capsys.readouterr().err
     assert str(fit_path) in error
-    assert "unconverged" in error and "large" in error
+    assert "unconverged" in error and "large" in error and "cut off" not in error
     assert not report_path.exists()
     _assert_one_reason(warning, error, fit_path)
 
@@ -831,6 +833,8 @@ _FAULTY_INPUTS = [
     ("spin CSV", "a,b\n", ["infer", "FIT", "BAD", "-o", "OUT"]),
     ("votes CSV", "date,number,GOV,AAA\n1/1,1,Yes,Abstain\n", ["prepare", "BAD", "--reference", "GOV", "-o", "OUT"]),
     ("splits CSV", "date,number,senator\n1/1,1,cull\n", ["prepare", "VOTES", "--splits", "BAD", "--reference", "GOV", "-o", "OUT"]),
+    # an initializer whose dimension is not the data's (fit's own check)
+    ("--init file", '{"d": 3, "bias": [0, 0, 0], "interaction_upper": [0, 0, 0]}', ["fit", "SPINS", "--init", "BAD", "-o", "OUT"]),
 ]
 
 

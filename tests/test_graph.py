@@ -1,14 +1,17 @@
 """Network building and DOT emission."""
 
+import json
 import re
 
 import numpy as np
 import pytest
 
 import fvbm
-from fvbm.graph import network_from_json_dict
+from fvbm import jsonio
+from fvbm.graph import EdgeSpec, NetworkSpec, NodeSpec
 
 import reference_values as ref
+from oracles import listed_network_to_json_dict
 
 
 def _reference_report() -> fvbm.InferenceReport:
@@ -149,5 +152,21 @@ def test_emit_dot_deterministic():
 
 def test_network_json_round_trip():
     spec = fvbm.build_network(_reference_report(), ref.PARTIES, mode="fdr", level=0.10)
-    rebuilt = network_from_json_dict(fvbm.network_to_json_dict(spec))
+    obj = json.loads(jsonio.dumps(fvbm.network_to_json_dict(spec)))
+    rebuilt = NetworkSpec(
+        nodes=[NodeSpec(**n) for n in obj["nodes"]],
+        edges=[EdgeSpec(**e) for e in obj["edges"]],
+        mode=obj["mode"],
+        level=obj["level"],
+    )
     assert rebuilt == spec
+    # the record holds copies: editing it leaves the network as it was
+    fvbm.network_to_json_dict(spec)["nodes"][0]["label"] = "edited"
+    assert spec.nodes[0].label == ref.PARTIES[0]
+
+
+@pytest.mark.parametrize("mode, level", [("raw", 0.05), ("fdr", 0.10)])
+def test_network_json_matches_the_field_listing_oracle(mode, level):
+    spec = fvbm.build_network(_reference_report(), ref.PARTIES, mode=mode, level=level)
+    written = jsonio.dumps(fvbm.network_to_json_dict(spec))
+    assert written == jsonio.dumps(listed_network_to_json_dict(spec))

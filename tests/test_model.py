@@ -1,6 +1,7 @@
 """Exact enumeration: weights, normalization, PMF tables, marginals,
 joints, and seeded sampling."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -37,7 +38,7 @@ def _oracle_log_z(logw: np.ndarray) -> float:
 
 def _assert_matches_block_oracle(params):
     expected = block_log_weights(params)
-    logw = _log_weights(params, cap=params.d)
+    logw = _log_weights(params)
     assert np.all(np.abs(logw - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
     logz = _oracle_log_z(expected)
     assert abs(fvbm.log_normalization(params) - logz) <= 1e-13 * max(1.0, abs(logz))
@@ -76,12 +77,18 @@ def test_normalization_constant_hand_values():
 
 
 def test_normalization_cap():
-    with pytest.raises(fvbm.DataError):
-        fvbm.log_normalization(fvbm.FvbmParams.zeros(21))
-    # raising the cap explicitly is allowed
-    assert fvbm.log_normalization(fvbm.FvbmParams.zeros(4), cap=21) == pytest.approx(
-        4 * math.log(2.0)
-    )
+    # every enumerating function refuses d > ENUMERATION_CAP before it allocates
+    big = fvbm.FvbmParams.zeros(fvbm.ENUMERATION_CAP + 1)
+    for enumerate_states in (
+        fvbm.log_normalization,
+        fvbm.normalization_constant,
+        fvbm.enumerate_pmf,
+        lambda params: fvbm.pmf(params, np.ones(params.d)),
+        lambda params: fvbm.sample(params, 1, seed=0),
+    ):
+        with pytest.raises(fvbm.DataError) as refusal:
+            enumerate_states(big)
+        assert str(refusal.value) == "enumeration over 2^21 states exceeds the cap of d<=20"
 
 
 def test_normalization_large_parameters_no_overflow():
@@ -273,7 +280,7 @@ def test_pair_cells_are_computed_once_read_only_and_not_serialized():
     cells = table.pair_cells
     assert cells.shape == (2, 5, 2, 5) and table.pair_cells is cells
     assert not cells.flags.writeable
-    assert set(table.to_json_dict()) == {"d", "probabilities"}
+    assert [f.name for f in dataclasses.fields(table)] == ["d", "probabilities"]
     joint = fvbm.pairwise_joint(table, 1, 3)
     joint[0, 0] = 2.0
     assert fvbm.pairwise_joint(table, 1, 3)[0, 0] < 1.0
@@ -325,26 +332,17 @@ def test_pairwise_joint_transposes_exactly(d, seed, data):
 
 
 def test_pmf_table_validation():
-    with pytest.raises(ValueError):
-        fvbm.PmfTable(d=2, probabilities=np.array([0.5, 0.5, 0.25, 0.25]) * 1.2)
-    with pytest.raises(ValueError):
-        fvbm.PmfTable(d=2, probabilities=np.array([0.5, 0.5, 0.5]))
-
-
-def test_pmf_table_from_json_still_validates():
-    good = fvbm.enumerate_pmf(fvbm.FvbmParams.zeros(2)).to_json_dict()
     for probabilities in (
         [0.5, 0.5, 0.5],  # wrong length
         [0.5, 0.5, 0.25, -0.25],  # negative
         [0.5, 0.5, 0.25, 0.25],  # sums to 1.5
+        [1.5, 0.0, 0.0, 0.0],  # above one
     ):
         with pytest.raises(ValueError):
-            fvbm.PmfTable.from_json_dict({**good, "probabilities": probabilities})
-    with pytest.raises(fvbm.DataError):
-        fvbm.PmfTable.from_json_dict({"d": 2})
-    # from_json_dict copies: the caller's array stays writable and separate
+            fvbm.PmfTable(d=2, probabilities=probabilities)
+    # construction copies: the caller's array stays writable and separate
     source = np.full(4, 0.25)
-    table = fvbm.PmfTable.from_json_dict({"d": 2, "probabilities": source})
+    table = fvbm.PmfTable(d=2, probabilities=source)
     assert table.probabilities is not source
     assert source.flags.writeable
 
@@ -359,13 +357,6 @@ def test_enumerated_table_equals_validated_table(d):
     assert not table.probabilities.flags.writeable
     with pytest.raises(ValueError):
         table.probabilities[0] = 0.5
-
-
-def test_pmf_table_json_round_trip():
-    pair = fvbm.FvbmParams(bias=[0.3, -0.2], interaction=[[0, 0.4], [0.4, 0]])
-    table = fvbm.enumerate_pmf(pair)
-    rebuilt = fvbm.PmfTable.from_json_dict(table.to_json_dict())
-    np.testing.assert_array_equal(rebuilt.probabilities, table.probabilities)
 
 
 def test_sample_deterministic_and_shaped():

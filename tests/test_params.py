@@ -1,5 +1,7 @@
 """Parameter container, flat layout, and spin validation."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,7 +113,7 @@ def test_json_round_trip_is_exact():
     rng = np.random.default_rng(11)
     params = random_params(rng, 4, scale=3.0)
     text = jsonio.dumps(params.to_json_dict())
-    rebuilt = fvbm.FvbmParams.from_json_dict(jsonio.loads(text))
+    rebuilt = fvbm.FvbmParams.from_json_dict(json.loads(text))
     np.testing.assert_array_equal(rebuilt.bias, params.bias)
     np.testing.assert_array_equal(rebuilt.interaction, params.interaction)
 

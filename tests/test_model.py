@@ -334,9 +334,17 @@ def test_pairwise_joint_transposes_exactly(d, seed, data):
 def test_pmf_table_validation():
     for probabilities in (
         [0.5, 0.5, 0.5],  # wrong length
+        np.array([0.5, 0.5, 0.25, 0.25]) * 1.2,  # sums to 1.8
+        [1.5, 0.0, 0.0, 0.0],  # above one
+    ):
+        with pytest.raises(ValueError):
+            fvbm.PmfTable(d=2, probabilities=probabilities)
+
+
+def test_pmf_table_constructor_validates_and_copies():
+    for probabilities in (
         [0.5, 0.5, 0.25, -0.25],  # negative
         [0.5, 0.5, 0.25, 0.25],  # sums to 1.5
-        [1.5, 0.0, 0.0, 0.0],  # above one
     ):
         with pytest.raises(ValueError):
             fvbm.PmfTable(d=2, probabilities=probabilities)

@@ -27,7 +27,7 @@ import numpy as np
 from . import jsonio
 from .errors import DataError, NumericalError
 from .fit import FitConfig, FitResult, fit
-from .graph import build_network, emit_dot, network_to_json_dict
+from .graph import build_network, check_level, emit_dot, network_to_json_dict
 from .inference import (
     InferenceReport,
     build_report,
@@ -40,6 +40,7 @@ from .votes import (
     ImputeConfig,
     SplitResolution,
     Vote,
+    check_drop_threshold,
     drop_sparse_columns,
     encode_agreement,
     knn_impute,
@@ -79,6 +80,31 @@ def _naming(source: str):
         if source in str(exc):
             raise
         raise DataError(f"{source}: {exc}") from exc
+
+
+def _checked(convert, check):
+    """An argparse type: the flag's text as ``convert`` reads it, refused
+    with ``check``'s message where ``check`` raises a ValueError.
+
+    ``check`` is the library's own range rule, so a value out of range is
+    a usage error that names the flag, given as a flag or a config entry.
+    """
+
+    def parse(text: str):
+        value = convert(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def _nonnegative(value: int) -> None:
+    if value < 0:
+        raise ValueError(f"must be nonnegative, got {value}")
 
 
 def _config_tokens(action: argparse.Action, value) -> list[str]:
@@ -292,8 +318,6 @@ def cmd_graph(args) -> None:
 
 
 def cmd_simulate(args) -> None:
-    if args.n < 0:
-        raise UsageError(f"--n must be nonnegative, got {args.n}")
     with _naming(f"params file {args.params}"):
         params = FvbmParams.from_json_dict(jsonio.load(args.params))
     given = [s.strip() for s in args.labels.split(",")] if args.labels else None
@@ -331,8 +355,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--reference", required=True, help="reference (government) party column")
     p.add_argument("--extract-member", dest="extract_member", help="senator to pull out as a separate column")
     p.add_argument("--extract-label", dest="extract_label", help="column label for the extracted member")
-    p.add_argument("--k", type=int, default=ImputeConfig.k, help="neighbors for k-NN imputation (default %(default)s)")
-    p.add_argument("--drop-threshold", dest="drop_threshold", type=float, default=0.5, help="drop columns with a higher missing fraction (default %(default)s)")
+    p.add_argument("--k", type=_checked(int, lambda k: ImputeConfig(k=k)), default=ImputeConfig.k, help="neighbors for k-NN imputation (default %(default)s)")
+    p.add_argument("--drop-threshold", dest="drop_threshold", type=_checked(float, check_drop_threshold), default=0.5, help="drop columns with a higher missing fraction (default %(default)s)")
     p.add_argument("-o", "--output", required=True, help="output +/-1 CSV path")
     p.add_argument("--json", help="also write the matrix as JSON here")
     p.add_argument("--provenance", help="provenance JSON path (default <output>.prov.json)")
@@ -340,8 +364,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = command("fit", "+/-1 CSV -> fitted parameters JSON")
     p.add_argument("data", help="+/-1 matrix CSV with a header row")
     p.add_argument("-o", "--output", required=True, help="output fit JSON path")
-    p.add_argument("--tol", type=float, default=FitConfig.objective_tolerance, help="objective tolerance (default %(default)s)")
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=FitConfig.max_iterations, help="iteration cap (default %(default)s)")
+    p.add_argument("--tol", type=_checked(float, lambda tol: FitConfig(objective_tolerance=tol)), default=FitConfig.objective_tolerance, help="objective tolerance (default %(default)s)")
+    p.add_argument("--max-iter", dest="max_iter", type=_checked(int, lambda cap: FitConfig(max_iterations=cap)), default=FitConfig.max_iterations, help="iteration cap (default %(default)s)")
     p.add_argument("--init", help="params JSON to start from (default zeros)")
     p.add_argument("--strict", action="store_true", help="treat degenerate columns as errors")
 
@@ -361,14 +385,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = command("graph", "report JSON -> significance network (DOT/JSON)")
     p.add_argument("report", help="report JSON from the infer subcommand")
     p.add_argument("--mode", choices=["raw", "fdr"], default="raw", help="p-values driving significance (default %(default)s)")
-    p.add_argument("--level", type=float, default=0.05, help="significance / FDR level (default %(default)s)")
+    p.add_argument("--level", type=_checked(float, check_level), default=0.05, help="significance / FDR level (default %(default)s)")
     p.add_argument("--dot", help="output DOT path")
     p.add_argument("--json", help="output network JSON path")
 
     p = command("simulate", "params JSON -> seeded exact sample CSV")
     p.add_argument("params", help="params JSON ({d, bias, interaction_upper})")
-    p.add_argument("--n", type=int, required=True, help="number of rows to draw")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
+    p.add_argument("--n", type=_checked(int, _nonnegative), required=True, help="number of rows to draw")
+    p.add_argument("--seed", type=_checked(int, _nonnegative), default=0, help="RNG seed (default %(default)s)")
     p.add_argument("--labels", help="comma-separated column labels")
     p.add_argument("-o", "--output", required=True, help="output CSV path")
 

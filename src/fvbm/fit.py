@@ -94,9 +94,11 @@ class FitConfig:
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
         if not self.objective_tolerance > 0:
-            raise ValueError("objective_tolerance must be positive")
+            raise ValueError(
+                f"objective_tolerance must be positive, got {self.objective_tolerance}"
+            )
 
 
 @dataclass(frozen=True)

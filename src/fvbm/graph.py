@@ -75,6 +75,12 @@ def _thickness(p: float) -> float:
     return _clamp(-math.log10(p), THICKNESS_RANGE)
 
 
+def check_level(level: float) -> None:
+    """Refuse a significance or FDR level outside (0, 1) with a ValueError."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
+
+
 def build_network(
     report: InferenceReport,
     labels: list[str],
@@ -89,8 +95,7 @@ def build_network(
     """
     if mode not in ("raw", "fdr"):
         raise ValueError(f"mode must be 'raw' or 'fdr', got {mode!r}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+    check_level(level)
     d = len(check_labels(labels, report.d))
     p_vec = report.p_values if mode == "raw" else report.adjusted_p_values
     biases = report.estimates[:d]

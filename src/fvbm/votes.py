@@ -226,10 +226,15 @@ def resolve_splits(
     )
 
 
-def drop_sparse_columns(table: VoteTable, threshold: float = 0.5) -> VoteTable:
-    """Remove columns whose fraction of Missing cells exceeds ``threshold``."""
+def check_drop_threshold(threshold: float) -> None:
+    """Refuse a drop threshold outside (0, 1] with a ValueError."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
+
+
+def drop_sparse_columns(table: VoteTable, threshold: float = 0.5) -> VoteTable:
+    """Remove columns whose fraction of Missing cells exceeds ``threshold``."""
+    check_drop_threshold(threshold)
     keep = np.count_nonzero(table.cells == Vote.MISSING, axis=0) / max(table.n, 1) <= threshold
     dropped = [p for p, kept in zip(table.parties, keep) if not kept]
     if dropped:
@@ -257,8 +262,14 @@ class ImputeConfig:
     k: int = 3
 
     def __post_init__(self) -> None:
+        if isinstance(self.k, bool) or not isinstance(self.k, int):
+            raise ValueError(f"k must be an int, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
+
+
+# Elements in each n-wide temporary of one block of rows in _knn_fill.
+_FILL_BLOCK = 4096
 
 
 def _knn_fill(codes: np.ndarray, observed: np.ndarray, k: int) -> np.ndarray:
@@ -269,6 +280,24 @@ def _knn_fill(codes: np.ndarray, observed: np.ndarray, k: int) -> np.ndarray:
     does not depend on the order of the missing cells, and observed cells
     are never altered.  A distance is a ratio of two small integers divided
     in float64: the same double as Python's ``int / int``.
+
+    Incomplete rows go through in blocks of consecutive rows that hold
+    about ``_FILL_BLOCK // n`` missing cells (a row with more is a block of
+    its own), so each n-wide temporary of a block has about ``_FILL_BLOCK``
+    elements.  For the rows of a block, one product of observed indicators
+    and one-hot codes over d*m columns gives (d+1)*overlap + agree against
+    every row: exact integer counts of the mutually observed columns and of
+    those among them with equal codes.  mismatch/overlap is thus one of
+    (d+1)^2 ratios, ranked once with ``np.unique`` (overlap 0 is inf, last);
+    equal doubles such as 1/2 and 2/4 share a rank.  ``key = rank * n + row``
+    is unique and orders the rows as a stable sort of their distances does:
+    by distance, then by row.  For a missing cell (i, j) the rows that lack
+    column j get a key above every other, so ``np.argpartition`` finds the
+    k smallest keys: the same set of rows as the first k of that stable
+    order.  Fewer than k rows may observe j, so a chosen row votes only if
+    it does.  The votes of all cells are counted at once after the blocks,
+    in O(cells * k * m).  The per-row loop that this replaces, and matches
+    bitwise, is the oracle ``row_loop_knn_fill`` in ``tests/oracles.py``.
     """
     n, d = codes.shape
     filled = codes.copy()
@@ -288,18 +317,39 @@ def _knn_fill(codes: np.ndarray, observed: np.ndarray, k: int) -> np.ndarray:
         )
 
     m = int(codes[observed].max()) + 1
-    flat = np.nonzero(observed)[1] * m + codes[observed]
-    column_counts = np.bincount(flat, minlength=d * m).reshape(d, m)
-    for i in np.flatnonzero(~observed.all(axis=1)):
-        mutual = observed & observed[i]
-        overlap = mutual.sum(axis=1)
-        mismatch = (mutual & (codes != codes[i])).sum(axis=1)
-        dist = np.full(n, np.inf)
-        np.divide(mismatch, overlap, out=dist, where=overlap > 0)
-        order = np.argsort(dist, kind="stable")  # row i never votes: its j is missing
-        for j in np.flatnonzero(~observed[i]):
-            votes = np.bincount(codes[order[observed[order, j]][:k], j], minlength=m)
-            filled[i, j] = np.argmax(np.where(votes == votes.max(), column_counts[j], -1))
+    # a row's observed indicators, then the one-hot of its observed codes
+    rows, cols = np.nonzero(observed)
+    marks = np.zeros((n, d + d * m))
+    marks[rows, cols] = 1.0
+    marks[rows, d + cols * m + codes[rows, cols]] = 1.0
+    column_counts = marks[:, d:].sum(axis=0).reshape(d, m)
+    # the distance of each (d+1)*overlap + agree; agree > overlap never occurs
+    overlap, agree = np.divmod(np.arange((d + 1) ** 2), d + 1)
+    dist = np.full(overlap.shape, np.inf)
+    np.divide(overlap - agree, overlap, out=dist, where=overlap > 0)
+    rank_key = np.unique(dist, return_inverse=True)[1] * n
+    # the row's part of its key for each column: the row, or above every key
+    row_key = np.where(observed.T, np.arange(n), rank_key.max() + n)
+
+    cell_rows, cell_cols = np.nonzero(~observed)
+    incomplete, at, holes = np.unique(cell_rows, return_inverse=True, return_counts=True)
+    ends = np.cumsum(holes)
+    block = (ends - holes) // max(1, _FILL_BLOCK // n)
+    starts = np.flatnonzero(np.diff(block, prepend=-1))
+    near = np.empty((cell_rows.size, k), dtype=np.intp)
+    for s, e in zip(starts, [*starts[1:], incomplete.size]):
+        cells = slice(ends[s] - holes[s], ends[e - 1])
+        scaled = marks[incomplete[s:e]]
+        scaled[:, :d] *= d + 1
+        key = rank_key[(scaled @ marks.T).astype(np.intp)]
+        key = key[at[cells] - s] + row_key[cell_cols[cells]]
+        near[cells] = np.argpartition(key, k - 1, axis=1)[:, :k]
+
+    j = cell_cols[:, None]
+    voter_codes = np.where(observed[near, j], codes[near, j], -1)  # -1 casts no vote
+    votes = np.count_nonzero(voter_codes[:, :, None] == np.arange(m), axis=1)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    filled[cell_rows, cell_cols] = np.argmax(np.where(tied, column_counts[cell_cols], -1), axis=1)
     return filled
 
 

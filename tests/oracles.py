@@ -470,6 +470,48 @@ def loop_knn_impute_cells(rows: list[list], k: int) -> list[list]:
     return result
 
 
+def row_loop_knn_fill(codes: np.ndarray, observed: np.ndarray, k: int) -> np.ndarray:
+    """``votes._knn_fill`` one incomplete row at a time: a length-n distance
+    pass and a stable ``argsort`` per row.
+
+    Distances and vote counts use the observed cells only, so the result
+    does not depend on the order of the missing cells, and observed cells
+    are never altered.  A distance is a ratio of two small integers divided
+    in float64: the same double as Python's ``int / int``.
+    """
+    n, d = codes.shape
+    filled = codes.copy()
+    if n == 0:
+        return filled
+    if k > n - 1:
+        raise DataError(f"k={k} needs at least {k + 1} rows, got {n}")
+    empty = ~observed.any(axis=1)
+    if empty.any():
+        raise DataError(f"row {np.argmax(empty) + 1} has no observed cells")
+    unseen = ~observed.any(axis=0)
+    if unseen.any():
+        # every row misses that column, so row 1 is the first to ask for it
+        raise DataError(
+            f"cell at row 1, column {np.argmax(unseen) + 1} has no neighbor "
+            f"with that column observed"
+        )
+
+    m = int(codes[observed].max()) + 1
+    flat = np.nonzero(observed)[1] * m + codes[observed]
+    column_counts = np.bincount(flat, minlength=d * m).reshape(d, m)
+    for i in np.flatnonzero(~observed.all(axis=1)):
+        mutual = observed & observed[i]
+        overlap = mutual.sum(axis=1)
+        mismatch = (mutual & (codes != codes[i])).sum(axis=1)
+        dist = np.full(n, np.inf)
+        np.divide(mismatch, overlap, out=dist, where=overlap > 0)
+        order = np.argsort(dist, kind="stable")  # row i never votes: its j is missing
+        for j in np.flatnonzero(~observed[i]):
+            votes = np.bincount(codes[order[observed[order, j]][:k], j], minlength=m)
+            filled[i, j] = np.argmax(np.where(votes == votes.max(), column_counts[j], -1))
+    return filled
+
+
 def cell_parse_votes(source) -> "fvbm.VoteTable":
     """``parse_votes`` one cell at a time: each token normalized where it
     stands, each row checked for its field count before its tokens."""

@@ -455,7 +455,9 @@ def test_graph_requires_an_output(tmp_path, votes_csv, splits_csv):
 
 @pytest.fixture
 def chain_files(tmp_path):
-    """A degenerate spin CSV, a well-posed one, its fit and its report."""
+    """A 4-row votes CSV, a degenerate spin CSV, a well-posed one, its fit and its report."""
+    votes = tmp_path / "votes4.csv"
+    votes.write_text("date,number,GOV,P1\n1/1,1,Yes,No\n1/1,2,No,-\n1/1,3,Yes,Yes\n1/1,4,No,No\n")
     flat = tmp_path / "flat.csv"
     fvbm.write_spin_csv(flat, ["a", "b"], np.column_stack([np.ones(10), -np.ones(10)]))
     _, _, data = _simulate(tmp_path, n=2000)
@@ -463,6 +465,7 @@ def chain_files(tmp_path):
     assert main(["fit", str(data), "-o", str(fit_path)]) == 0
     assert main(["infer", str(fit_path), str(data), "-o", str(report)]) == 0
     return {
+        "prepare": ["prepare", str(votes), "--reference", "GOV"],
         "fit": ["fit", str(flat)],
         "infer": ["infer", str(fit_path), str(data)],
         "graph": ["graph", str(report)],
@@ -478,6 +481,14 @@ _CONFIG_PROBES = [
     ("infer", {"fdr": "xx"}, ["--fdr", "xx"], 1),
     ("graph", {"mode": "xx"}, ["--mode", "xx"], 1),
     ("infer", {"groups": "xx"}, ["--groups", "xx"], 1),
+    # out of range: a usage error naming the flag (_RANGE_MESSAGES)
+    ("prepare", {"k": 0}, ["--k", "0"], 1),
+    ("prepare", {"drop_threshold": 0}, ["--drop-threshold", "0"], 1),
+    ("fit", {"max_iter": 0}, ["--max-iter", "0"], 1),
+    ("fit", {"tol": -1}, ["--tol", "-1"], 1),
+    ("graph", {"level": 0}, ["--level", "0"], 1),
+    # in range, but more neighbors than the 4 rows give: a data error
+    ("prepare", {"k": 9}, ["--k", "9"], 2),
 ]
 
 
@@ -489,6 +500,36 @@ def test_config_entry_exits_like_its_flag(tmp_path, chain_files, command, entry,
     config.write_text(json.dumps({output: out, **entry}))
     assert main([*chain_files[command], "--config", str(config)]) == code
     assert main([*chain_files[command], f"--{output}", out, *flags]) == code
+
+
+_RANGE_MESSAGES = [
+    ("prepare", ["--k", "0"], "argument --k: k must be at least 1, got 0"),
+    ("prepare", ["--drop-threshold", "0"],
+     "argument --drop-threshold: threshold must lie in (0, 1], got 0.0"),
+    ("fit", ["--max-iter", "0"], "argument --max-iter: max_iterations must be at least 1, got 0"),
+    ("fit", ["--tol", "-1"], "argument --tol: objective_tolerance must be positive, got -1.0"),
+    ("graph", ["--level", "0"], "argument --level: level must lie in (0, 1), got 0.0"),
+]
+
+
+@pytest.mark.parametrize("command, flags, message", _RANGE_MESSAGES)
+def test_an_out_of_range_flag_is_a_usage_error_naming_it(
+    tmp_path, chain_files, capsys, command, flags, message
+):
+    output = "--dot" if command == "graph" else "-o"
+    assert main([*chain_files[command], output, str(tmp_path / "out"), *flags]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_simulate_refuses_a_negative_seed_or_size(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"d": 2, "bias": [0.0, 0.0], "interaction_upper": [0.0]}))
+    out = str(tmp_path / "s.csv")
+    for flag in ("--n", "--seed"):
+        argv = ["simulate", str(params), "--n", "3", flag, "-1", "-o", out]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"usage error: argument {flag}: must be nonnegative, got -1\n"
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_config_refuses_keys_that_are_not_option_dests(tmp_path, chain_files):

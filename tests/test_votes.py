@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fvbm
@@ -25,6 +25,7 @@ from oracles import (
     list_resolve_splits,
     loop_knn_impute_cells,
     loop_write_spin_csv,
+    row_loop_knn_fill,
 )
 
 
@@ -394,6 +395,14 @@ def test_knn_cells_reject_k_below_one():
         fvbm.knn_impute_cells([["y", None], ["y", "n"]], k=0)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "3"])
+def test_impute_config_refuses_a_k_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match="k must be an int"):
+        fvbm.ImputeConfig(k=k)
+    with pytest.raises(ValueError, match="k must be an int"):
+        fvbm.knn_impute_cells([["y", None], ["y", "n"], ["n", "n"]], k)
+
+
 def _random_cells(rng, n, d, categories, missing):
     values = rng.integers(len(categories), size=(n, d))
     holes = rng.random((n, d)) < missing
@@ -432,6 +441,105 @@ def test_knn_matches_loop_oracle(n, d, categories, missing, k, seed):
 def test_knn_matches_loop_oracle_at_stress_size(n, k):
     rows = _random_cells(np.random.default_rng(n), n, 10, [Vote.YES, Vote.NO], 0.1)
     assert fvbm.knn_impute_cells(rows, k) == loop_knn_impute_cells(rows, k)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_knn_fill_matches_the_row_loop_at_imputation_scale(k):
+    # 1000 rows of 60 columns, 10% missing: ~6000 cells in many blocks
+    rng = np.random.default_rng(k)
+    observed = rng.random((1000, 60)) >= 0.1
+    codes = np.where(observed, rng.integers(2, size=observed.shape), Vote.MISSING).astype(np.int8)
+    filled = votes_module._knn_fill(codes, observed, k)
+    expected = row_loop_knn_fill(codes, observed, k)
+    assert filled.dtype == expected.dtype
+    np.testing.assert_array_equal(filled, expected)
+
+
+@st.composite
+def cell_tables(draw):
+    """Up to 15 rows of up to 6 cells from up to 4 categories, with holes."""
+    n, d = draw(st.integers(1, 15)), draw(st.integers(1, 6))
+    categories = draw(
+        st.lists(
+            st.sampled_from(["yes", "no", "abstain", "absent"]), min_size=1, max_size=4, unique=True
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _random_cells(rng, n, d, categories, draw(st.floats(0.0, 0.8)))
+
+
+# k=1: every row that observes column 2 has no overlap with row 1, so the
+# lowest index wins, although the column's majority is "y"
+_ZERO_OVERLAP = [["y", None], [None, "n"], [None, "y"], [None, "y"]]
+# k=3: column 2 has one observer, so each vote has one voter
+_FEW_OBSERVERS = [["y", "y"], ["n", None], ["y", None], ["n", None]]
+# k=1: rows 2 and 3 are at 2/4 and 1/2 from row 1, the same double, so row
+# 2 wins by index; ranking 1/2 before 2/4 would choose row 3's "y", and the
+# swapped table catches the opposite order
+_EQUAL_RATIOS = [
+    ["y", "y", "y", "y", None],
+    ["n", "n", "y", "y", "n"],
+    ["n", "y", None, None, "y"],
+]
+_EQUAL_RATIOS_SWAPPED = [_EQUAL_RATIOS[0], _EQUAL_RATIOS[2], _EQUAL_RATIOS[1]]
+
+
+# the tables as Yes/No votes, for knn_impute
+_AS_VOTE = {None: Vote.MISSING, "y": Vote.YES, "yes": Vote.YES, "abstain": Vote.YES,
+            "n": Vote.NO, "no": Vote.NO, "absent": Vote.NO}
+
+
+def _fill_outcome(fill, codes, observed, k):
+    try:
+        filled = fill(codes, observed, k)
+    except fvbm.DataError as exc:
+        return type(exc), str(exc)
+    return filled.dtype, filled.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=cell_tables(), k=st.integers(1, 5), budget=st.integers(1, 64), filler=st.integers(-1, 3)
+)
+@example(rows=_ZERO_OVERLAP, k=1, budget=1, filler=0)
+@example(rows=_FEW_OBSERVERS, k=3, budget=1, filler=0)
+@example(rows=_EQUAL_RATIOS, k=1, budget=1, filler=0)
+@example(rows=_EQUAL_RATIOS_SWAPPED, k=1, budget=1, filler=0)
+def test_knn_blocks_match_the_loop_oracles(rows, k, budget, filler):
+    # a budget below n makes each incomplete row a block of its own; the
+    # codes under missing cells, ``filler``, may be codes that vote
+    categories = sorted({v for row in rows for v in row if v is not None})
+    codes = np.array(
+        [[filler if v is None else categories.index(v) for v in row] for row in rows],
+        dtype=np.int8,
+    )
+    observed = np.array([[v is not None for v in row] for row in rows])
+    listed = ListVoteTable(
+        dates=[f"{r}/1" for r in range(len(rows))],
+        numbers=["1"] * len(rows),
+        parties=[f"P{c}" for c in range(len(rows[0]))],
+        cells=[[_AS_VOTE[v] for v in row] for row in rows],
+    )
+    table = fvbm.VoteTable(listed.dates, listed.numbers, listed.parties, listed.cells)
+    config = fvbm.ImputeConfig(k=k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(votes_module, "_FILL_BLOCK", budget)
+        assert _impute_outcome(fvbm.knn_impute_cells, rows, k) == _impute_outcome(
+            loop_knn_impute_cells, rows, k
+        )
+        assert _stage_outcome(fvbm.knn_impute, table, config) == _stage_outcome(
+            list_knn_impute, listed, config
+        )
+        assert _fill_outcome(votes_module._knn_fill, codes, observed, k) == _fill_outcome(
+            row_loop_knn_fill, codes, observed, k
+        )
+
+
+def test_knn_edge_tables_impute_as_described():
+    assert fvbm.knn_impute_cells(_ZERO_OVERLAP, 1)[0][1] == "n"
+    assert [row[1] for row in fvbm.knn_impute_cells(_FEW_OBSERVERS, 3)] == ["y"] * 4
+    assert fvbm.knn_impute_cells(_EQUAL_RATIOS, 1)[0][4] == "n"
+    assert fvbm.knn_impute_cells(_EQUAL_RATIOS_SWAPPED, 1)[0][4] == "y"
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,31 @@ State indexing convention: state index ``i`` encodes coordinate ``j``
 (0-based) in bit ``j`` of ``i``, with a set bit meaning +1.  Index 0 is the
 all-minus-one state and index 2^d - 1 the all-plus-one state.
 
-Appending coordinate j to the states of coordinates 0..j-1 doubles the
-log-weight table: with the field f_j = b_j + sum_{k<j} m_jk x_k, set
-``logw[2^j + i] = logw[i] + f_j[i]``, then ``logw[i] -= f_j[i]``.  Later
-fields f_l double alike, into f_l - m_jl and f_l + m_jl.  One 2^d vector
-(8 MB at d=20) is filled in place; the fields add at most 2^d entries.
+Log-weights meet in the middle.  Split the state index into its
+hi = d - d//2 high and lo = d//2 low bits, i = h * 2^lo + l, so state i is
+the high-half spins s_hi[h] beside the low-half spins s_lo[l].  With q_hi
+and q_lo the log-weights of each half's own sub-model (its block of M and
+b), the exponent of state i is
+
+    logw[h, l] = q_hi[h] + q_lo[l] + s_hi[h]' M[hi, lo] s_lo[l].
+
+The half terms ride in the cross product as two extra columns,
+
+    logw = [s_hi M[hi, lo], q_hi, 1] [s_lo, 1, q_lo]',
+
+so one (2^hi x (lo+2)) by ((lo+2) x 2^lo) product makes all 2^d
+log-weights.  Its factors are small (1024 x 12 at d=20); its output is
+the only 2^d array.  Every exact quantity then exponentiates that array
+once, in place, after subtracting its max: log z is the max plus the log
+of the sum, the PMF divides by the sum, and :func:`sample` takes its CDF
+in place.  One 2^d vector (8 MB at d=20) is held, with no 2^d
+temporaries.  The log-weights are within 1e-13 * max(1, |logw|) of
+summing each state's terms directly.
 
 Marginals and pairwise joints are read from one array of pair cells,
 ``cells[a, j, c, k] = P(X_j = s_a, X_k = s_c)`` with s = (+1, -1), whose
 diagonal ``cells[0, j, 0, j]`` is P(X_j = +1).  Splitting the state index
-into its hi = d - d//2 high and lo = d//2 low bits views the table as
+into its high and low bits as above views the table as
 ``w = p.reshape(2^hi, 2^lo)``.  With the 0/1 indicator matrix
 ``C = [B, 1 - B]`` of each half's states (B[s, j] = bit j of s):
 
@@ -68,32 +83,38 @@ def state_index(x) -> int:
     return int(sum(1 << j for j in range(x.size) if x[j] > 0))
 
 
+def _sub_log_weights(spins: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """0.5 * s'Ms + s'b for each row s of ``spins``."""
+    return 0.5 * np.einsum("ij,ij->i", spins @ m, spins) + spins @ b
+
+
 def _log_weights(params: FvbmParams) -> np.ndarray:
-    """Exponents 0.5 * x'Mx + x'b of all 2^d states (module docstring)."""
+    """Exponents 0.5 * x'Mx + x'b of all 2^d states, in one 2^d vector
+    (module docstring)."""
     d = params.d
     if d > ENUMERATION_CAP:
         raise DataError(
             f"enumeration over 2^{d} states exceeds the cap of d<={ENUMERATION_CAP}"
         )
-    m = params.interaction
-    logw = np.zeros(1 << d)
-    field = params.bias[:, None].copy()
-    for j in range(d):
-        half = 1 << j
-        f, rest = field[0], field[1:]
-        np.add(logw[:half], f, out=logw[half : 2 * half])
-        logw[:half] -= f
-        coupling = m[j, j + 1 :, None]
-        field = np.empty((d - j - 1, 2 * half))
-        np.subtract(rest, coupling, out=field[:, :half])
-        np.add(rest, coupling, out=field[:, half:])
-    return logw
+    m, b = params.interaction, params.bias
+    lo = d // 2
+    s_hi, s_lo = (_spins(np.arange(1 << k), k) for k in (d - lo, lo))
+    left = np.column_stack(
+        [s_hi @ m[lo:, :lo], _sub_log_weights(s_hi, m[lo:, lo:], b[lo:]), np.ones(len(s_hi))]
+    )
+    right = np.column_stack(
+        [s_lo, np.ones(len(s_lo)), _sub_log_weights(s_lo, m[:lo, :lo], b[:lo])]
+    )
+    return (left @ right.T).reshape(-1)
 
 
-def _log_sum_exp(logw: np.ndarray) -> float:
-    top = logw.max()
-    shifted = logw - top
-    return float(top + np.log(np.exp(shifted, out=shifted).sum()))
+def _shifted_weights(params: FvbmParams) -> tuple[float, np.ndarray]:
+    """The max log-weight and exp(logw - max) of all 2^d states: the one
+    exponentiation of the module, done in place on the log-weights."""
+    w = _log_weights(params)
+    top = float(w.max())
+    w -= top
+    return top, np.exp(w, out=w)
 
 
 def log_unnormalized(params: FvbmParams, x) -> float:
@@ -105,13 +126,12 @@ def log_unnormalized(params: FvbmParams, x) -> float:
 
 
 def log_normalization(params: FvbmParams) -> float:
-    """log z as a max-shifted log-sum-exp over the 2^d log-weights of the
-    doubling recurrence (module docstring): 8 MB at d=20, plus at most as
-    much again in temporaries (the fields, then the shifted copy).  That
-    peak doubles with each d; at ``ENUMERATION_CAP`` it is 16 MB, below
-    the ~21 MB of streaming the states in 2^16 blocks.
+    """log z as the max log-weight plus the log of the sum of the shifted
+    weights (module docstring).  Its peak memory is the one 2^d vector,
+    8 MB at d=20 and doubling with each d, plus the half-state tables.
     """
-    return _log_sum_exp(_log_weights(params))
+    top, w = _shifted_weights(params)
+    return top + float(np.log(w.sum()))
 
 
 def normalization_constant(params: FvbmParams) -> float:
@@ -156,6 +176,8 @@ class PmfTable:
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
+        if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
+            raise ValueError(f"d must be an int of at least 1, got {self.d!r}")
         p = np.array(self.probabilities, dtype=np.float64, copy=True)
         if p.shape != (1 << self.d,):
             raise ValueError(
@@ -198,9 +220,9 @@ class PmfTable:
 
 def enumerate_pmf(params: FvbmParams) -> PmfTable:
     """Probabilities of all 2^d states; sums to one within 1e-12."""
-    logw = _log_weights(params)
-    logw -= _log_sum_exp(logw)
-    return PmfTable._trusted(params.d, np.exp(logw, out=logw))
+    _, w = _shifted_weights(params)
+    w /= w.sum()
+    return PmfTable._trusted(params.d, w)
 
 
 def _check_coordinate(table: PmfTable, j: int) -> None:
@@ -236,25 +258,29 @@ def concordance(table: PmfTable, j: int, k: int) -> float:
 
 
 def sample(params: FvbmParams, n: int, seed: int) -> np.ndarray:
-    """Exact i.i.d. draws by inverse CDF over the enumerated PMF.
+    """Exact i.i.d. draws by inverse CDF over the enumerated weights.
 
     Deterministic for a fixed seed.  Returns an n-by-d matrix of +/-1;
-    n = 0 yields an empty matrix.
+    n = 0 yields an empty matrix.  ``n`` and ``seed`` must be
+    nonnegative ints (not bools).
     """
-    if n < 0:
-        raise ValueError(f"sample size must be nonnegative, got {n}")
+    for name, value in (("n", n), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     d = params.d
     if n == 0:
         return np.empty((0, d))
-    # Neither the table nor its CDF outlives the search, so the 2^d vectors
-    # are freed before the n-by-d decode allocates.
-    cdf = np.cumsum(enumerate_pmf(params).probabilities)
-    cdf[-1] = 1.0
+    # The unnormalized CDF overwrites the weights, and is freed before the
+    # n-by-d decode allocates.
+    _, cdf = _shifted_weights(params)
+    np.cumsum(cdf, out=cdf)
     # Searching the uniforms in sorted order walks the CDF (8 MB at d=20)
     # once from front to back instead of at random.
     u = np.random.default_rng(seed).random(n)
     order = np.argsort(u)
     idx = np.empty(n, dtype=np.intp)
-    idx[order] = np.searchsorted(cdf, u[order], side="right")
+    idx[order] = np.searchsorted(cdf, u[order] * cdf[-1], side="right")
     del cdf
     return _spins(np.minimum(idx, (1 << d) - 1), d)

@@ -710,6 +710,30 @@ def block_log_weights(params: FvbmParams, block: int = 1 << 16) -> np.ndarray:
     return logw
 
 
+def doubling_log_weights(params: FvbmParams) -> np.ndarray:
+    """Log-weights of all 2^d states by doubling the table one coordinate
+    at a time.
+
+    With the field f_j = b_j + sum_{k<j} m_jk x_k, appending coordinate j
+    sets ``logw[2^j + i] = logw[i] + f_j[i]``, then ``logw[i] -= f_j[i]``;
+    later fields f_l double alike, into f_l - m_jl and f_l + m_jl.
+    """
+    d = params.d
+    m = params.interaction
+    logw = np.zeros(1 << d)
+    field = params.bias[:, None].copy()
+    for j in range(d):
+        half = 1 << j
+        f, rest = field[0], field[1:]
+        np.add(logw[:half], f, out=logw[half : 2 * half])
+        logw[:half] -= f
+        coupling = m[j, j + 1 :, None]
+        field = np.empty((d - j - 1, 2 * half))
+        np.subtract(rest, coupling, out=field[:, :half])
+        np.add(rest, coupling, out=field[:, half:])
+    return logw
+
+
 def slice_fixed_sum(table: "fvbm.PmfTable", fixed: dict[int, int]) -> float:
     """Probability that bit j of the state is ``fixed[j]`` for each key j,
     summed over a strided slice of the table reshaped to ``(2,) * d``, which
@@ -781,12 +805,20 @@ def list_read_spin_csv(path) -> tuple[list[str], np.ndarray]:
 
 
 def table_sample(params: FvbmParams, n: int, seed: int) -> np.ndarray:
-    """Inverse-CDF draws that keep the PMF table and its CDF alive throughout."""
+    """Inverse-CDF draws from a PMF table built from :func:`block_log_weights`
+    and normalized here, kept alive with its CDF throughout.
+
+    ``fvbm.sample`` searches its own unnormalized CDF, whose entries differ
+    from these in the last bits.  The draws still agree exactly unless a
+    uniform lands within rounding of a CDF boundary, which the seeded tests
+    never meet.
+    """
     d = params.d
     if n == 0:
         return np.empty((0, d))
-    table = fvbm.enumerate_pmf(params)
-    cdf = np.cumsum(table.probabilities)
+    logw = block_log_weights(params)
+    w = np.exp(logw - logw.max())
+    cdf = np.cumsum(w / math.fsum(w))
     cdf[-1] = 1.0
     rng = np.random.default_rng(seed)
     idx = np.searchsorted(cdf, rng.random(n), side="right")

@@ -16,6 +16,7 @@ from fvbm.model import _log_weights
 
 from oracles import (
     block_log_weights,
+    doubling_log_weights,
     mask_marginal_probability,
     mask_pairwise_joint,
     naive_pmf,
@@ -36,10 +37,17 @@ def _oracle_log_z(logw: np.ndarray) -> float:
     return top + math.log(math.fsum(np.exp(logw - top)))
 
 
+def _assert_within_log_weight_bound(logw: np.ndarray, expected: np.ndarray) -> None:
+    assert np.all(np.abs(logw - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
+
+
 def _assert_matches_block_oracle(params):
+    # the meet-in-the-middle product sums each state's terms in another
+    # order than either oracle, so it is held to a bound, not equality
     expected = block_log_weights(params)
     logw = _log_weights(params)
-    assert np.all(np.abs(logw - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
+    _assert_within_log_weight_bound(logw, expected)
+    _assert_within_log_weight_bound(logw, doubling_log_weights(params))
     logz = _oracle_log_z(expected)
     assert abs(fvbm.log_normalization(params) - logz) <= 1e-13 * max(1.0, abs(logz))
     np.testing.assert_allclose(
@@ -109,11 +117,25 @@ def test_enumeration_spans_multiple_blocks():
     _assert_matches_block_oracle(random_params(np.random.default_rng(17), 17, scale=0.5))
 
 
-@pytest.mark.parametrize("d", list(range(1, 13)) + [20])
+@pytest.mark.parametrize("d", range(1, fvbm.ENUMERATION_CAP + 1))
 def test_log_weights_match_block_oracle(d):
+    # every split shape: odd d gives unequal halves, d=1 an empty low half
     rng = np.random.default_rng(400 + d)
     for scale in (0.3, 2.0):
         _assert_matches_block_oracle(random_params(rng, d, scale=scale))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 12),
+    scale=st.floats(0.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_log_weights_match_both_oracles_for_any_parameters(d, scale, seed):
+    params = random_params(np.random.default_rng(seed), d, scale=scale)
+    logw = _log_weights(params)
+    _assert_within_log_weight_bound(logw, block_log_weights(params))
+    _assert_within_log_weight_bound(logw, doubling_log_weights(params))
 
 
 def test_pmf_hand_values():
@@ -355,6 +377,13 @@ def test_pmf_table_constructor_validates_and_copies():
     assert source.flags.writeable
 
 
+@pytest.mark.parametrize("d", [True, False, 2.0, -1, 0, "2", None])
+def test_pmf_table_refuses_a_dimension_that_is_not_a_positive_int(d):
+    with pytest.raises(ValueError) as refusal:
+        fvbm.PmfTable(d=d, probabilities=[0.25] * 4)
+    assert str(refusal.value) == f"d must be an int of at least 1, got {d!r}"
+
+
 @pytest.mark.parametrize("d", [1, 6, 13])
 def test_enumerated_table_equals_validated_table(d):
     # enumerate_pmf skips the copy and checks of direct construction; the
@@ -408,17 +437,54 @@ def test_sample_equals_table_oracle(d):
         )
 
 
-def test_sample_frees_table_before_decoding():
-    # the 2^20 table and its CDF (8 MB each) are gone before the 20000-by-20
-    # decode allocates; holding both through it peaks at ~22.4 MB
-    params = random_params(np.random.default_rng(620), 20, scale=0.1)
+# One 2^20 float64 vector (8 MiB) plus the half-state tables.
+ONE_STATE_VECTOR_AT_CAP = 9 * 2**20
+
+
+def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        fvbm.sample(params, 20_000, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("enumerate_states", [fvbm.enumerate_pmf, fvbm.log_normalization])
+def test_enumeration_holds_one_state_vector(enumerate_states):
+    # the log-weights are exponentiated in place, with no 2^d temporaries
+    params = random_params(np.random.default_rng(621), 20, scale=0.1)
+    assert _traced_peak(lambda: enumerate_states(params)) < ONE_STATE_VECTOR_AT_CAP
+
+
+def test_sample_frees_table_before_decoding():
+    # the CDF overwrites the 2^20 weights in place and is gone before the
+    # 20000-by-20 decode allocates
+    params = random_params(np.random.default_rng(620), 20, scale=0.1)
+    peak = _traced_peak(lambda: fvbm.sample(params, 20_000, seed=3))
+    assert peak < ONE_STATE_VECTOR_AT_CAP
+
+
+@pytest.mark.parametrize(
+    "n, seed, message",
+    [
+        (2.0, 1, "n must be an int, got 2.0"),
+        (True, 1, "n must be an int, got True"),
+        (-1, 1, "n must be nonnegative, got -1"),
+        (5, 1.0, "seed must be an int, got 1.0"),
+        (5, False, "seed must be an int, got False"),
+        (5, -1, "seed must be nonnegative, got -1"),
+        (0, -1, "seed must be nonnegative, got -1"),
+        (0, "1", "seed must be an int, got '1'"),
+    ],
+)
+def test_sample_refuses_bad_arguments_up_front(n, seed, message):
+    # checked before the n == 0 return and before any enumeration
+    big = fvbm.FvbmParams.zeros(fvbm.ENUMERATION_CAP + 1)
+    for params in (fvbm.FvbmParams.zeros(3), big):
+        with pytest.raises(ValueError) as refusal:
+            fvbm.sample(params, n, seed=seed)
+        assert str(refusal.value) == message
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -238,6 +238,25 @@ def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _cholesky_inverse(chol: np.ndarray) -> np.ndarray:
+    """inv(L L') = W'W for the lower triangular L, where W = inv(L) comes
+    from the forward substitution of :func:`_cholesky_solve` applied to the
+    identity, SOLVE_BLOCK rows at a time.
+
+    W is lower triangular, so the rows of a block need only the columns up
+    to the block's end.  numpy computes ``W.T @ W`` as a symmetric rank-k
+    update of one triangle and mirrors it, so the inverse is exactly
+    symmetric.
+    """
+    w = np.eye(len(chol))
+    for k in range(0, len(chol), SOLVE_BLOCK):
+        rows, cols = slice(k, k + SOLVE_BLOCK), slice(0, k + SOLVE_BLOCK)
+        w[rows, cols] = np.linalg.solve(
+            chol[rows, rows], w[rows, cols] - chol[rows, :k] @ w[:k, cols]
+        )
+    return w.T @ w
+
+
 def _newton_step(score: np.ndarray, info: np.ndarray) -> np.ndarray:
     """Solve (-H + lambda I) step = score by a Cholesky factor of ``info`` = -H
     plus the first lambda of 0, 1e-12 max|H|, 1e-11 max|H|, ... that has one."""

@@ -14,6 +14,20 @@ and per-coordinate standard errors are the square roots of its diagonal.
 Wald z-scores divide the estimates by those standard errors (a null of
 zero); two-sided p-values come from the standard normal tail via erfc.
 
+inv(I1) is W'W with W = inv(L) from the Cholesky factor I1 = L L'.  A fit
+whose I1 has a condition number above ``CONDITION_LIMIT`` (1e12) is
+refused.  For a symmetric positive definite A (Frobenius norms),
+
+    cond_2(A) <= |A|_F |inv(A)|_F <= p cond_2(A),
+
+so the Cholesky inverse stands when that product is at most half the
+limit; the factor of 2 covers the p eps cond rounding of the condition
+number that an eigendecomposition computes.  Otherwise (no factor, a NaN,
+or a product past the bound) ``eigh`` runs: it refuses above the limit,
+naming the coordinates of the near-null eigenvector, or inverts.  So the
+refusals are those of the eigendecomposition alone, and covariances agree
+with it within 1e-13 sqrt(Cov_ii Cov_jj) in the tests.
+
 ``fdr_adjust`` implements the step-up adjusted p-values
 
     adj_(i) = min(1, min_{j >= i} c(m) * m * p_(j) / j)
@@ -31,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .fit import FitResult
+from .fit import FitResult, _cholesky_inverse
 from .params import FvbmParams, as_spin_matrix, check_labels, flat_dimension, flat_length, slot_map
 from .pseudolikelihood import per_observation_scores, pseudo_hessian
 
@@ -57,6 +71,16 @@ def empirical_info_2(params: FvbmParams, data) -> np.ndarray:
 
 
 def _symmetric_inverse(a: np.ndarray, coordinate_names: list[str] | None) -> np.ndarray:
+    """inv(a) for the symmetric ``a``, refused when its condition number
+    exceeds CONDITION_LIMIT (module docstring)."""
+    try:
+        inverse = _cholesky_inverse(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        # cond(a) <= |a|_F |inv(a)|_F; a NaN fails the comparison
+        if np.linalg.norm(a) * np.linalg.norm(inverse) <= CONDITION_LIMIT / 2:
+            return inverse
     eigvals, eigvecs = np.linalg.eigh(a)
     absvals = np.abs(eigvals)
     worst = int(np.argmin(absvals))
@@ -296,40 +320,33 @@ def build_report(
     )
 
 
-def _fmt_val(v: float) -> str:
-    return f"{v:.3f}"
-
-
-def _fmt_p(v: float) -> str:
-    return f"{v:.2E}"
-
-
 def format_report_tables(report: InferenceReport, labels: list[str]) -> str:
     """Aligned plain-text tables: one bias row block, lower-triangle blocks
     for the interactions, per reported quantity."""
     d = len(check_labels(labels, report.d))
     quantities = [
-        ("Estimate", report.estimates, _fmt_val),
-        ("Std. err.", report.standard_errors, _fmt_val),
-        ("z-score", report.z_scores, _fmt_val),
-        ("p-value", report.p_values, _fmt_p),
-        ("adj. p", report.adjusted_p_values, _fmt_p),
+        ("Estimate", report.estimates, ".3f"),
+        ("Std. err.", report.standard_errors, ".3f"),
+        ("z-score", report.z_scores, ".3f"),
+        ("p-value", report.p_values, ".2E"),
+        ("adj. p", report.adjusted_p_values, ".2E"),
     ]
     # widest realistic cell is a 3-digit-exponent p-value ("1.86E-154")
     width = max(11, max(len(s) for s in labels) + 2)
-    head = "".join(f"{s:>{width}}" for s in labels)
-    lines = ["A: biases", f"{'':12s}{head}"]
-    for name, vec, fmt in quantities:
-        row = "".join(f"{fmt(vec[i]):>{width}}" for i in range(d))
-        lines.append(f"{name:12s}{row}")
+
+    def row(values: list, spec: str = "") -> str:
+        return (f"{{:>{width}{spec}}}" * len(values)).format(*values)
+
+    lines = ["A: biases", f"{'':12s}{row(labels)}"]
+    for name, vec, spec in quantities:
+        lines.append(f"{name:12s}{row(vec[:d].tolist(), spec)}")
     lines.append("")
     lines.append("B: interactions")
     slot = slot_map(d)
-    for name, vec, fmt in quantities:
+    for name, vec, spec in quantities:
         lines.append(name)
-        lines.append(f"{'':{width}}" + "".join(f"{s:>{width}}" for s in labels[:-1]))
+        lines.append(f"{'':{width}}" + row(labels[:-1]))
         for r in range(1, d):
-            cells = "".join(f"{fmt(v):>{width}}" for v in vec[slot[r, :r]])
-            lines.append(f"{labels[r]:>{width}}" + cells)
+            lines.append(f"{labels[r]:>{width}}" + row(vec[slot[r, :r]].tolist(), spec))
         lines.append("")
     return "\n".join(lines)

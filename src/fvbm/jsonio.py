@@ -36,6 +36,13 @@ def _emit(obj, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
+        if all(type(v) is float for v in obj):
+            # a vector of doubles, checked and formatted in one pass each;
+            # format_float raises for the first non-finite one
+            if not all(map(math.isfinite, obj)):
+                format_float(next(v for v in obj if not math.isfinite(v)))
+            body = (",\n" + inner).join(map("{:.17g}".format, obj))
+            return "[\n" + inner + body + "\n" + pad + "]"
         items = [_emit(v, level + 1) for v in obj]
         return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
     if isinstance(obj, dict):

@@ -88,14 +88,18 @@ def _sub_log_weights(spins: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndar
     return 0.5 * np.einsum("ij,ij->i", spins @ m, spins) + spins @ b
 
 
-def _log_weights(params: FvbmParams) -> np.ndarray:
-    """Exponents 0.5 * x'Mx + x'b of all 2^d states, in one 2^d vector
-    (module docstring)."""
-    d = params.d
+def _check_enumerable(d: int) -> None:
     if d > ENUMERATION_CAP:
         raise DataError(
             f"enumeration over 2^{d} states exceeds the cap of d<={ENUMERATION_CAP}"
         )
+
+
+def _log_weights(params: FvbmParams) -> np.ndarray:
+    """Exponents 0.5 * x'Mx + x'b of all 2^d states, in one 2^d vector
+    (module docstring)."""
+    d = params.d
+    _check_enumerable(d)
     m, b = params.interaction, params.bias
     lo = d // 2
     s_hi, s_lo = (_spins(np.arange(1 << k), k) for k in (d - lo, lo))
@@ -261,8 +265,9 @@ def sample(params: FvbmParams, n: int, seed: int) -> np.ndarray:
     """Exact i.i.d. draws by inverse CDF over the enumerated weights.
 
     Deterministic for a fixed seed.  Returns an n-by-d matrix of +/-1;
-    n = 0 yields an empty matrix.  ``n`` and ``seed`` must be
-    nonnegative ints (not bools).
+    n = 0 yields an empty matrix, and d > ENUMERATION_CAP is refused for
+    every n, 0 included.  ``n`` and ``seed`` must be nonnegative ints (not
+    bools).
     """
     for name, value in (("n", n), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -270,6 +275,7 @@ def sample(params: FvbmParams, n: int, seed: int) -> np.ndarray:
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
     d = params.d
+    _check_enumerable(d)
     if n == 0:
         return np.empty((0, d))
     # The unnormalized CDF overwrites the weights, and is freed before the

@@ -7,6 +7,7 @@ evidence rather than tautology.
 
 import csv
 import itertools
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 import fvbm
 from fvbm import DataError, FvbmParams
 from fvbm.fit import MAX_HALVINGS, STEP_LIMIT
+from fvbm.inference import CONDITION_LIMIT
 from fvbm.params import slot_map
 from fvbm.pseudolikelihood import _activations, _check_dims, _log_pl, _sech2
 from fvbm.votes import ImputeConfig, SplitResolution, Vote, _normalize_cell, _rows_from
@@ -849,3 +851,116 @@ def listed_network_to_json_dict(spec) -> dict:
             for e in spec.edges
         ],
     }
+
+
+def eigh_symmetric_inverse(a: np.ndarray, coordinate_names: list[str] | None) -> np.ndarray:
+    """inv(a) from a full eigendecomposition, refused (NumericalError) when
+    the eigenvalue ratio exceeds 1e12 or is not finite."""
+    eigvals, eigvecs = np.linalg.eigh(a)
+    absvals = np.abs(eigvals)
+    worst = int(np.argmin(absvals))
+    cond = np.inf if absvals[worst] == 0.0 else float(absvals.max() / absvals[worst])
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        v = np.abs(eigvecs[:, worst])
+        offenders = [int(i) for i in np.flatnonzero(v >= 0.5 * v.max())]
+        shown = (
+            ", ".join(coordinate_names[i] for i in offenders)
+            if coordinate_names
+            else ", ".join(str(i) for i in offenders)
+        )
+        raise fvbm.NumericalError(
+            f"information matrix is singular or ill-conditioned "
+            f"(condition number {cond:.3g}); near-null direction is carried "
+            f"by coordinate(s) {shown}"
+        )
+    return (eigvecs / eigvals) @ eigvecs.T
+
+
+def eigh_sandwich_covariance(
+    params: FvbmParams, data, coordinate_names: list[str] | None = None
+) -> np.ndarray:
+    """(1/n) inv(I1) I2 inv(I1), symmetrized, with inv(I1) from
+    :func:`eigh_symmetric_inverse`."""
+    x = fvbm.as_spin_matrix(data)
+    i1_inv = eigh_symmetric_inverse(fvbm.empirical_info_1(params, x), coordinate_names)
+    i2 = fvbm.empirical_info_2(params, x)
+    cov = i1_inv @ i2 @ i1_inv / x.shape[0]
+    return (cov + cov.T) / 2.0
+
+
+# Largest |cov_ij - oracle_ij| / sqrt(oracle_ii oracle_jj) allowed against
+# eigh_sandwich_covariance; at most 9.3e-15 was measured on fits of d = 2,
+# 8 and 24 with condition numbers of 2-10.
+COVARIANCE_RTOL = 1e-13
+
+
+def relative_covariance_error(cov: np.ndarray, expected: np.ndarray) -> float:
+    scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
+    return float((np.abs(cov - expected) / scale).max())
+
+
+def loop_format_report_tables(report: "fvbm.InferenceReport", labels: list[str]) -> str:
+    """The report tables with every cell formatted and padded on its own."""
+    d = len(fvbm.check_labels(labels, report.d))
+    quantities = [
+        ("Estimate", report.estimates, lambda v: f"{v:.3f}"),
+        ("Std. err.", report.standard_errors, lambda v: f"{v:.3f}"),
+        ("z-score", report.z_scores, lambda v: f"{v:.3f}"),
+        ("p-value", report.p_values, lambda v: f"{v:.2E}"),
+        ("adj. p", report.adjusted_p_values, lambda v: f"{v:.2E}"),
+    ]
+    width = max(11, max(len(s) for s in labels) + 2)
+    head = "".join(f"{s:>{width}}" for s in labels)
+    lines = ["A: biases", f"{'':12s}{head}"]
+    for name, vec, fmt in quantities:
+        row = "".join(f"{fmt(vec[i]):>{width}}" for i in range(d))
+        lines.append(f"{name:12s}{row}")
+    lines.append("")
+    lines.append("B: interactions")
+    slot = slot_map(d)
+    for name, vec, fmt in quantities:
+        lines.append(name)
+        lines.append(f"{'':{width}}" + "".join(f"{s:>{width}}" for s in labels[:-1]))
+        for r in range(1, d):
+            cells = "".join(f"{fmt(v):>{width}}" for v in vec[slot[r, :r]])
+            lines.append(f"{labels[r]:>{width}}" + cells)
+        lines.append("")
+    return "\n".join(lines)
+
+
+def recursive_dumps(obj) -> str:
+    """Deterministic JSON text with every value, float items of a list
+    included, emitted by one recursive call of its own."""
+
+    def emit(obj, level: int) -> str:
+        pad = "  " * level
+        inner = "  " * (level + 1)
+        if obj is None:
+            return "null"
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        if isinstance(obj, int):
+            return str(obj)
+        if isinstance(obj, float):
+            if not math.isfinite(obj):
+                raise ValueError(f"cannot serialize non-finite float {obj!r}")
+            return format(obj, ".17g")
+        if isinstance(obj, str):
+            return json.dumps(obj)
+        if isinstance(obj, (list, tuple)):
+            if len(obj) == 0:
+                return "[]"
+            items = [emit(v, level + 1) for v in obj]
+            return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
+        if isinstance(obj, dict):
+            if len(obj) == 0:
+                return "{}"
+            items = []
+            for key, value in obj.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON object keys must be strings, got {key!r}")
+                items.append(f"{inner}{json.dumps(key)}: {emit(value, level + 1)}")
+            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+    return emit(obj, 0) + "\n"

@@ -13,6 +13,8 @@ from fvbm import cli
 from fvbm.cli import main
 from fvbm.fit import STOP_RULES
 
+from oracles import COVARIANCE_RTOL, eigh_sandwich_covariance, relative_covariance_error
+
 _VOTES = """date,number,GOV,AAA,BBB,CCC
 1/1,1,Yes,No,Yes,Split
 1/1,2,No,No,-,No
@@ -313,6 +315,30 @@ def test_full_pipeline_composition(tmp_path, well_posed_csvs):
     table = fvbm.enumerate_pmf(fvbm.FitResult.from_json_dict(fit_obj).params)
     j, k = (fit_obj["labels"].index(name) for name in ("AAA", "CULL"))
     assert pair["concordance"] == fvbm.concordance(table, j, k)
+
+
+def test_infer_covariance_matches_eigh_oracle(tmp_path, well_posed_csvs):
+    # the prepared well-posed fixture and the simulated P,Q draw
+    _, matrix = _prepare(tmp_path, *well_posed_csvs)
+    _, _, simulated = _simulate(tmp_path, n=2000)
+    for data_path in (matrix, simulated):
+        fit_path = tmp_path / "fit.json"
+        assert main(["fit", str(data_path), "-o", str(fit_path)]) == 0
+        params = fvbm.FitResult.from_json_dict(json.loads(fit_path.read_text())).params
+        _, data = fvbm.read_spin_csv(data_path)
+        cov = fvbm.sandwich_covariance(params, data)
+        expected = eigh_sandwich_covariance(params, data)
+        assert relative_covariance_error(cov, expected) <= COVARIANCE_RTOL
+
+
+def test_simulate_refuses_d_above_the_cap_for_every_n(tmp_path, capsys):
+    params_path = tmp_path / "params.json"
+    fvbm.jsonio.dump(fvbm.FvbmParams.zeros(fvbm.ENUMERATION_CAP + 1).to_json_dict(), params_path)
+    for n in ("1", "0"):
+        out = tmp_path / f"sim{n}.csv"
+        assert main(["simulate", str(params_path), "--n", n, "-o", str(out)]) == 2
+        assert "exceeds the cap of d<=20" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_infer_bh_never_exceeds_by(tmp_path, well_posed_csvs):

@@ -9,16 +9,21 @@ from hypothesis import given, settings
 
 import fvbm
 from fvbm import jsonio
-from fvbm.inference import two_sided_p_value
+from fvbm.inference import _symmetric_inverse, two_sided_p_value
 
 import reference_values as ref
 from oracles import (
+    COVARIANCE_RTOL,
     ORACLE_SHAPES,
     correlated_spins,
+    eigh_sandwich_covariance,
+    eigh_symmetric_inverse,
     fd_gradient,
     fd_jacobian,
+    loop_format_report_tables,
     random_params,
     random_spins,
+    relative_covariance_error,
     small_spin_tables,
 )
 
@@ -150,6 +155,103 @@ def test_sandwich_singular_information_raises():
     with pytest.raises(fvbm.NumericalError) as excinfo:
         fvbm.sandwich_covariance(params, data, coordinate_names=["b0", "b1", "m01"])
     assert "b0" in str(excinfo.value) or "m01" in str(excinfo.value)
+
+
+def _outcome(inverse, a, names):
+    try:
+        return inverse(a, names)
+    except (fvbm.NumericalError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+def _battery(p):
+    """Symmetric matrices Q diag(lam) Q' around the 1e12 condition limit,
+    with eigenvalues spread evenly in log or one small and the rest 1, plus
+    singular, indefinite, zero and NaN cases."""
+    rng = np.random.default_rng(p)
+    q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    conds = np.r_[1e8, 1e10, 1e11, np.geomspace(2e11, 5e12, 15), 1e13, 1e14]
+    spectra = [np.geomspace(1.0, 1.0 / c, p) for c in conds]
+    spectra += [np.r_[np.ones(p - 1), 1.0 / c] for c in conds]
+    spectra += [np.r_[np.ones(p - 1), 0.0], np.r_[np.ones(p - 1), -0.5]]
+    battery = [(q * lam) @ q.T for lam in spectra]
+    nan = np.eye(p)
+    nan[0, -1] = nan[-1, 0] = np.nan
+    return battery + [np.zeros((p, p)), nan]
+
+
+@pytest.mark.parametrize("p", [3, 55, 300])
+def test_inverse_refuses_exactly_as_the_eigh_oracle(p, monkeypatch):
+    # Only where |a|_F |inv(a)|_F <= 5e11 does the Cholesky inverse stand;
+    # there cond(a) <= 5e11, so eigh accepts too.  Everything else runs the
+    # eigh path, so refusals and their messages are the oracle's.  Inverses
+    # accepted by both agree within 10 cond eps; 1.2 cond eps was measured.
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    names = [f"c{i}" for i in range(p)]
+    paths = set()
+    for a in _battery(p):
+        calls.clear()
+        got = _outcome(_symmetric_inverse, a, names)
+        expected = _outcome(eigh_symmetric_inverse, a, names)
+        if isinstance(expected, tuple):
+            assert got == expected
+            paths.add("refused")
+            continue
+        paths.add("eigh" if len(calls) == 2 else "cholesky")
+        eigvals = np.abs(np.linalg.eigvalsh(a))
+        cond = eigvals.max() / eigvals.min()
+        scale = 10.0 * cond * np.finfo(float).eps * np.abs(expected).max()
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=scale)
+    assert paths == {"cholesky", "eigh", "refused"}
+
+
+def _d24_draw():
+    # three independent 8-column blocks, each sampled exactly
+    rng = np.random.default_rng(24)
+    blocks = [fvbm.sample(random_params(rng, 8, scale=0.5), 2000, seed=s) for s in (1, 2, 3)]
+    return np.hstack(blocks)
+
+
+def test_sandwich_matches_eigh_oracle_on_a_d24_draw():
+    data = _d24_draw()
+    result = fvbm.fit(data)
+    assert result.converged
+    cov = fvbm.sandwich_covariance(result.params, data)
+    expected = eigh_sandwich_covariance(result.params, data)
+    assert np.array_equal(cov, cov.T)
+    assert relative_covariance_error(cov, expected) <= COVARIANCE_RTOL
+
+
+def test_well_conditioned_report_runs_no_eigh(monkeypatch):
+    def refuse(a):
+        raise AssertionError("eigh called on a well-conditioned information matrix")
+
+    data = _d24_draw()
+    result = fvbm.fit(data)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    report = fvbm.build_report(result, data)
+    assert np.all(np.isfinite(report.standard_errors))
+
+
+def test_ill_conditioned_report_names_the_offending_coordinates():
+    # identical rows leave the d=2 information singular; the hand-built
+    # record claims convergence so that the report reaches the inverse
+    data = np.ones((10, 2))
+    record = fvbm.FitResult(
+        params=fvbm.FvbmParams.zeros(2),
+        objective_trace=np.zeros(1),
+        iterations_used=0,
+        converged=True,
+    )
+    names = ["b0", "b1", "m01"]
+    with pytest.raises(fvbm.NumericalError) as excinfo:
+        fvbm.build_report(record, data, coordinate_names=names)
+    with pytest.raises(fvbm.NumericalError) as oracle:
+        eigh_sandwich_covariance(record.params, data, coordinate_names=names)
+    assert str(excinfo.value) == str(oracle.value)
+    assert str(excinfo.value).endswith("carried by coordinate(s) b0, b1, m01")
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +484,27 @@ def test_report_json_round_trip():
     np.testing.assert_array_equal(rebuilt.estimates, report.estimates)
     np.testing.assert_array_equal(rebuilt.adjusted_p_values, report.adjusted_p_values)
     assert rebuilt.adjustment_groups == report.adjustment_groups
+
+
+@pytest.mark.parametrize("d, width", [(3, 2), (8, 4), (12, 14)])
+def test_format_report_tables_matches_cell_by_cell_oracle(d, width):
+    # values from 1e-300 to 1e4 in size, of both signs and zero; at width
+    # 14 the labels are wider than the 11-character minimum column
+    rng = np.random.default_rng(d)
+    p = fvbm.flat_length(d)
+    values = rng.choice([-1.0, 1.0], p) * 10.0 ** rng.uniform(-300, 4, p)
+    values[0] = 0.0
+    p_values = 10.0 ** rng.uniform(-300, 0, p)
+    report = fvbm.InferenceReport(
+        estimates=values,
+        standard_errors=np.abs(values) + 0.5,
+        z_scores=-values,
+        p_values=p_values,
+        adjusted_p_values=np.minimum(1.0, 3.0 * p_values),
+        adjustment_groups=fvbm.inference.default_groups(d),
+    )
+    labels = [f"{j:0{width}d}" for j in range(d)]
+    assert fvbm.format_report_tables(report, labels) == loop_format_report_tables(report, labels)
 
 
 def test_format_report_tables():

@@ -12,7 +12,7 @@ import fvbm
 from fvbm import jsonio
 from fvbm.params import flat_dimension, slot_map
 
-from oracles import random_params
+from oracles import random_params, recursive_dumps
 
 
 def test_flat_length():
@@ -126,6 +126,42 @@ def test_json_seventeen_digit_floats():
 def test_json_rejects_non_finite():
     with pytest.raises(ValueError):
         jsonio.dumps({"x": float("nan")})
+
+
+_finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(max_size=4),
+    _finite_or_not,
+    _finite_or_not.map(np.float64),
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(_finite_or_not, max_size=8),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _emitted(dumps, obj):
+    try:
+        return dumps(obj)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_json_trees)
+def test_json_text_matches_recursive_emitter(obj):
+    # lists of plain floats take a one-pass path; the text, or the error on
+    # the first non-finite float, must be the recursive emitter's
+    assert _emitted(jsonio.dumps, obj) == _emitted(recursive_dumps, obj)
 
 
 def test_spin_validation():

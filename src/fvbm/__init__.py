@@ -26,27 +26,19 @@ from .model import (
     PmfTable,
     concordance,
     enumerate_pmf,
-    index_state,
-    log_normalization,
-    log_unnormalized,
     marginal_probability,
-    normalization_constant,
     pairwise_joint,
-    pmf,
     sample,
-    state_index,
 )
 from .params import (
     FvbmParams,
     as_spin_matrix,
-    as_spin_vector,
     check_labels,
     flat_labels,
     flat_length,
     pair_indices,
 )
 from .pseudolikelihood import (
-    conditional_pmf,
     log_pseudolikelihood,
     per_observation_scores,
     pseudo_hessian,
@@ -89,12 +81,10 @@ __all__ = [
     "Vote",
     "VoteTable",
     "as_spin_matrix",
-    "as_spin_vector",
     "build_network",
     "build_report",
     "check_labels",
     "concordance",
-    "conditional_pmf",
     "default_groups",
     "drop_sparse_columns",
     "emit_dot",
@@ -108,21 +98,16 @@ __all__ = [
     "flat_labels",
     "flat_length",
     "format_report_tables",
-    "index_state",
     "knn_impute",
     "knn_impute_cells",
-    "log_normalization",
     "log_pseudolikelihood",
-    "log_unnormalized",
     "marginal_probability",
     "network_to_json_dict",
-    "normalization_constant",
     "pair_indices",
     "pairwise_joint",
     "parse_split_records",
     "parse_votes",
     "per_observation_scores",
-    "pmf",
     "pseudo_hessian",
     "pseudo_score",
     "read_spin_csv",
@@ -131,7 +116,6 @@ __all__ = [
     "sandwich_covariance",
     "spin_matrix_to_json_dict",
     "standard_errors",
-    "state_index",
     "wald_test",
     "write_spin_csv",
     "__version__",

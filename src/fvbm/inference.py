@@ -55,7 +55,11 @@ CONDITION_LIMIT = 1e12
 def empirical_info_1(params: FvbmParams, data) -> np.ndarray:
     """Negative mean Hessian of the log-pseudolikelihood (the "bread")."""
     x = as_spin_matrix(data)
-    return -pseudo_hessian(params, x) / x.shape[0]
+    # in place: -(-I) / n and (-I) / -n round alike, and no p-by-p temporary
+    # is made
+    h = pseudo_hessian(params, x)
+    h /= -x.shape[0]
+    return h
 
 
 def empirical_info_2(params: FvbmParams, data) -> np.ndarray:

@@ -4,10 +4,9 @@ The probability of a +/-1 configuration ``x`` is
 
     P(x) = exp(0.5 * x'Mx + x'b) / z,    z = sum over all 2^d states,
 
-so anything exact (the normalization constant, the full PMF table,
-marginals, pairwise joints, exact sampling) costs 2^d work.  Operations
-that enumerate refuse dimensions above ``ENUMERATION_CAP`` (20) rather
-than silently blowing up.
+so anything exact (the full PMF table, marginals, pairwise joints, exact
+sampling) costs 2^d work.  Operations that enumerate refuse dimensions
+above ``ENUMERATION_CAP`` (20) rather than silently blowing up.
 
 State indexing convention: state index ``i`` encodes coordinate ``j``
 (0-based) in bit ``j`` of ``i``, with a set bit meaning +1.  Index 0 is the
@@ -28,11 +27,10 @@ The half terms ride in the cross product as two extra columns,
 so one (2^hi x (lo+2)) by ((lo+2) x 2^lo) product makes all 2^d
 log-weights.  Its factors are small (1024 x 12 at d=20); its output is
 the only 2^d array.  Every exact quantity then exponentiates that array
-once, in place, after subtracting its max: log z is the max plus the log
-of the sum, the PMF divides by the sum, and :func:`sample` takes its CDF
-in place.  One 2^d vector (8 MB at d=20) is held, with no 2^d
-temporaries.  The log-weights are within 1e-13 * max(1, |logw|) of
-summing each state's terms directly.
+once, in place, after subtracting its max: the PMF divides by the sum,
+and :func:`sample` takes its CDF in place.  One 2^d vector (8 MB at d=20)
+is held, with no 2^d temporaries.  The log-weights are within
+1e-13 * max(1, |logw|) of summing each state's terms directly.
 
 Marginals and pairwise joints are read from one array of pair cells,
 ``cells[a, j, c, k] = P(X_j = s_a, X_k = s_c)`` with s = (+1, -1), whose
@@ -59,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
-from .params import FvbmParams, as_spin_vector
+from .params import FvbmParams
 
 ENUMERATION_CAP = 20
 
@@ -68,19 +66,6 @@ def _spins(idx, d: int) -> np.ndarray:
     """+/-1 configurations of state indices: bit j of each index is coordinate j."""
     bits = (np.asarray(idx)[..., None] >> np.arange(d)) & 1
     return bits.astype(np.float64) * 2.0 - 1.0
-
-
-def index_state(i: int, d: int) -> np.ndarray:
-    """Spin configuration for a state index under the canonical convention."""
-    if not 0 <= i < (1 << d):
-        raise ValueError(f"state index {i} out of range for d={d}")
-    return _spins(i, d)
-
-
-def state_index(x) -> int:
-    """Inverse of :func:`index_state`."""
-    x = as_spin_vector(x)
-    return int(sum(1 << j for j in range(x.size) if x[j] > 0))
 
 
 def _sub_log_weights(spins: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,41 +97,12 @@ def _log_weights(params: FvbmParams) -> np.ndarray:
     return (left @ right.T).reshape(-1)
 
 
-def _shifted_weights(params: FvbmParams) -> tuple[float, np.ndarray]:
-    """The max log-weight and exp(logw - max) of all 2^d states: the one
-    exponentiation of the module, done in place on the log-weights."""
+def _shifted_weights(params: FvbmParams) -> np.ndarray:
+    """exp(logw - max logw) of all 2^d states: the one exponentiation of the
+    module, done in place on the log-weights."""
     w = _log_weights(params)
-    top = float(w.max())
-    w -= top
-    return top, np.exp(w, out=w)
-
-
-def log_unnormalized(params: FvbmParams, x) -> float:
-    """Exponent 0.5 * x'Mx + x'b of the unnormalized probability weight."""
-    x = as_spin_vector(x)
-    if x.size != params.d:
-        raise DataError(f"observation has {x.size} coordinates, model has {params.d}")
-    return float(0.5 * x @ params.interaction @ x + x @ params.bias)
-
-
-def log_normalization(params: FvbmParams) -> float:
-    """log z as the max log-weight plus the log of the sum of the shifted
-    weights (module docstring).  Its peak memory is the one 2^d vector,
-    8 MB at d=20 and doubling with each d, plus the half-state tables.
-    """
-    top, w = _shifted_weights(params)
-    return top + float(np.log(w.sum()))
-
-
-def normalization_constant(params: FvbmParams) -> float:
-    """The plain normalization constant z.  May overflow to inf for extreme
-    parameters; use :func:`log_normalization` in that regime."""
-    return float(np.exp(log_normalization(params)))
-
-
-def pmf(params: FvbmParams, x) -> float:
-    """Exact probability of one configuration."""
-    return float(np.exp(log_unnormalized(params, x) - log_normalization(params)))
+    w -= w.max()
+    return np.exp(w, out=w)
 
 
 def _indicators(bits: int) -> np.ndarray:
@@ -224,7 +180,7 @@ class PmfTable:
 
 def enumerate_pmf(params: FvbmParams) -> PmfTable:
     """Probabilities of all 2^d states; sums to one within 1e-12."""
-    _, w = _shifted_weights(params)
+    w = _shifted_weights(params)
     w /= w.sum()
     return PmfTable._trusted(params.d, w)
 
@@ -280,7 +236,7 @@ def sample(params: FvbmParams, n: int, seed: int) -> np.ndarray:
         return np.empty((0, d))
     # The unnormalized CDF overwrites the weights, and is freed before the
     # n-by-d decode allocates.
-    _, cdf = _shifted_weights(params)
+    cdf = _shifted_weights(params)
     np.cumsum(cdf, out=cdf)
     # Searching the uniforms in sorted order walks the CDF (8 MB at d=20)
     # once from front to back instead of at random.

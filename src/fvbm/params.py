@@ -168,14 +168,11 @@ class FvbmParams:
         rows, cols = upper_indices(self.d)
         return np.concatenate([self.bias, self.interaction[rows, cols]])
 
-    def upper_triangle(self) -> np.ndarray:
-        return self.to_flat()[self.d:]
-
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
             "bias": [float(v) for v in self.bias],
-            "interaction_upper": [float(v) for v in self.upper_triangle()],
+            "interaction_upper": [float(v) for v in self.to_flat()[self.d:]],
         }
 
     @classmethod
@@ -219,14 +216,4 @@ def as_spin_matrix(values, *, allow_empty: bool = False) -> np.ndarray:
             f"spin data must contain only -1/+1; offending cell "
             f"(row {bad[0]}, column {bad[1]})"
         )
-    return x
-
-
-def as_spin_vector(values) -> np.ndarray:
-    """Validate a single +/-1 observation; returns a length-d float vector."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise DataError(f"spin vector must be 1-D and nonempty, got shape {x.shape}")
-    if not np.all(np.abs(x) == 1.0):
-        raise DataError("spin vector must contain only -1/+1")
     return x

@@ -1,4 +1,4 @@
-"""Conditional PMFs, the log-pseudolikelihood, and its derivatives.
+"""The log-pseudolikelihood and its derivatives.
 
 The conditional probability of coordinate j given the rest depends only on
 the activation a_j = m_j'x + b_j (m_j is column j of the interaction
@@ -40,14 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .params import (
-    FvbmParams,
-    as_spin_matrix,
-    as_spin_vector,
-    flat_length,
-    slot_map,
-    upper_indices,
-)
+from .params import FvbmParams, as_spin_matrix, flat_length, slot_map, upper_indices
 
 
 def _activations(params: FvbmParams, x: np.ndarray) -> np.ndarray:
@@ -62,33 +55,10 @@ def _check_dims(params: FvbmParams, x: np.ndarray) -> None:
         )
 
 
-def _sigmoid(t: float) -> float:
-    if t >= 0:
-        return 1.0 / (1.0 + np.exp(-t))
-    e = np.exp(t)
-    return e / (1.0 + e)
-
-
 def _sech2(a: np.ndarray) -> np.ndarray:
     # 4 e^{-2|a|} / (1 + e^{-2|a|})^2: exact at 0, underflows cleanly to 0.
     e = np.exp(-2.0 * np.abs(a))
     return 4.0 * e / (1.0 + e) ** 2
-
-
-def conditional_pmf(params: FvbmParams, x, j: int) -> float:
-    """f(x_j | x_(j)) for a single observation.
-
-    The probability of the complementary value is computed as the exact
-    complement, so the two conditionals always sum to one.
-    """
-    x = as_spin_vector(x)
-    if x.size != params.d:
-        raise DataError(f"observation has {x.size} coordinates, model has {params.d}")
-    if not 0 <= j < params.d:
-        raise ValueError(f"coordinate {j} out of range for d={params.d}")
-    a = float(params.interaction[j] @ x + params.bias[j])
-    q = _sigmoid(2.0 * a)
-    return q if x[j] > 0 else 1.0 - q
 
 
 def _log_pl(x: np.ndarray, a: np.ndarray) -> float:

@@ -94,12 +94,6 @@ class VoteTable:
     def n(self) -> int:
         return len(self.cells)
 
-    def column(self, party: str) -> list[Vote]:
-        return [Vote(v) for v in self.cells[:, self.parties.index(party)].tolist()]
-
-    def missing_fraction(self, party: str) -> float:
-        return self.column(party).count(Vote.MISSING) / max(self.n, 1)
-
 
 def parse_votes(source) -> VoteTable:
     """Read the division CSV into a :class:`VoteTable`, normalizing each
@@ -282,9 +276,9 @@ def _knn_fill(codes: np.ndarray, observed: np.ndarray, k: int) -> np.ndarray:
     in float64: the same double as Python's ``int / int``.
 
     Incomplete rows go through in blocks of consecutive rows that hold
-    about ``_FILL_BLOCK // n`` missing cells (a row with more is a block of
-    its own), so each n-wide temporary of a block has about ``_FILL_BLOCK``
-    elements.  For the rows of a block, one product of observed indicators
+    about ``max(d, _FILL_BLOCK // n)`` missing cells, so each n-wide
+    temporary of a block has about ``max(d * n, _FILL_BLOCK)`` elements and
+    a block never holds fewer cells than a row has columns.  For the rows of a block, one product of observed indicators
     and one-hot codes over d*m columns gives (d+1)*overlap + agree against
     every row: exact integer counts of the mutually observed columns and of
     those among them with equal codes.  mismatch/overlap is thus one of
@@ -334,7 +328,7 @@ def _knn_fill(codes: np.ndarray, observed: np.ndarray, k: int) -> np.ndarray:
     cell_rows, cell_cols = np.nonzero(~observed)
     incomplete, at, holes = np.unique(cell_rows, return_inverse=True, return_counts=True)
     ends = np.cumsum(holes)
-    block = (ends - holes) // max(1, _FILL_BLOCK // n)
+    block = (ends - holes) // max(d, _FILL_BLOCK // n)
     starts = np.flatnonzero(np.diff(block, prepend=-1))
     near = np.empty((cell_rows.size, k), dtype=np.intp)
     for s, e in zip(starts, [*starts[1:], incomplete.size]):

@@ -61,13 +61,17 @@ def test_info1_matches_finite_differences():
 
 
 def test_info1_shares_hessian_code_path():
+    # the Hessian divided in place by -n has the bits of the Hessian
+    # negated and divided by n, at every oracle shape
     rng = np.random.default_rng(53)
-    params = random_params(rng, 4)
-    data = random_spins(rng, 20, 4)
-    np.testing.assert_array_equal(
-        fvbm.empirical_info_1(params, data),
-        -fvbm.pseudo_hessian(params, data) / 20.0,
-    )
+    for d, n in [(4, 20), *ORACLE_SHAPES]:
+        params = random_params(rng, d, scale=0.5)
+        data = correlated_spins(rng, n, d)
+        np.testing.assert_array_equal(
+            fvbm.empirical_info_1(params, data), -fvbm.pseudo_hessian(params, data) / n
+        )
+    with pytest.raises(fvbm.DataError, match="data has 24 columns, model has 25"):
+        fvbm.empirical_info_1(fvbm.FvbmParams.zeros(25), data)
 
 
 def test_info2_gram_psd():

@@ -20,6 +20,7 @@ from oracles import (
     mask_marginal_probability,
     mask_pairwise_joint,
     naive_pmf,
+    naive_state_weights,
     random_params,
     slice_fixed_sum,
     table_sample,
@@ -49,51 +50,43 @@ def _assert_matches_block_oracle(params):
     _assert_within_log_weight_bound(logw, expected)
     _assert_within_log_weight_bound(logw, doubling_log_weights(params))
     logz = _oracle_log_z(expected)
-    assert abs(fvbm.log_normalization(params) - logz) <= 1e-13 * max(1.0, abs(logz))
     np.testing.assert_allclose(
         fvbm.enumerate_pmf(params).probabilities, np.exp(expected - logz), rtol=1e-12, atol=0
     )
 
 
+def _state(x) -> int:
+    """The state index of a +/-1 configuration: bit j is set where x_j = +1."""
+    return sum(1 << j for j, v in enumerate(x) if v > 0)
+
+
 def test_log_unnormalized_zero_params():
-    params = fvbm.FvbmParams.zeros(3)
-    assert fvbm.log_unnormalized(params, [1, -1, 1]) == 0.0
+    np.testing.assert_array_equal(_log_weights(fvbm.FvbmParams.zeros(3)), np.zeros(8))
 
 
 def test_log_unnormalized_hand_values():
     params = fvbm.FvbmParams(bias=[0.0, 0.0], interaction=[[0, 0.5], [0.5, 0]])
-    assert fvbm.log_unnormalized(params, [1, 1]) == pytest.approx(0.5, abs=1e-15)
+    assert _log_weights(params)[_state([1, 1])] == pytest.approx(0.5, abs=1e-15)
     tilted = fvbm.FvbmParams(bias=[1.0, -1.0], interaction=[[0, 0.5], [0.5, 0]])
     # x'b = 1*1 + (-1)(-1) = 2, quadratic term = m12 * x1 * x2 = -0.5
-    assert fvbm.log_unnormalized(tilted, [1, -1]) == pytest.approx(1.5, abs=1e-15)
-
-
-def test_log_unnormalized_dimension_mismatch():
-    with pytest.raises(fvbm.DataError):
-        fvbm.log_unnormalized(fvbm.FvbmParams.zeros(2), [1, 1, 1])
+    assert _log_weights(tilted)[_state([1, -1])] == pytest.approx(1.5, abs=1e-15)
 
 
 def test_normalization_constant_hand_values():
-    flat = fvbm.FvbmParams.zeros(1)
-    assert fvbm.normalization_constant(flat) == pytest.approx(2.0, rel=1e-14)
+    # each state of a zero model has probability 1/z, z = 2^d
+    for d, z in ((1, 2.0), (3, 8.0)):
+        table = fvbm.enumerate_pmf(fvbm.FvbmParams.zeros(d))
+        np.testing.assert_allclose(table.probabilities, 1.0 / z, rtol=1e-14)
     pair = fvbm.FvbmParams(bias=[0.0, 0.0], interaction=[[0, 0.5], [0.5, 0]])
-    expected = 2.0 * math.exp(0.5) + 2.0 * math.exp(-0.5)
-    assert fvbm.normalization_constant(pair) == pytest.approx(expected, rel=1e-14)
-    assert fvbm.normalization_constant(fvbm.FvbmParams.zeros(3)) == pytest.approx(
-        8.0, rel=1e-14
-    )
+    z = 2.0 * math.exp(0.5) + 2.0 * math.exp(-0.5)
+    expected = [math.exp(0.5) / z, math.exp(-0.5) / z, math.exp(-0.5) / z, math.exp(0.5) / z]
+    np.testing.assert_allclose(fvbm.enumerate_pmf(pair).probabilities, expected, rtol=1e-14)
 
 
 def test_normalization_cap():
     # every enumerating function refuses d > ENUMERATION_CAP before it allocates
     big = fvbm.FvbmParams.zeros(fvbm.ENUMERATION_CAP + 1)
-    for enumerate_states in (
-        fvbm.log_normalization,
-        fvbm.normalization_constant,
-        fvbm.enumerate_pmf,
-        lambda params: fvbm.pmf(params, np.ones(params.d)),
-        lambda params: fvbm.sample(params, 1, seed=0),
-    ):
+    for enumerate_states in (fvbm.enumerate_pmf, lambda params: fvbm.sample(params, 1, seed=0)):
         with pytest.raises(fvbm.DataError) as refusal:
             enumerate_states(big)
         assert str(refusal.value) == "enumeration over 2^21 states exceeds the cap of d<=20"
@@ -101,17 +94,19 @@ def test_normalization_cap():
 
 def test_normalization_large_parameters_no_overflow():
     params = fvbm.FvbmParams(bias=[400.0, -400.0], interaction=[[0, 50.0], [50.0, 0]])
-    logz = fvbm.log_normalization(params)
-    assert np.isfinite(logz)
-    # the (+1, -1) state dominates: -m12 + b1 - b2 = 750
-    assert logz == pytest.approx(750.0, rel=1e-12)
+    # the (+1, -1) state dominates: -m12 + b1 - b2 = 750, and the next is
+    # 700 below it
+    assert _log_weights(params).max() == 750.0
+    table = fvbm.enumerate_pmf(params)
+    assert np.all(np.isfinite(table.probabilities))
+    assert table.probabilities[_state([1, -1])] == 1.0
+    assert table.probabilities.sum() == 1.0
 
 
 def test_enumeration_spans_multiple_blocks():
     # d=17 has more states than one 2^16 block of the oracle's streaming layout
-    params = fvbm.FvbmParams.zeros(17)
-    assert fvbm.log_normalization(params) == pytest.approx(17 * math.log(2.0), rel=1e-14)
-    table = fvbm.enumerate_pmf(params)
+    table = fvbm.enumerate_pmf(fvbm.FvbmParams.zeros(17))
+    np.testing.assert_allclose(table.probabilities, 2.0**-17, rtol=1e-14)
     assert abs(float(table.probabilities.sum()) - 1.0) <= 1e-12
     assert table.probabilities.size == 1 << 17
     _assert_matches_block_oracle(random_params(np.random.default_rng(17), 17, scale=0.5))
@@ -139,13 +134,16 @@ def test_log_weights_match_both_oracles_for_any_parameters(d, scale, seed):
 
 
 def test_pmf_hand_values():
-    assert fvbm.pmf(fvbm.FvbmParams.zeros(1), [1]) == pytest.approx(0.5, rel=1e-14)
+    table = fvbm.enumerate_pmf(fvbm.FvbmParams.zeros(1))
+    assert table.probabilities[_state([1])] == pytest.approx(0.5, rel=1e-14)
     lean = fvbm.FvbmParams(bias=[1.0], interaction=[[0.0]])
     expected = math.exp(1) / (math.exp(1) + math.exp(-1))
-    assert fvbm.pmf(lean, [1]) == pytest.approx(expected, rel=1e-14)
+    table = fvbm.enumerate_pmf(lean)
+    assert table.probabilities[_state([1])] == pytest.approx(expected, rel=1e-14)
     pair = fvbm.FvbmParams(bias=[0.0, 0.0], interaction=[[0, 0.5], [0.5, 0]])
     expected = math.exp(0.5) / (2 * math.exp(0.5) + 2 * math.exp(-0.5))
-    assert fvbm.pmf(pair, [1, 1]) == pytest.approx(expected, rel=1e-14)
+    table = fvbm.enumerate_pmf(pair)
+    assert table.probabilities[_state([1, 1])] == pytest.approx(expected, rel=1e-14)
 
 
 def test_enumerate_pmf_hand_values():
@@ -173,23 +171,18 @@ def test_enumeration_matches_naive_oracle():
         params = random_params(rng, d, scale=1.5)
         table = fvbm.enumerate_pmf(params)
         for state, prob in naive_pmf(params).items():
-            idx = fvbm.state_index(np.array(state))
-            assert table.probabilities[idx] == pytest.approx(prob, rel=1e-12)
+            assert table.probabilities[_state(state)] == pytest.approx(prob, rel=1e-12)
 
 
 def test_pmf_matches_table_entries():
     rng = np.random.default_rng(6)
     params = random_params(rng, 5, scale=1.0)
     table = fvbm.enumerate_pmf(params)
+    weights = naive_state_weights(params)
+    z = math.fsum(weights.values())
     for i in (0, 7, 19, 31):
-        x = fvbm.index_state(i, 5)
-        assert abs(fvbm.pmf(params, x) - table.probabilities[i]) < 1e-12
-
-
-def test_state_index_round_trip():
-    for d in (1, 3, 6):
-        for i in range(1 << d):
-            assert fvbm.state_index(fvbm.index_state(i, d)) == i
+        x = tuple(1.0 if i >> j & 1 else -1.0 for j in range(5))
+        assert abs(weights[x] / z - table.probabilities[i]) < 1e-12
 
 
 def test_bias_negation_symmetry():
@@ -199,8 +192,8 @@ def test_bias_negation_symmetry():
     table = fvbm.enumerate_pmf(params)
     table_flipped = fvbm.enumerate_pmf(flipped)
     for i in range(1 << 4):
-        x = fvbm.index_state(i, 4)
-        j = fvbm.state_index(-x)
+        # negating every spin complements every bit
+        j = (1 << 4) - 1 - i
         assert table_flipped.probabilities[j] == pytest.approx(
             table.probabilities[i], rel=1e-13
         )
@@ -231,7 +224,7 @@ def test_marginal_and_joint_against_brute_force():
     d = 4
     for j in range(d):
         plus = np.array(
-            [table.probabilities[i] for i in range(1 << d) if fvbm.index_state(i, d)[j] > 0]
+            [table.probabilities[i] for i in range(1 << d) if i >> j & 1]
         )
         marginal = fvbm.marginal_probability(table, j)
         _assert_within(marginal, math.fsum(plus))
@@ -239,8 +232,7 @@ def test_marginal_and_joint_against_brute_force():
     joint = fvbm.pairwise_joint(table, 0, 2)
     brute = np.zeros((2, 2))
     for i in range(1 << d):
-        x = fvbm.index_state(i, d)
-        brute[0 if x[0] > 0 else 1, 0 if x[2] > 0 else 1] += table.probabilities[i]
+        brute[1 - (i & 1), 1 - (i >> 2 & 1)] += table.probabilities[i]
     np.testing.assert_allclose(joint, brute, atol=1e-15)
     _assert_within(joint, _fsum_joint(table, 0, 2))
     sliced = [[slice_fixed_sum(table, {0: a, 2: c}) for c in (1, 0)] for a in (1, 0)]
@@ -450,9 +442,14 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("enumerate_states", [fvbm.enumerate_pmf, fvbm.log_normalization])
+def pair_cells(params):
+    return fvbm.enumerate_pmf(params).pair_cells
+
+
+@pytest.mark.parametrize("enumerate_states", [fvbm.enumerate_pmf, pair_cells])
 def test_enumeration_holds_one_state_vector(enumerate_states):
-    # the log-weights are exponentiated in place, with no 2^d temporaries
+    # the log-weights are exponentiated in place, with no 2^d temporaries,
+    # and the pair cells add only products of the half-state indicators
     params = random_params(np.random.default_rng(621), 20, scale=0.1)
     assert _traced_peak(lambda: enumerate_states(params)) < ONE_STATE_VECTOR_AT_CAP
 
@@ -494,7 +491,7 @@ def test_sample_chi_square_goodness_of_fit(d):
     table = fvbm.enumerate_pmf(params)
     n = 100_000
     draws = fvbm.sample(params, n, seed=999 + d)
-    idx = np.array([fvbm.state_index(x) for x in draws])
+    idx = (draws > 0) @ (1 << np.arange(d))
     observed = np.bincount(idx, minlength=1 << d)
     expected = n * table.probabilities
     stat = float(((observed - expected) ** 2 / expected).sum())

@@ -171,8 +171,6 @@ def test_spin_validation():
         fvbm.as_spin_matrix(np.empty((0, 3)))
     out = fvbm.as_spin_matrix([[1, -1], [-1, 1]])
     assert out.dtype == np.float64
-    with pytest.raises(fvbm.DataError):
-        fvbm.as_spin_vector([1.0, 2.0])
 
 
 def test_flat_dimension_inverts_flat_length():

@@ -1,5 +1,6 @@
 """Conditional PMFs, the pseudolikelihood objective, and its derivatives."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,46 +26,41 @@ from oracles import (
 
 
 def test_conditional_pmf_zero_params():
+    # every conditional is 1/2, for any row
     params = fvbm.FvbmParams.zeros(3)
-    for j in range(3):
-        assert fvbm.conditional_pmf(params, [1, -1, 1], j) == 0.5
+    for row in ([1, -1, 1], [-1, -1, -1]):
+        assert fvbm.log_pseudolikelihood(params, [row]) == 3 * math.log(0.5)
 
 
 def test_conditional_pmf_matches_pmf_at_d1():
+    # with one coordinate the conditional is the PMF
     lean = fvbm.FvbmParams(bias=[1.0], interaction=[[0.0]])
-    assert fvbm.conditional_pmf(lean, [1], 0) == pytest.approx(
-        fvbm.pmf(lean, [1]), rel=1e-14
-    )
+    table = fvbm.enumerate_pmf(lean)
+    for i, x in enumerate((-1.0, 1.0)):
+        assert fvbm.log_pseudolikelihood(lean, [[x]]) == pytest.approx(
+            math.log(table.probabilities[i]), rel=1e-14
+        )
 
 
 def test_conditional_pmf_matches_enumeration():
+    # each log conditional of a d=2 row is P(x_0, x_1) over a column or row
+    # sum of the joint
+    pair = fvbm.FvbmParams(bias=[0.3, -0.7], interaction=[[0, 0.5], [0.5, 0]])
+    joint = fvbm.pairwise_joint(fvbm.enumerate_pmf(pair), 0, 1)
+    for x0, x1 in itertools.product((1.0, -1.0), repeat=2):
+        a, c = int(x0 < 0), int(x1 < 0)
+        expected = math.log(joint[a, c] / joint[:, c].sum()) + math.log(
+            joint[a, c] / joint[a].sum()
+        )
+        assert fvbm.log_pseudolikelihood(pair, [[x0, x1]]) == pytest.approx(
+            expected, rel=1e-12
+        )
+    # the hand value at zero bias: P(X_0 = +1 | X_1 = +1) = sigmoid(2 * 0.5)
     pair = fvbm.FvbmParams(bias=[0.0, 0.0], interaction=[[0, 0.5], [0.5, 0]])
     expected = math.exp(0.5) / (math.exp(0.5) + math.exp(-0.5))
-    assert fvbm.conditional_pmf(pair, [1, 1], 0) == pytest.approx(expected, rel=1e-14)
-    # cross-check against P(X_0 = +1 | X_1 = +1) from the joint
-    table = fvbm.enumerate_pmf(pair)
-    joint = fvbm.pairwise_joint(table, 0, 1)
-    conditional = joint[0, 0] / (joint[0, 0] + joint[1, 0])
-    assert fvbm.conditional_pmf(pair, [1, 1], 0) == pytest.approx(conditional, rel=1e-12)
-
-
-def test_conditional_pmf_complement_is_exact():
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        params = random_params(rng, 4, scale=2.0)
-        x = random_spins(rng, 1, 4)[0]
-        for j in range(4):
-            flipped = x.copy()
-            flipped[j] = -flipped[j]
-            total = fvbm.conditional_pmf(params, x, j) + fvbm.conditional_pmf(
-                params, flipped, j
-            )
-            assert total == 1.0
-
-
-def test_conditional_pmf_index_error():
-    with pytest.raises(ValueError):
-        fvbm.conditional_pmf(fvbm.FvbmParams.zeros(2), [1, 1], 2)
+    assert fvbm.log_pseudolikelihood(pair, [[1, 1]]) == pytest.approx(
+        2 * math.log(expected), rel=1e-14
+    )
 
 
 def test_log_pseudolikelihood_zero_params():
@@ -105,7 +101,8 @@ def test_log_pseudolikelihood_equals_likelihood_at_d1():
     rng = np.random.default_rng(25)
     params = random_params(rng, 1, scale=1.5)
     data = random_spins(rng, 40, 1)
-    loglik = sum(math.log(fvbm.pmf(params, row)) for row in data)
+    p_plus, p_minus = fvbm.enumerate_pmf(params).probabilities[::-1]
+    loglik = sum(math.log(p_plus if row[0] > 0 else p_minus) for row in data)
     assert fvbm.log_pseudolikelihood(params, data) == pytest.approx(loglik, abs=1e-12)
 
 

@@ -37,6 +37,10 @@ def _splits(text: str) -> fvbm.SplitResolution:
     return fvbm.parse_split_records(io.StringIO(text))
 
 
+def _column(table: fvbm.VoteTable, party: str) -> list[Vote]:
+    return [Vote(v) for v in table.cells[:, table.parties.index(party)].tolist()]
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
@@ -172,8 +176,8 @@ def test_resolution_majority_and_extraction():
         table, _splits(_SPLIT_MEMBERS), extract_member="Culleton"
     )
     assert resolved.parties == ["GOV", "PHON", "OTH", "CULL"]
-    phon = resolved.column("PHON")
-    cull = resolved.column("CULL")
+    phon = _column(resolved, "PHON")
+    cull = _column(resolved, "CULL")
     # 23/11 #1: remaining members {No, Yes, Yes} -> Yes; Culleton voted No
     assert phon[0] is Vote.YES
     assert cull[0] is Vote.NO
@@ -184,8 +188,8 @@ def test_resolution_majority_and_extraction():
     assert cull[2] is Vote.NO
     assert cull[3] is Vote.MISSING
     # other columns untouched
-    assert resolved.column("GOV") == table.column("GOV")
-    assert resolved.column("OTH") == table.column("OTH")
+    assert _column(resolved, "GOV") == _column(table, "GOV")
+    assert _column(resolved, "OTH") == _column(table, "OTH")
 
 
 def test_resolution_majority_without_extraction():
@@ -193,9 +197,9 @@ def test_resolution_majority_without_extraction():
     resolved = fvbm.resolve_splits(table, _splits(_SPLIT_MEMBERS))
     assert resolved.parties == ["GOV", "PHON", "OTH"]
     # full member majority: {No, No, Yes, Yes} is a tie -> Missing
-    assert resolved.column("PHON")[0] is Vote.MISSING
+    assert _column(resolved, "PHON")[0] is Vote.MISSING
     # {No, Yes, No, Missing} -> No
-    assert resolved.column("PHON")[1] is Vote.NO
+    assert _column(resolved, "PHON")[1] is Vote.NO
 
 
 def test_resolution_tie_maps_to_missing():
@@ -205,8 +209,8 @@ def test_resolution_tie_maps_to_missing():
     )
     resolved = fvbm.resolve_splits(table, resolution, extract_member="C")
     # remaining members {Yes, No} tie -> Missing
-    assert resolved.column("P")[0] is Vote.MISSING
-    assert resolved.column("C")[0] is Vote.YES
+    assert _column(resolved, "P")[0] is Vote.MISSING
+    assert _column(resolved, "C")[0] is Vote.YES
 
 
 def test_resolution_missing_records_error():
@@ -259,7 +263,7 @@ def test_drop_sparse_columns_senate_scale():
     for i in range(147):
         rows.append(f"1/1,{i},Yes,{'Yes' if i < 5 else '-'}")
     table = _table("\n".join(rows) + "\n")
-    assert table.missing_fraction("MOSTLY_GONE") == pytest.approx(142 / 147)
+    assert np.count_nonzero(table.cells[:, 1] == Vote.MISSING) == 142
     kept = fvbm.drop_sparse_columns(table, threshold=0.5)
     assert kept.parties == ["FULL"]
 
@@ -445,14 +449,18 @@ def test_knn_matches_loop_oracle_at_stress_size(n, k):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_knn_fill_matches_the_row_loop_at_imputation_scale(k):
-    # 1000 rows of 60 columns, 10% missing: ~6000 cells in many blocks
+    # 10% missing: 1000 rows of 60 columns hold ~6000 cells in many blocks;
+    # at 600 rows of 12, _FILL_BLOCK // n = 6 cells is less than a row's 12
+    # columns, so the block budget is d
     rng = np.random.default_rng(k)
-    observed = rng.random((1000, 60)) >= 0.1
-    codes = np.where(observed, rng.integers(2, size=observed.shape), Vote.MISSING).astype(np.int8)
-    filled = votes_module._knn_fill(codes, observed, k)
-    expected = row_loop_knn_fill(codes, observed, k)
-    assert filled.dtype == expected.dtype
-    np.testing.assert_array_equal(filled, expected)
+    for n, d in [(1000, 60), (600, 12)]:
+        observed = rng.random((n, d)) >= 0.1
+        codes = np.where(observed, rng.integers(2, size=observed.shape), Vote.MISSING)
+        codes = codes.astype(np.int8)
+        filled = votes_module._knn_fill(codes, observed, k)
+        expected = row_loop_knn_fill(codes, observed, k)
+        assert filled.dtype == expected.dtype
+        np.testing.assert_array_equal(filled, expected)
 
 
 @st.composite
@@ -506,8 +514,8 @@ def _fill_outcome(fill, codes, observed, k):
 @example(rows=_EQUAL_RATIOS, k=1, budget=1, filler=0)
 @example(rows=_EQUAL_RATIOS_SWAPPED, k=1, budget=1, filler=0)
 def test_knn_blocks_match_the_loop_oracles(rows, k, budget, filler):
-    # a budget below n makes each incomplete row a block of its own; the
-    # codes under missing cells, ``filler``, may be codes that vote
+    # a budget below n gives blocks of about d cells; the codes under
+    # missing cells, ``filler``, may be codes that vote
     categories = sorted({v for row in rows for v in row if v is not None})
     codes = np.array(
         [[filler if v is None else categories.index(v) for v in row] for row in rows],
@@ -833,18 +841,14 @@ def test_vote_table_cells_are_a_read_only_int8_matrix():
     assert not table.cells.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table.cells[0, 0] = Vote.NO
-    column = table.column("P1")
-    assert column == [Vote.YES, Vote.SPLIT]
-    assert all(type(v) is Vote for v in column)
-    fraction = table.missing_fraction("P2")
-    assert type(fraction) is float and fraction == 0.5
+    assert table.cells.tolist() == [[Vote.YES, Vote.MISSING], [Vote.SPLIT, Vote.NO]]
 
 
 def test_vote_table_copies_the_matrix_it_is_given():
     given_cells = np.array([[Vote.YES, Vote.NO]])
     table = fvbm.VoteTable(["1/1"], ["1"], ["P1", "P2"], given_cells)
     given_cells[0, 0] = Vote.NO
-    assert table.column("P1") == [Vote.YES]
+    assert table.cells.tolist() == [[Vote.YES, Vote.NO]]
 
 
 @pytest.mark.parametrize(
@@ -886,7 +890,7 @@ def test_header_only_votes_prepare_to_a_header_only_matrix(tmp_path):
 
 def test_all_missing_column_is_dropped():
     table = _table("date,number,GOV,GONE,P1\n1/1,1,Yes,-,No\n1/1,2,No,,No\n1/1,3,Yes,-,Yes\n")
-    assert table.missing_fraction("GONE") == 1.0
+    assert (table.cells[:, 1] == Vote.MISSING).all()
     kept = fvbm.drop_sparse_columns(table, threshold=0.9)
     assert kept.parties == ["GOV", "P1"]
     assert kept.cells.tolist() == [[1, 0], [0, 0], [1, 1]]

@@ -16,6 +16,7 @@ int8 matrix of :class:`Vote` codes in ``VoteTable.cells`` as a whole array.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import re
 from array import array
@@ -455,22 +456,64 @@ def _csv_header(labels: list[str]) -> bytes:
     return (",".join(labels) + "\n").encode("utf-8")
 
 
+# Rows per write: a block's codes, cell bytes and joined text stay a few
+# hundred KB at tens of columns, so the whole body is never one temporary.
+_WRITE_BLOCK = 2048
+
+
+@functools.cache
+def _cell_table(width: int, last: bool) -> np.ndarray:
+    """The bytes of a run of ``width`` cells for each of its 2^width sign codes.
+
+    Bit j of a code is set when cell j is -1.  A cell reads ``1,`` or
+    ``-1,``, except that the run's final cell ends in a newline when the run
+    ends its row (``last``).  Built by doubling: each cell appends its two
+    forms to every entry so far.  Read-only, as every caller shares it.
+    """
+    entries = [b""]
+    for j in range(width):
+        forms = (b"1\n", b"-1\n") if last and j == width - 1 else (b"1,", b"-1,")
+        entries = [entry + form for form in forms for entry in entries]
+    table = np.array(entries, dtype=object)
+    table.flags.writeable = False
+    return table
+
+
 def write_spin_csv(path, labels: list[str], values: np.ndarray) -> None:
     """Write a +/-1 matrix as CSV with a label header (deterministic bytes).
 
-    Every cell starts as the bytes ``-1,``; +1 cells drop the ``-`` and the
-    last ``,`` of each row becomes a newline, so no cell is a Python string.
+    Each row is cut into runs of 8 columns.  The signs of a run give its
+    code, bit j set when its column j is -1, from one float product with
+    the +/-1 values that is exact below 256.  A code picks that run's cell
+    bytes from :func:`_cell_table`, so no cell is formatted on its own.
+    Rows go to the file joined one block of ``_WRITE_BLOCK`` rows at a
+    time, through one handle.
+
     ``labels`` must be one distinct string per column (:func:`check_labels`)
-    that the reader gets back as written (:func:`_csv_header`).
+    that the reader gets back as written (:func:`_csv_header`).  Both are
+    checked before the file is opened, so a refused write leaves no file.
     """
     x = as_spin_matrix(values, allow_empty=True)
     header = _csv_header(check_labels(labels, x.shape[1]))
-    cells = np.empty(x.shape + (3,), dtype=np.uint8)
-    cells[...] = np.frombuffer(b"-1,", dtype=np.uint8)
-    cells[:, -1, 2] = ord("\n")
-    keep = np.ones(cells.shape, dtype=bool)
-    keep[:, :, 0] = x < 0
-    Path(path).write_bytes(header + cells[keep].tobytes())
+    d = x.shape[1]
+    starts = range(0, d, 8)
+    # run c's entries start at 256 c: every run but the last has all 8 columns
+    table = np.concatenate([_cell_table(min(8, d - s), s + 8 >= d) for s in starts])
+    # Column j is bit j & 7 of run j >> 3, and (1 - x_j) / 2 is 1 where x_j
+    # is -1, so run c's code is 256 c + sum_j 2^(j & 7) (1 - x_j) / 2: a sum
+    # of halves and powers of two below 256, exact in any order.  The
+    # product's n d ceil(d/8) multiply-adds stay cheaper than the join up to
+    # several hundred columns.  Shifts, not // and **, as sample's _spins
+    # already runs them: no more numpy code becomes resident.
+    columns = np.arange(d)
+    half = np.zeros((d, len(starts)))
+    half[columns, columns >> 3] = 0.5 * (1 << (columns & 7))
+    base = half.sum(axis=0) + 256.0 * np.arange(len(starts))
+    with open(path, "wb") as handle:
+        handle.write(header)
+        for start in range(0, len(x), _WRITE_BLOCK):
+            codes = (base - x[start : start + _WRITE_BLOCK] @ half).astype(np.intp)
+            handle.write(b"".join(table[codes].ravel().tolist()))
 
 
 def _canonical_cells(body: bytes, d: int) -> np.ndarray | None:

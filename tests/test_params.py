@@ -128,12 +128,24 @@ def test_json_rejects_non_finite():
         jsonio.dumps({"x": float("nan")})
 
 
+class _Text(str):
+    pass
+
+
 _finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
+# quotes, backslashes, control and non-ASCII characters, lone surrogates
+_escaped = st.text(
+    alphabet=st.sampled_from(list('a"\\/\x00\x08\t\n\x1f\x7fé\u2028\ud800\udfff\U0001f600')),
+    max_size=6,
+)
+_strings = st.one_of(st.text(max_size=4), _escaped)
 _json_leaves = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
-    st.text(max_size=4),
+    st.sampled_from(list(fvbm.Vote)),
+    _strings,
+    _strings.map(_Text),
     _finite_or_not,
     _finite_or_not.map(np.float64),
 )
@@ -143,7 +155,7 @@ _json_trees = st.recursive(
         st.lists(children, max_size=5),
         st.lists(_finite_or_not, max_size=8),
         st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8).map(tuple),
-        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.dictionaries(st.one_of(_strings, _strings.map(_Text)), children, max_size=4),
     ),
     max_leaves=24,
 )

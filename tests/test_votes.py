@@ -624,9 +624,19 @@ def test_spin_csv_round_trip(tmp_path):
     assert loaded.shape == (0, 1)
 
 
+def _assert_written_as_loop_oracle(directory, labels, values):
+    fvbm.write_spin_csv(directory / "new.csv", labels, values)
+    loop_write_spin_csv(directory / "old.csv", labels, values)
+    assert (directory / "new.csv").read_bytes() == (directory / "old.csv").read_bytes()
+    read, loaded = fvbm.read_spin_csv(directory / "new.csv")
+    assert read == labels
+    np.testing.assert_array_equal(loaded, values)
+
+
+# d up to 70 crosses the writer's 8-column runs at every remainder
 @settings(max_examples=200, deadline=None)
 @given(
-    shape=st.tuples(st.integers(0, 30), st.integers(1, 6)),
+    shape=st.tuples(st.integers(0, 30), st.integers(1, 70)),
     seed=st.integers(0, 2**32 - 1),
     label_chars=st.text(alphabet="ab_Zé ", max_size=3),
 )
@@ -638,9 +648,15 @@ def test_spin_csv_bytes_match_loop_oracle(tmp_path_factory, shape, seed, label_c
         with pytest.raises(fvbm.DataError, match="would not read back"):
             fvbm.write_spin_csv(directory / "new.csv", labels, values)
         return
-    fvbm.write_spin_csv(directory / "new.csv", labels, values)
-    loop_write_spin_csv(directory / "old.csv", labels, values)
-    assert (directory / "new.csv").read_bytes() == (directory / "old.csv").read_bytes()
+    _assert_written_as_loop_oracle(directory, labels, values)
+
+
+@pytest.mark.parametrize("d", [8, 9, 20])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_spin_csv_bytes_match_loop_oracle_at_block_edges(tmp_path, d, extra):
+    n = votes_module._WRITE_BLOCK + extra
+    values = np.random.default_rng(100 * d + extra).choice([-1.0, 1.0], size=(n, d))
+    _assert_written_as_loop_oracle(tmp_path, [f"X{j}" for j in range(d)], values)
 
 
 def test_spin_csv_label_count_mismatch(tmp_path):

@@ -45,9 +45,11 @@ or more, so 1e-3 separates the two with room on both sides.
 
 An iteration costs the O(n d p) Hessian (p = d + d(d-1)/2), one O(p^3)
 Cholesky factorization, its O(p^2 SOLVE_BLOCK) substitutions, and one
-O(n d^2) objective per backtracking trial.  The activations are computed
-once per accepted point: the objective, the score and the Hessian of the
-next iteration all read them.  Near the maximizer Newton converges
+O(n d^2) objective per backtracking trial.  A start whose objective is
+not finite is refused: every step from it would be accepted as
+-inf >= -inf.  The activations are computed once per accepted point:
+the objective, the score and the Hessian of the next iteration all read
+them.  Near the maximizer Newton converges
 quadratically: a well-posed fit takes a handful of iterations where the
 block-MM sweeps of Nguyen & Wood (2016) took tens to hundreds.  Against
 Newton on the Hessian of d separate blocks, solved by two
@@ -259,17 +261,23 @@ def _cholesky_inverse(chol: np.ndarray) -> np.ndarray:
 
 def _newton_step(score: np.ndarray, info: np.ndarray) -> np.ndarray:
     """Solve (-H + lambda I) step = score by a Cholesky factor of ``info`` = -H
-    plus the first lambda of 0, 1e-12 max|H|, 1e-11 max|H|, ... that has one."""
-    ridge = 0.0
+    plus the first lambda of 0, 1e-12 max|H|, 1e-11 max|H|, ... that has one.
+
+    Each retry writes info's diagonal plus lambda into the diagonal of one
+    copy: the bits of ``info + lambda * I``, whose off-diagonal adds 0.0.
+    """
+    ridge, system = 0.0, info
     while True:
         try:
-            chol = np.linalg.cholesky(info + ridge * np.eye(score.size) if ridge else info)
+            chol = np.linalg.cholesky(system)
             break
         except np.linalg.LinAlgError:
             if ridge:
                 ridge *= 10.0
             else:
                 ridge = 1e-12 * (float(np.abs(info).max()) or 1.0)
+                system = info.copy()
+            np.fill_diagonal(system, np.diagonal(info) + ridge)
     return _cholesky_solve(chol, score)
 
 
@@ -288,8 +296,16 @@ def fit(data, config: FitConfig | None = None) -> FitResult:
     degenerate = tuple(int(j) for j in np.flatnonzero(np.abs(x.mean(axis=0)) == 1.0))
     theta = params.to_flat()
     gather = _hessian_gather(d)
-    a = _activations(params, x)
-    trace = [_log_pl(x, a)]
+    # an initializer with huge entries overflows here; the check below
+    # refuses it, so numpy's overflow warnings would only repeat that
+    with np.errstate(over="ignore"):
+        a = _activations(params, x)
+        trace = [_log_pl(x, a)]
+    if not np.isfinite(trace[0]):
+        raise DataError(
+            f"the log-pseudolikelihood at the initializer is {trace[0]}; "
+            f"start from parameters where it is finite"
+        )
     last_step = None
     stopped_by = "max_iterations"
     for _ in range(config.max_iterations):

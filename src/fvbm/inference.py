@@ -11,6 +11,14 @@ evaluated at the fitted parameters, the estimator covariance is
     Cov = (1/n) * inv(I1) I2 inv(I1)
 
 and per-coordinate standard errors are the square roots of its diagonal.
+I2 is summed over blocks of max(MEAT_BLOCK // p, p) rows, one S_b'S_b
+per block of per-observation scores, so the n-by-p score matrix is never
+held; a table of one block gets the one-shot product's bits.  The report
+needs only the diagonal, which with K = inv(I1) symmetric is
+
+    Var_q = (1/n) sum_k (K I2)_qk K_qk,
+
+one p^3 product where the full covariance takes two.
 Wald z-scores divide the estimates by those standard errors (a null of
 zero); two-sided p-values come from the standard normal tail via erfc.
 
@@ -50,6 +58,13 @@ from .params import FvbmParams, as_spin_matrix, check_labels, flat_dimension, fl
 from .pseudolikelihood import per_observation_scores, pseudo_hessian
 
 CONDITION_LIMIT = 1e12
+# Score entries per row block of the meat (2.5 MiB); a block has at least
+# p rows.  The size is set for a long-lived process that fits and infers in
+# turn: with 1 MiB blocks glibc trims the heap after infer, and the next
+# fit re-faults it (at d=24, n=2000, minor faults per fit-infer pass rose
+# from 4.7k at this size to 13.8k; see CHANGES.md).  A one-shot run does
+# not fit after it infers.
+MEAT_BLOCK = 5 << 16
 
 
 def empirical_info_1(params: FvbmParams, data) -> np.ndarray:
@@ -62,16 +77,32 @@ def empirical_info_1(params: FvbmParams, data) -> np.ndarray:
     return h
 
 
+def _score_gram(params: FvbmParams, x: np.ndarray) -> np.ndarray:
+    """S'S for the per-observation scores S of the rows ``x``; S is freed on
+    return, before the caller adds the product to its sum."""
+    scores = per_observation_scores(params, x)
+    return scores.T @ scores
+
+
 def empirical_info_2(params: FvbmParams, data) -> np.ndarray:
     """Mean outer product of per-observation scores (the "meat").
 
-    A Gram matrix, hence symmetric positive semi-definite.  numpy computes
-    ``scores.T @ scores`` as a symmetric rank-k update of one triangle and
-    mirrors it, so the product is exactly symmetric without averaging it
-    with its transpose.
+    A Gram matrix, hence symmetric positive semi-definite.  It is summed
+    over blocks of max(MEAT_BLOCK // p, p) rows, so memory is O(p^2 + p
+    rows), not O(n p).  numpy computes each ``scores.T @ scores`` as a
+    symmetric rank-k update of one triangle and mirrors it, so every block,
+    and so the sum, is exactly symmetric without averaging it with its
+    transpose.  With one block the result has the bits of the one-shot
+    ``scores.T @ scores / n``.
     """
-    scores = per_observation_scores(params, data)
-    return scores.T @ scores / scores.shape[0]
+    x = as_spin_matrix(data)
+    n, p = x.shape[0], params.n_params
+    rows = max(MEAT_BLOCK // p, p)
+    i2 = _score_gram(params, x[:rows])
+    for start in range(rows, n, rows):
+        i2 += _score_gram(params, x[start : start + rows])
+    i2 /= n
+    return i2
 
 
 def _symmetric_inverse(a: np.ndarray, coordinate_names: list[str] | None) -> np.ndarray:
@@ -105,6 +136,15 @@ def _symmetric_inverse(a: np.ndarray, coordinate_names: list[str] | None) -> np.
     return (eigvecs / eigvals) @ eigvecs.T
 
 
+def _sandwich_factors(
+    params: FvbmParams, x: np.ndarray, coordinate_names: list[str] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(inv(I1), I2) at ``params`` for the spin matrix ``x``; the inverse is
+    refused past CONDITION_LIMIT before I2 is computed."""
+    i1_inv = _symmetric_inverse(empirical_info_1(params, x), coordinate_names)
+    return i1_inv, empirical_info_2(params, x)
+
+
 def sandwich_covariance(
     params: FvbmParams, data, coordinate_names: list[str] | None = None
 ) -> np.ndarray:
@@ -115,18 +155,32 @@ def sandwich_covariance(
             names the coordinates carrying the near-null direction.
     """
     x = as_spin_matrix(data)
-    i1_inv = _symmetric_inverse(empirical_info_1(params, x), coordinate_names)
-    i2 = empirical_info_2(params, x)
+    i1_inv, i2 = _sandwich_factors(params, x, coordinate_names)
     cov = i1_inv @ i2 @ i1_inv / x.shape[0]
     return (cov + cov.T) / 2.0
 
 
-def standard_errors(covariance: np.ndarray) -> np.ndarray:
-    diag = np.diag(covariance)
-    if np.any(diag <= 0):
-        bad = [int(i) for i in np.flatnonzero(diag <= 0)]
+def _sandwich_variances(
+    params: FvbmParams, data, coordinate_names: list[str] | None
+) -> np.ndarray:
+    """The diagonal of :func:`sandwich_covariance` from one p^3 product:
+    (1/n) sum_k (K I2)_qk K_qk with the symmetric K = inv(I1)."""
+    x = as_spin_matrix(data)
+    i1_inv, i2 = _sandwich_factors(params, x, coordinate_names)
+    products = i1_inv @ i2
+    products *= i1_inv
+    return products.sum(axis=1) / x.shape[0]
+
+
+def _root_variances(variances: np.ndarray) -> np.ndarray:
+    if np.any(variances <= 0):
+        bad = [int(i) for i in np.flatnonzero(variances <= 0)]
         raise NumericalError(f"nonpositive variance for coordinate(s) {bad}")
-    return np.sqrt(diag)
+    return np.sqrt(variances)
+
+
+def standard_errors(covariance: np.ndarray) -> np.ndarray:
+    return _root_variances(np.diag(covariance))
 
 
 def two_sided_p_value(z: float) -> float:
@@ -307,8 +361,7 @@ def build_report(
     if reason := fit_result.unconverged_reason(names):
         raise DataError(f"refusing inference on an unconverged fit: {reason}")
     theta = params.to_flat()
-    cov = sandwich_covariance(params, data, coordinate_names=coordinate_names)
-    se = standard_errors(cov)
+    se = _root_variances(_sandwich_variances(params, data, coordinate_names))
     z, p = wald_test(theta, se)
     if groups is None:
         groups = default_groups(params.d)

@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 import fvbm
 from fvbm import DataError, FvbmParams
-from fvbm.fit import MAX_HALVINGS, STEP_LIMIT
+from fvbm.fit import MAX_HALVINGS, STEP_LIMIT, _cholesky_solve
 from fvbm.inference import CONDITION_LIMIT
 from fvbm.params import slot_map
 from fvbm.pseudolikelihood import _activations, _check_dims, _log_pl, _sech2
@@ -358,6 +358,22 @@ def cholesky_newton_step(score: np.ndarray, hessian: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             ridge = 10.0 * ridge if ridge else 1e-12 * scale
     return np.linalg.solve(chol.T, np.linalg.solve(chol, score))
+
+
+def eye_ridge_newton_step(score: np.ndarray, info: np.ndarray) -> np.ndarray:
+    """The Newton step with each ridge added as ``info + ridge * np.eye(p)``,
+    a fresh p-by-p sum per retry, then the package's substitutions."""
+    ridge = 0.0
+    while True:
+        try:
+            chol = np.linalg.cholesky(info + ridge * np.eye(score.size) if ridge else info)
+            break
+        except np.linalg.LinAlgError:
+            if ridge:
+                ridge *= 10.0
+            else:
+                ridge = 1e-12 * (float(np.abs(info).max()) or 1.0)
+    return _cholesky_solve(chol, score)
 
 
 def cholesky_newton_fit(data, config=None) -> "fvbm.FitResult":
@@ -886,6 +902,12 @@ def eigh_sandwich_covariance(
     i2 = fvbm.empirical_info_2(params, x)
     cov = i1_inv @ i2 @ i1_inv / x.shape[0]
     return (cov + cov.T) / 2.0
+
+
+def gram_info_2(params: FvbmParams, data) -> np.ndarray:
+    """I2 as one product of the whole n-by-p score matrix."""
+    scores = fvbm.per_observation_scores(params, data)
+    return scores.T @ scores / scores.shape[0]
 
 
 # Largest |cov_ij - oracle_ij| / sqrt(oracle_ii oracle_jj) allowed against

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +407,24 @@ def test_fit_init_and_tolerance_flags(tmp_path):
     cold = fvbm.FvbmParams.from_json_dict(json.loads(first.read_text())["params"])
     rewarmed = fvbm.FvbmParams.from_json_dict(warm_obj["params"])
     np.testing.assert_allclose(rewarmed.to_flat(), cold.to_flat(), atol=1e-6)
+
+
+def test_fit_refuses_an_init_whose_objective_is_not_finite(tmp_path, capsys):
+    # m01 = m02 = 1e308 gives an objective of -inf at the start
+    data, init, out = tmp_path / "spins.csv", tmp_path / "init.json", tmp_path / "fit.json"
+    fvbm.write_spin_csv(data, ["a", "b", "c"], np.random.default_rng(5).choice([-1.0, 1.0], (50, 3)))
+    init.write_text(json.dumps({"d": 3, "bias": [0, 0, 0], "interaction_upper": [1e308, 1e308, 0]}))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        # a warning would reach a user's stderr ahead of the message
+        warnings.simplefilter("error")
+        code = main(["fit", str(data), "--init", str(init), "--max-iter", "3", "-o", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: --init file {init}: the log-pseudolikelihood at the initializer "
+        f"is -inf; start from parameters where it is finite\n"
+    )
+    assert not out.exists()
 
 
 def test_fit_strict_degenerate_column(tmp_path):

@@ -8,6 +8,7 @@ each other, and the Newton tests compare ``fit`` with them.
 import importlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from oracles import (
     cholesky_newton_fit,
     cholesky_newton_step,
     correlated_spins,
+    eye_ridge_newton_step,
     incremental_fit,
     pair_loop_fit,
     random_params,
@@ -33,6 +35,7 @@ from oracles import (
 
 # ``fvbm.fit`` is the function; the module holds the constants and helpers.
 fit_module = importlib.import_module("fvbm.fit")
+pl = fvbm.pseudolikelihood
 
 
 def _tight(init=None):
@@ -398,6 +401,49 @@ def test_newton_step_adds_ridge_when_cholesky_fails():
     # with a positive definite -H it is the plain Newton step
     step = fit_module._newton_step(np.array([1.0, 1.0]), np.diag([2.0, 4.0]))
     np.testing.assert_allclose(step, [0.5, 0.25], rtol=1e-15)
+
+
+def test_newton_step_ridge_has_the_bits_of_adding_a_scaled_identity(monkeypatch):
+    # from a bias of -400 on a constant column its sech^2 underflows to 0,
+    # and m_02, m_12 move a_0, a_1 exactly as -b_0, -b_1 do, so the
+    # information has no Cholesky factor; there the diagonal written into
+    # one copy gives the bits of info + ridge * I, and info is left as is
+    data = random_spins(np.random.default_rng(48), 40, 3)
+    data[:, 2] = -1.0
+    init = fvbm.FvbmParams.from_flat(3, np.array([0.0, 0.0, -400.0, 0.0, 0.0, 0.0]))
+    newton_step, ridged = fit_module._newton_step, []
+
+    def checked(score, info):
+        kept = info.copy()
+        step = newton_step(score, info)
+        assert np.array_equal(info, kept)
+        try:
+            np.linalg.cholesky(info)
+        except np.linalg.LinAlgError:
+            np.testing.assert_array_equal(step, eye_ridge_newton_step(score, info))
+            ridged.append(step)
+        return step
+
+    monkeypatch.setattr(fit_module, "_newton_step", checked)
+    fvbm.fit(data, fvbm.FitConfig(init=init, max_iterations=20))
+    assert ridged
+    # an eigenvalue of -1e-9 takes five ridges, each added to info's own diagonal
+    q, _ = np.linalg.qr(np.random.default_rng(46).normal(size=(3, 3)))
+    checked(np.array([1.0, -2.0, 0.5]), (q * [1.0, 0.5, -1e-9]) @ q.T)
+
+
+def test_fit_refuses_a_start_whose_objective_is_not_finite():
+    # m01 = m02 = 1e308 puts activations at +/-inf; the objective is -inf,
+    # and every step would have been accepted as -inf >= -inf
+    init = fvbm.FvbmParams.from_flat(3, np.array([0.0, 0.0, 0.0, 1e308, 1e308, 0.0]))
+    data = random_spins(np.random.default_rng(72), 50, 3)
+    with warnings.catch_warnings():
+        # the overflow that makes it -inf is expected and must not warn
+        warnings.simplefilter("error")
+        with pytest.raises(
+            fvbm.DataError, match=r"log-pseudolikelihood at the initializer is -inf"
+        ):
+            fvbm.fit(data, fvbm.FitConfig(init=init, max_iterations=3))
 
 
 @pytest.mark.parametrize("p", [1, 36, 64, 65, 300])

@@ -1,7 +1,9 @@
 """Information matrices, sandwich covariance, Wald tests, FDR adjustment."""
 
+import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 
 import fvbm
 from fvbm import jsonio
+from fvbm import inference
 from fvbm.inference import _symmetric_inverse, two_sided_p_value
 
 import reference_values as ref
@@ -20,6 +23,7 @@ from oracles import (
     eigh_symmetric_inverse,
     fd_gradient,
     fd_jacobian,
+    gram_info_2,
     loop_format_report_tables,
     random_params,
     random_spins,
@@ -83,18 +87,56 @@ def test_info2_gram_psd():
     assert np.linalg.eigvalsh(i2).min() >= -1e-10
 
 
-@pytest.mark.parametrize("d, n", ORACLE_SHAPES + [(10, 400), (8, 147)])
+# Largest |blocked_qr - one_shot_qr| / sqrt(one_shot_qq one_shot_rr) allowed
+# for I2 summed over row blocks against gram_info_2; at most 2.1e-15 was
+# measured over d 1-24, n 37-4001, blocks of p rows and of the default size.
+INFO_2_RTOL = 2e-14
+
+
+def _meat_rows(p):
+    return max(inference.MEAT_BLOCK // p, p)
+
+
+@pytest.mark.parametrize("d, n", ORACLE_SHAPES + [(10, 400), (8, 147), (24, 1092)])
 def test_info2_is_exactly_symmetric_without_averaging_its_transpose(d, n):
-    # numpy forms ``scores.T @ scores`` from one triangle, so the Gram matrix
-    # equals the earlier (g + g') / 2 form bit for bit
+    # numpy forms each block's ``scores.T @ scores`` from one triangle, so
+    # the Gram matrix is exactly symmetric; in one block (up to 1092 rows at
+    # d = 24) it equals the one-shot product and the earlier (g + g') / 2
+    # form bit for bit, in several (d = 24, n = 2000) it agrees with them
+    # within INFO_2_RTOL
     rng = np.random.default_rng(3000 * d + n)
     params = random_params(rng, d, scale=0.5)
     data = correlated_spins(rng, n, d)
     i2 = fvbm.empirical_info_2(params, data)
-    scores = fvbm.per_observation_scores(params, data)
-    g = scores.T @ scores / n
+    g = gram_info_2(params, data)
     assert np.array_equal(i2, i2.T)
-    assert np.array_equal(i2, (g + g.T) / 2.0)
+    if n <= _meat_rows(params.n_params):
+        assert np.array_equal(i2, g) and np.array_equal(i2, (g + g.T) / 2.0)
+    else:
+        assert relative_covariance_error(i2, (g + g.T) / 2.0) <= INFO_2_RTOL
+
+
+@pytest.mark.parametrize("d, n, meat_block", [(1, 50, 1), (4, 37, 1), (8, 147, 1), (24, 2000, None)])
+def test_info2_over_row_blocks_agrees_with_the_one_shot_gram(d, n, meat_block, monkeypatch):
+    # MEAT_BLOCK = 1 gives the smallest blocks, p rows: single rows at d = 1,
+    # 10 rows for 37 at d = 4 and 36 rows for 147 at d = 8; the default
+    # gives 1092 rows for 2000 at d = 24, so the last block is short but for
+    # single rows.
+    if meat_block is not None:
+        monkeypatch.setattr(inference, "MEAT_BLOCK", meat_block)
+    calls = []
+    scores = inference.per_observation_scores
+    monkeypatch.setattr(
+        inference, "per_observation_scores", lambda params, x: calls.append(len(x)) or scores(params, x)
+    )
+    rng = np.random.default_rng(3200 * d + n)
+    params = random_params(rng, d, scale=0.5)
+    data = correlated_spins(rng, n, d)
+    rows = _meat_rows(params.n_params)
+    i2 = fvbm.empirical_info_2(params, data)
+    assert calls == [rows] * (n // rows) + [n % rows] * (n % rows > 0) and len(calls) > 1
+    assert np.array_equal(i2, i2.T)
+    assert relative_covariance_error(i2, gram_info_2(params, data)) <= INFO_2_RTOL
 
 
 def test_info2_matches_outer_product_of_fd_scores():
@@ -218,14 +260,80 @@ def _d24_draw():
     return np.hstack(blocks)
 
 
-def test_sandwich_matches_eigh_oracle_on_a_d24_draw():
+@functools.cache
+def _fit_d24_draw():
     data = _d24_draw()
-    result = fvbm.fit(data)
+    data.setflags(write=False)
+    return fvbm.fit(data), data
+
+
+def test_sandwich_matches_eigh_oracle_on_a_d24_draw():
+    result, data = _fit_d24_draw()
     assert result.converged
     cov = fvbm.sandwich_covariance(result.params, data)
     expected = eigh_sandwich_covariance(result.params, data)
     assert np.array_equal(cov, cov.T)
     assert relative_covariance_error(cov, expected) <= COVARIANCE_RTOL
+
+
+def test_report_standard_errors_match_eigh_oracle():
+    # the report reads the diagonal from one p^3 product; the oracle forms
+    # the full symmetrized covariance through eigh
+    for result, data in (_fit_d24_draw(), _small_fit(), _small_fit(seed=64, n=147, d=8)):
+        assert result.converged
+        se = fvbm.build_report(result, data).standard_errors
+        expected = np.sqrt(np.diag(eigh_sandwich_covariance(result.params, data)))
+        assert np.all(np.abs(se - expected) <= COVARIANCE_RTOL * expected)
+
+
+def test_report_refuses_exactly_as_the_eigh_oracle(monkeypatch):
+    # a bias b_a of 8 to 18 shrinks sech^2 on column a and sweeps cond(I1)
+    # from 4e6 to 2e15: the Cholesky inverse, then eigh accepting past the
+    # Frobenius bound, then refusals.  Records claim convergence so that the
+    # report reaches the inverse.
+    rng = np.random.default_rng(7)
+    data = correlated_spins(rng, 400, 4)
+    theta = random_params(rng, 4, scale=0.3).to_flat()
+    names = fvbm.flat_labels(list("abcd"))
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    paths = set()
+    for b in np.linspace(8.0, 18.0, 41):
+        theta[0] = b
+        params = fvbm.FvbmParams.from_flat(4, theta)
+        record = fvbm.FitResult(
+            params=params, objective_trace=np.zeros(1), iterations_used=0, converged=True
+        )
+        calls.clear()
+        try:
+            se = fvbm.build_report(record, data, coordinate_names=names).standard_errors
+        except fvbm.NumericalError as exc:
+            with pytest.raises(fvbm.NumericalError) as oracle:
+                eigh_sandwich_covariance(params, data, coordinate_names=names)
+            assert str(exc) == str(oracle.value)
+            paths.add("refused")
+            continue
+        paths.add("eigh" if calls else "cholesky")
+        expected = np.sqrt(np.diag(eigh_sandwich_covariance(params, data, names)))
+        assert np.all(np.abs(se - expected) <= COVARIANCE_RTOL * expected)
+    assert paths == {"cholesky", "eigh", "refused"}
+
+
+def test_report_holds_no_score_matrix():
+    # the one-shot meat holds the n-by-p scores together with I2 and
+    # inv(I1) at least: 5.9 MiB at d = 24, n = 2000 (6.8 MiB was traced).
+    # Blocks of MEAT_BLOCK entries stay well below it (4.3 MiB traced).
+    result, data = _fit_d24_draw()
+    n, p = data.shape[0], result.params.n_params
+    assert _meat_rows(p) < n
+    tracemalloc.start()
+    try:
+        fvbm.build_report(result, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (n * p + 2 * p * p)
 
 
 def test_well_conditioned_report_runs_no_eigh(monkeypatch):

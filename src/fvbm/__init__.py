@@ -47,7 +47,6 @@ from .pseudolikelihood import (
 from .votes import (
     AgreementMatrix,
     ImputeConfig,
-    SplitResolution,
     Vote,
     VoteTable,
     drop_sparse_columns,
@@ -77,7 +76,6 @@ __all__ = [
     "NetworkSpec",
     "NumericalError",
     "PmfTable",
-    "SplitResolution",
     "Vote",
     "VoteTable",
     "as_spin_matrix",

@@ -38,7 +38,6 @@ from .model import enumerate_pmf, marginal_probability, pairwise_joint, sample
 from .params import FvbmParams, as_spin_matrix, check_labels, flat_labels, flat_length
 from .votes import (
     ImputeConfig,
-    SplitResolution,
     Vote,
     check_drop_threshold,
     drop_sparse_columns,
@@ -183,10 +182,10 @@ def cmd_prepare(args) -> None:
     with _naming(f"votes CSV {args.votes}"):
         table = parse_votes(args.votes)
     with _naming(f"splits CSV {args.splits}"):
-        resolution = parse_split_records(args.splits) if args.splits else SplitResolution({})
+        records = parse_split_records(args.splits) if args.splits else {}
     resolved = resolve_splits(
         table,
-        resolution,
+        records,
         extract_member=args.extract_member,
         extract_label=args.extract_label,
     )
@@ -426,3 +425,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -122,21 +122,10 @@ def parse_votes(source) -> VoteTable:
     return VoteTable(dates, numbers, parties, np.array(cells, dtype=np.int8))
 
 
-@dataclass
-class SplitResolution:
-    """Member-level votes for split divisions, keyed by (date, number).
-
-    Senator identifiers are matched case-insensitively.
-    """
-
-    records: dict[tuple[str, str], dict[str, Vote]]
-
-    def for_row(self, date: str, number: str) -> dict[str, Vote] | None:
-        return self.records.get((date, number))
-
-
-def parse_split_records(source) -> SplitResolution:
-    """Read the member-level CSV (``date,number,senator,vote``)."""
+def parse_split_records(source) -> dict[tuple[str, str], dict[str, Vote]]:
+    """Read the member-level CSV (``date,number,senator,vote``) into
+    ``{(date, number): {senator: vote}}``, senators lower-cased so that
+    they match case-insensitively."""
     rows = _rows_from(source)
     if not rows:
         raise DataError("split records file is empty")
@@ -149,16 +138,17 @@ def parse_split_records(source) -> SplitResolution:
         if vote is Vote.SPLIT:
             raise DataError(f"split record row {i}: a member vote cannot be 'Split'")
         records.setdefault((date, number), {})[senator.lower()] = vote
-    return SplitResolution(records=records)
+    return records
 
 
 def resolve_splits(
     table: VoteTable,
-    resolution: SplitResolution,
+    records: dict[tuple[str, str], dict[str, Vote]],
     extract_member: str | None = None,
     extract_label: str | None = None,
 ) -> VoteTable:
-    """Replace Split cells by the remaining members' majority vote.
+    """Replace Split cells by the remaining members' majority vote, read
+    from the ``records`` of :func:`parse_split_records`.
 
     When ``extract_member`` is given, that member is pulled out as a new
     column appended to the table: their party's vote on rows where the
@@ -177,7 +167,7 @@ def resolve_splits(
             f"multiple split parties; member records cannot be attributed"
         )
     splits = [
-        (r, c, resolution.for_row(table.dates[r], table.numbers[r]))
+        (r, c, records.get((table.dates[r], table.numbers[r])))
         for r, c in zip(split_rows.tolist(), split_cols.tolist())
     ]
 

@@ -7,7 +7,6 @@ evidence rather than tautology.
 
 import csv
 import itertools
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from fvbm.fit import MAX_HALVINGS, STEP_LIMIT, _cholesky_solve
 from fvbm.inference import CONDITION_LIMIT
 from fvbm.params import slot_map
 from fvbm.pseudolikelihood import _activations, _check_dims, _log_pl, _sech2
-from fvbm.votes import ImputeConfig, SplitResolution, Vote, _normalize_cell, _rows_from
+from fvbm.votes import ImputeConfig, Vote, _normalize_cell, _rows_from
 
 
 def random_params(rng: np.random.Generator, d: int, scale: float = 1.0) -> FvbmParams:
@@ -586,7 +585,7 @@ def _list_majority(votes: list[Vote]) -> Vote:
 
 def list_resolve_splits(
     table: ListVoteTable,
-    resolution: SplitResolution,
+    records: dict[tuple[str, str], dict[str, Vote]],
     extract_member: str | None = None,
     extract_label: str | None = None,
 ) -> ListVoteTable:
@@ -608,7 +607,7 @@ def list_resolve_splits(
     if member is not None:
         parties_seen = set()
         for r, c in split_rows:
-            rec = resolution.for_row(table.dates[r], table.numbers[r])
+            rec = records.get((table.dates[r], table.numbers[r]))
             if rec and member in rec:
                 parties_seen.add(c)
         if not parties_seen:
@@ -625,7 +624,7 @@ def list_resolve_splits(
 
     cells = [list(row) for row in table.cells]
     for r, c in split_rows:
-        rec = resolution.for_row(table.dates[r], table.numbers[r])
+        rec = records.get((table.dates[r], table.numbers[r]))
         if rec is None:
             raise DataError(
                 f"split cell at {table.dates[r]} #{table.numbers[r]} "
@@ -642,7 +641,7 @@ def list_resolve_splits(
         split_by_row = {r: c for r, c in split_rows}
         for r in range(table.n):
             if split_by_row.get(r) == member_col:
-                rec = resolution.for_row(table.dates[r], table.numbers[r]) or {}
+                rec = records.get((table.dates[r], table.numbers[r])) or {}
                 cells[r].append(rec.get(member, Vote.MISSING))
             else:
                 cells[r].append(table.cells[r][member_col])
@@ -948,41 +947,3 @@ def loop_format_report_tables(report: "fvbm.InferenceReport", labels: list[str])
             lines.append(f"{labels[r]:>{width}}" + cells)
         lines.append("")
     return "\n".join(lines)
-
-
-def recursive_dumps(obj) -> str:
-    """Deterministic JSON text with every value, float items of a list
-    included, emitted by one recursive call of its own."""
-
-    def emit(obj, level: int) -> str:
-        pad = "  " * level
-        inner = "  " * (level + 1)
-        if obj is None:
-            return "null"
-        if isinstance(obj, bool):
-            return "true" if obj else "false"
-        if isinstance(obj, int):
-            return str(obj)
-        if isinstance(obj, float):
-            if not math.isfinite(obj):
-                raise ValueError(f"cannot serialize non-finite float {obj!r}")
-            return format(obj, ".17g")
-        if isinstance(obj, str):
-            return json.dumps(obj)
-        if isinstance(obj, (list, tuple)):
-            if len(obj) == 0:
-                return "[]"
-            items = [emit(v, level + 1) for v in obj]
-            return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
-        if isinstance(obj, dict):
-            if len(obj) == 0:
-                return "{}"
-            items = []
-            for key, value in obj.items():
-                if not isinstance(key, str):
-                    raise TypeError(f"JSON object keys must be strings, got {key!r}")
-                items.append(f"{inner}{json.dumps(key)}: {emit(value, level + 1)}")
-            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-        raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
-
-    return emit(obj, 0) + "\n"

@@ -226,6 +226,26 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def _subprocess_env(**variables) -> dict:
+    """This environment plus ``variables``, with this ``fvbm`` importable."""
+    src = str(Path(fvbm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, **variables, PYTHONPATH=path)
+
+
+def test_module_entry_runs_the_cli(tmp_path):
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "fvbm.cli", *argv],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=60,
+        )
+
+    shown = run("--help")
+    assert shown.returncode == 0 and shown.stdout.startswith("usage: fvbm")
+    missing = run("fit", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "f.json"))
+    assert missing.returncode == 2 and not (tmp_path / "f.json").exists()
+
+
 def _simulate(tmp_path, n=4000, seed=7):
     params = fvbm.FvbmParams(bias=[0.3, -0.2], interaction=[[0, 0.4], [0.4, 0]])
     params_path = tmp_path / "params.json"
@@ -353,6 +373,25 @@ def test_infer_covariance_matches_eigh_oracle(tmp_path, well_posed_csvs):
         cov = fvbm.sandwich_covariance(params, data)
         expected = eigh_sandwich_covariance(params, data)
         assert relative_covariance_error(cov, expected) <= COVARIANCE_RTOL
+
+
+def test_fit_and_infer_files_carry_the_in_memory_numbers_bit_for_bit(tmp_path, well_posed_csvs):
+    _, matrix = _prepare(tmp_path, *well_posed_csvs)
+    fit_path, report_path = tmp_path / "fit.json", tmp_path / "report.json"
+    assert main(["fit", str(matrix), "-o", str(fit_path)]) == 0
+    assert main(["infer", str(fit_path), str(matrix), "-o", str(report_path)]) == 0
+
+    labels, data = fvbm.read_spin_csv(matrix)
+    result = fvbm.fit(data)
+    report = fvbm.build_report(
+        result, data, groups=fvbm.default_groups(len(labels)), method="by",
+        coordinate_names=fvbm.flat_labels(labels),
+    )
+    written = fvbm.FitResult.from_json_dict(json.loads(fit_path.read_text()))
+    assert np.array_equal(written.params.to_flat(), result.params.to_flat())
+    report_obj = json.loads(report_path.read_text())
+    for key in ("standard_errors", "p_values", "adjusted_p_values"):
+        assert np.array_equal(np.array(report_obj[key]), getattr(report, key)), key
 
 
 def test_simulate_refuses_d_above_the_cap_for_every_n(tmp_path, capsys):
@@ -1047,17 +1086,11 @@ def test_wide_chain_reruns_are_byte_identical_and_blas_threads_agree_within_boun
     )
     data = tmp_path / "spins.csv"
     fvbm.write_spin_csv(data, [f"{block}{j}" for block in "AB" for j in range(8)], x)
-    src = str(Path(fvbm.__file__).resolve().parents[1])
     runs = {}
     for name, threads in (("one", 1), ("one_again", 1), ("two", 2)):
         out = tmp_path / name
         out.mkdir()
-        env = dict(
-            os.environ,
-            OPENBLAS_NUM_THREADS=str(threads),
-            OMP_NUM_THREADS=str(threads),
-            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-        )
+        env = _subprocess_env(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
         done = subprocess.run(
             [sys.executable, "-c", _WIDE_CHAIN, str(data), str(out)],
             env=env, capture_output=True, text=True, timeout=60,

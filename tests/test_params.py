@@ -1,6 +1,8 @@
 """Parameter container, flat layout, and spin validation."""
 
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import fvbm
 from fvbm import jsonio
 from fvbm.params import flat_dimension, slot_map
 
-from oracles import random_params, recursive_dumps
+from oracles import random_params
 
 
 def test_flat_length():
@@ -118,9 +120,8 @@ def test_json_round_trip_is_exact():
     np.testing.assert_array_equal(rebuilt.interaction, params.interaction)
 
 
-def test_json_seventeen_digit_floats():
-    text = jsonio.dumps({"x": 1.0 / 3.0})
-    assert "0.33333333333333331" in text
+def test_json_shortest_repr_floats():
+    assert jsonio.dumps({"x": 1.0 / 3.0, "p": 1.0}) == '{"x": 0.3333333333333333, "p": 1.0}\n'
 
 
 def test_json_rejects_non_finite():
@@ -161,19 +162,58 @@ _json_trees = st.recursive(
 )
 
 
-def _emitted(dumps, obj):
-    try:
-        return dumps(obj)
-    except ValueError as exc:
-        return ValueError, str(exc)
+def _plain(obj):
+    """``obj`` as ``json.loads`` gives it back: float and int subclasses as
+    the type they extend, tuples as lists, str subclasses as str, and a high
+    surrogate followed by a low one as the code point of the pair."""
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, int):
+        return int(obj)
+    if isinstance(obj, float):
+        return float(obj)
+    if isinstance(obj, str):
+        return obj.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return {_plain(k): _plain(v) for k, v in obj.items()}
+
+
+def _finite(obj) -> bool:
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, (list, tuple)):
+        return all(map(_finite, obj))
+    if isinstance(obj, dict):
+        return all(map(_finite, obj.values()))
+    return True
+
+
+def _same(a, b) -> bool:
+    """Equal trees with equal types, floats compared by their bits."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    if type(a) is dict:
+        return list(a) == list(b) and all(map(_same, a.values(), b.values()))
+    return a == b
 
 
 @settings(max_examples=300, deadline=None)
 @given(obj=_json_trees)
-def test_json_text_matches_recursive_emitter(obj):
-    # lists of plain floats take a one-pass path; the text, or the error on
-    # the first non-finite float, must be the recursive emitter's
-    assert _emitted(jsonio.dumps, obj) == _emitted(recursive_dumps, obj)
+def test_json_text_reads_back_bit_for_bit(obj):
+    # a non-finite float anywhere refuses the tree; any other tree is one
+    # line that reads back with the same types and float bits
+    if not _finite(obj):
+        with pytest.raises(ValueError):
+            jsonio.dumps(obj)
+        return
+    text = jsonio.dumps(obj)
+    assert text.endswith("\n") and "\n" not in text[:-1]
+    assert _same(json.loads(text), _plain(obj))
 
 
 def test_spin_validation():

@@ -33,7 +33,7 @@ def _table(text: str) -> fvbm.VoteTable:
     return fvbm.parse_votes(io.StringIO(text))
 
 
-def _splits(text: str) -> fvbm.SplitResolution:
+def _splits(text: str) -> dict[tuple[str, str], dict[str, Vote]]:
     return fvbm.parse_split_records(io.StringIO(text))
 
 
@@ -124,19 +124,20 @@ def test_parse_votes_matches_the_per_cell_oracle(parties, rows):
 
 
 def test_parse_split_records():
-    resolution = _splits(
+    records = _splits(
         "date,number,senator,vote\n"
         "23/11,1,Burston,No\n"
         "23/11,1,Culleton,No\n"
         "23/11,1,Hanson,Yes\n"
         "23/11,1,Roberts,Yes\n"
     )
-    record = resolution.for_row("23/11", "1")
-    assert record == {
-        "burston": Vote.NO,
-        "culleton": Vote.NO,
-        "hanson": Vote.YES,
-        "roberts": Vote.YES,
+    assert records == {
+        ("23/11", "1"): {
+            "burston": Vote.NO,
+            "culleton": Vote.NO,
+            "hanson": Vote.YES,
+            "roberts": Vote.YES,
+        }
     }
 
 
@@ -204,10 +205,10 @@ def test_resolution_majority_without_extraction():
 
 def test_resolution_tie_maps_to_missing():
     table = _table("date,number,GOV,P\n1/1,1,Yes,Split\n")
-    resolution = _splits(
+    records = _splits(
         "date,number,senator,vote\n1/1,1,A,Yes\n1/1,1,B,No\n1/1,1,C,Yes\n"
     )
-    resolved = fvbm.resolve_splits(table, resolution, extract_member="C")
+    resolved = fvbm.resolve_splits(table, records, extract_member="C")
     # remaining members {Yes, No} tie -> Missing
     assert _column(resolved, "P")[0] is Vote.MISSING
     assert _column(resolved, "C")[0] is Vote.YES
@@ -978,9 +979,9 @@ def _stage_outcome(stage, *args):
     return out.parties, [[int(v) for v in row] for row in cells]
 
 
-def _oracle_prepare(case, table, resolution):
+def _oracle_prepare(case, table, records):
     """Outputs and provenance counts of ``prepare``, from the list oracles."""
-    resolved = list_resolve_splits(table, resolution, case["extract"], case["label"])
+    resolved = list_resolve_splits(table, records, case["extract"], case["label"])
     kept = list_drop_sparse_columns(resolved, case["threshold"])
     missing = sum(v is Vote.MISSING for row in kept.cells for v in row)
     complete = list_knn_impute(kept, fvbm.ImputeConfig(k=case["k"]))
@@ -1006,14 +1007,14 @@ def test_array_stages_match_the_list_oracles(tmp_path_factory, case):
     splits.write_text(
         "date,number,senator,vote\n" + "".join(",".join(rec) + "\n" for rec in case["records"])
     )
-    table, resolution = fvbm.parse_votes(votes), fvbm.parse_split_records(splits)
+    table, records = fvbm.parse_votes(votes), fvbm.parse_split_records(splits)
     listed = ListVoteTable(table.dates, table.numbers, table.parties, case["cells"])
     assert table.cells.tolist() == case["cells"]
 
     # stage by stage, on the raw table too, so every refusal is reached
     extract = case["extract"], case["label"]
-    assert _stage_outcome(fvbm.resolve_splits, table, resolution, *extract) == _stage_outcome(
-        list_resolve_splits, listed, resolution, *extract
+    assert _stage_outcome(fvbm.resolve_splits, table, records, *extract) == _stage_outcome(
+        list_resolve_splits, listed, records, *extract
     )
     assert _stage_outcome(fvbm.drop_sparse_columns, table, case["threshold"]) == _stage_outcome(
         list_drop_sparse_columns, listed, case["threshold"]
@@ -1038,7 +1039,7 @@ def test_array_stages_match_the_list_oracles(tmp_path_factory, case):
     with contextlib.redirect_stderr(stderr):
         code = main(argv)
     try:
-        agreement, counts = _oracle_prepare(case, listed, resolution)
+        agreement, counts = _oracle_prepare(case, listed, records)
     except fvbm.DataError as exc:
         assert (code, stderr.getvalue()) == (2, f"data error: {exc}\n")
         return

@@ -36,7 +36,6 @@ from .params import (
     check_labels,
     flat_labels,
     flat_length,
-    pair_indices,
 )
 from .pseudolikelihood import (
     log_pseudolikelihood,
@@ -101,7 +100,6 @@ __all__ = [
     "log_pseudolikelihood",
     "marginal_probability",
     "network_to_json_dict",
-    "pair_indices",
     "pairwise_joint",
     "parse_split_records",
     "parse_votes",

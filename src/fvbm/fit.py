@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import DataError
 from .params import FvbmParams, as_spin_matrix
-from .pseudolikelihood import _activations, _hessian_gather, _information, _log_pl, _score
+from .pseudolikelihood import _activations, _information, _log_pl, _score
 
 # Largest |entry| of the last accepted step that a converged fit may have.
 STEP_LIMIT = 1e-3
@@ -295,7 +295,6 @@ def fit(data, config: FitConfig | None = None) -> FitResult:
 
     degenerate = tuple(int(j) for j in np.flatnonzero(np.abs(x.mean(axis=0)) == 1.0))
     theta = params.to_flat()
-    gather = _hessian_gather(d)
     # an initializer with huge entries overflows here; the check below
     # refuses it, so numpy's overflow warnings would only repeat that
     with np.errstate(over="ignore"):
@@ -309,7 +308,7 @@ def fit(data, config: FitConfig | None = None) -> FitResult:
     last_step = None
     stopped_by = "max_iterations"
     for _ in range(config.max_iterations):
-        step = _newton_step(_score(x, a), _information(x, a, gather))
+        step = _newton_step(_score(x, a), _information(x, a))
         for _ in range(MAX_HALVINGS + 1):
             candidate = theta + step
             if np.all(np.isfinite(candidate)):

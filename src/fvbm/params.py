@@ -68,24 +68,14 @@ def slot_map(d: int) -> np.ndarray:
     return slot
 
 
-def pair_indices(d: int) -> list[tuple[int, int]]:
-    """Upper-triangle index pairs (j, k), j < k, in lexicographic order.
-
-    The position of a pair in this list plus ``d`` gives its slot in the
-    flat parameter layout.
-    """
-    rows, cols = upper_indices(d)
-    return list(zip(rows.tolist(), cols.tolist()))
-
-
 def flat_labels(names: list[str]) -> list[str]:
     """Human-readable labels for every flat-layout coordinate.
 
     Bias coordinates keep the variable name; interaction coordinates are
     rendered as ``"A:B"``.
     """
-    pairs = pair_indices(len(names))
-    return list(names) + [f"{names[j]}:{names[k]}" for j, k in pairs]
+    rows, cols = upper_indices(len(names))
+    return list(names) + [f"{names[j]}:{names[k]}" for j, k in zip(rows, cols)]
 
 
 def check_labels(labels, d: int) -> list[str]:

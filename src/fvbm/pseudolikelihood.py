@@ -37,6 +37,8 @@ only: at most 1e-12 n in the tests.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DataError
@@ -132,9 +134,10 @@ def per_observation_scores(params: FvbmParams, data) -> np.ndarray:
     return scores.T
 
 
+@functools.lru_cache(maxsize=8)
 def _hessian_gather(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices into the p-by-p Hessian and into the transpose of G,
-    (1+p)-by-d, for every (l, u, v).
+    (1+p)-by-d, for every (l, u, v).  The arrays are cached and read-only.
 
     Conditional l adds s_il z_u z_v to the entry (slot[l, u], slot[l, v]),
     where z is x with z_l = 1.  z_u z_v is 1 when u == v, the x of the other
@@ -146,14 +149,15 @@ def _hessian_gather(d: int) -> tuple[np.ndarray, np.ndarray]:
     l, u, v = np.ogrid[:d, :d, :d]
     pair = slot[np.where(u == l, v, u), np.where(v == l, u, v)]
     source = np.where(u == v, 0, 1 + pair) * d + l
-    target = slot[l, u] * p + slot[l, v]
-    return target.ravel(), source.ravel()
+    target = (slot[l, u] * p + slot[l, v]).ravel()
+    source = source.ravel()
+    target.setflags(write=False)
+    source.setflags(write=False)
+    return target, source
 
 
-def _information(
-    x: np.ndarray, a: np.ndarray, gather: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """The information -H from data, activations and :func:`_hessian_gather` (d)."""
+def _information(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The information -H from data and activations of equal shape."""
     n, d = x.shape
     p = flat_length(d)
     rows, cols = upper_indices(d)
@@ -173,7 +177,7 @@ def _information(
         np.take(xb, rows, axis=0, out=pairs)
         pairs *= xb[cols]
         gt += w @ s[start : start + block]
-    target, source = gather
+    target, source = _hessian_gather(d)
     return np.bincount(target, weights=gt.ravel()[source], minlength=p * p).reshape(p, p)
 
 
@@ -184,5 +188,5 @@ def pseudo_hessian(params: FvbmParams, data) -> np.ndarray:
     """
     x = as_spin_matrix(data)
     _check_dims(params, x)
-    h = _information(x, _activations(params, x), _hessian_gather(params.d))
+    h = _information(x, _activations(params, x))
     return np.negative(h, out=h)

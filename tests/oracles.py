@@ -121,99 +121,6 @@ def relative_error(actual: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(actual - expected))) / scale
 
 
-def pair_loop_fit(data, config=None) -> "fvbm.FitResult":
-    """Block-MM fit with each pair step recomputing both activation columns.
-
-    The package's sweep updates the activations incrementally; this one
-    evaluates every quantity afresh from the current parameters, at
-    O(n d^3) per sweep, with the same update order and stopping rule.
-    """
-    config = config or fvbm.FitConfig()
-    x = fvbm.as_spin_matrix(data)
-    d = x.shape[1]
-    init = config.init or FvbmParams.zeros(d)
-    b = init.bias.copy()
-    m = init.interaction.copy()
-    degenerate = tuple(int(j) for j in np.flatnonzero(np.abs(x.mean(axis=0)) == 1.0))
-    trace = [fvbm.log_pseudolikelihood(FvbmParams(b, m), x)]
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, config.max_iterations + 1):
-        b = b + (x - np.tanh(x @ m + b)).mean(axis=0)
-        for j in range(d):
-            for k in range(j + 1, d):
-                aj = x @ m[:, j] + b[j]
-                ak = x @ m[:, k] + b[k]
-                step = 0.5 * np.mean(
-                    2.0 * x[:, j] * x[:, k]
-                    - x[:, k] * np.tanh(aj)
-                    - x[:, j] * np.tanh(ak)
-                )
-                m[j, k] += step
-                m[k, j] = m[j, k]
-        trace.append(fvbm.log_pseudolikelihood(FvbmParams(b, m), x))
-        if abs(trace[-1] - trace[-2]) < config.objective_tolerance:
-            converged = True
-            break
-    return fvbm.FitResult(
-        params=FvbmParams(bias=b, interaction=m),
-        objective_trace=np.asarray(trace),
-        iterations_used=sweeps,
-        converged=converged,
-        degenerate_columns=degenerate,
-    )
-
-
-def incremental_fit(data, config=None) -> "fvbm.FitResult":
-    """Block-MM fit updating the activations of both coordinates per pair.
-
-    The package's sweep batches each row's updates of the a_k side; this
-    one visits the pairs one at a time, refreshing a_j, a_k and both tanh
-    rows after every step, with the same update order and stopping rule.
-    It shares the package's objective, so both stopping tests see the same
-    numbers and any sweep-count difference comes from the sweep.
-    """
-    config = config or fvbm.FitConfig()
-    x = fvbm.as_spin_matrix(data)
-    n, d = x.shape
-    init = config.init or FvbmParams.zeros(d)
-    b = init.bias.copy()
-    m = init.interaction.copy()
-    degenerate = tuple(int(j) for j in np.flatnonzero(np.abs(x.mean(axis=0)) == 1.0))
-    pairs = fvbm.pair_indices(d)
-    xt = np.ascontiguousarray(x.T)
-    gram = xt @ x
-    a = x @ m + b
-    trace = [_log_pl(x, a)]
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, config.max_iterations + 1):
-        step_b = (x - np.tanh(a)).mean(axis=0)
-        b = b + step_b
-        act = np.ascontiguousarray(a.T) + step_b[:, None]
-        t = np.tanh(act)
-        for j, k in pairs:
-            step = (gram[j, k] - 0.5 * (xt[k] @ t[j] + xt[j] @ t[k])) / n
-            m[j, k] += step
-            m[k, j] = m[j, k]
-            act[j] += step * xt[k]
-            act[k] += step * xt[j]
-            np.tanh(act[j], out=t[j])
-            np.tanh(act[k], out=t[k])
-        a = x @ m + b
-        trace.append(_log_pl(x, a))
-        if abs(trace[-1] - trace[-2]) < config.objective_tolerance:
-            converged = True
-            break
-    return fvbm.FitResult(
-        params=FvbmParams(bias=b, interaction=m),
-        objective_trace=np.asarray(trace),
-        iterations_used=sweeps,
-        converged=converged,
-        degenerate_columns=degenerate,
-    )
-
-
 def row_sweep_fit(data, config=None) -> "fvbm.FitResult":
     """Block-MM fit of Nguyen & Wood (2016), its pair steps batched by rows.
 

@@ -14,6 +14,7 @@ import scipy.optimize
 
 import fvbm
 from fvbm.inference import two_sided_p_value
+from fvbm.params import upper_indices
 
 import reference_values as ref
 from oracles import (
@@ -148,11 +149,12 @@ def test_criterion_07_fdr_reproduction():
         # spot anchors recompute to the printed digits
         bias_adjusted = fvbm.fdr_adjust(ref.BIAS_P, "by")
         inter_adjusted = fvbm.fdr_adjust(ref.INTERACTION_P, "by")
-        pairs = fvbm.pair_indices(8)
+        rows, cols = upper_indices(8)
+        (nxt_dhjp,) = np.flatnonzero((rows == 2) & (cols == 6))
         anchors = [
             (bias_adjusted[1], 1.24e-05),                      # from 5.71E-07
             (bias_adjusted[3], 6.41e-03),                      # from 5.89E-04
-            (inter_adjusted[pairs.index((2, 6))], 4.17e-05),   # from 7.24E-07
+            (inter_adjusted[nxt_dhjp], 4.17e-05),              # from 7.24E-07
         ]
         for value, printed in anchors:
             assert abs(value - printed) <= 2.0 * ref.last_digit_unit(printed)

@@ -1,8 +1,10 @@
 """Damped Newton fitter: hand examples, monotonicity, convergence verdict.
 
-The block-MM sweeps that ``fit`` replaced live on as oracles in
-``oracles.py``; the MM equality tests below pin those oracles against
-each other, and the Newton tests compare ``fit`` with them.
+``fit`` meets two oracles from ``oracles.py``: Newton on the block
+Hessian (``cholesky_newton_fit``), and the block-MM sweeps of Nguyen &
+Wood (2016) that ``fit`` replaced (``row_sweep_fit``).  The sweeps reach
+the maximizer by another algorithm, so they check both the estimate and
+the convergence verdict independently of Newton.
 """
 
 import importlib
@@ -25,8 +27,6 @@ from oracles import (
     cholesky_newton_step,
     correlated_spins,
     eye_ridge_newton_step,
-    incremental_fit,
-    pair_loop_fit,
     random_params,
     random_spins,
     row_sweep_fit,
@@ -82,85 +82,6 @@ def test_objective_trace_is_log_pseudolikelihood_per_sweep():
         expected = fvbm.log_pseudolikelihood(params, data)
         assert value == pytest.approx(expected, rel=1e-9, abs=0.0)
         params = fvbm.fit(data, fvbm.FitConfig(max_iterations=1, init=params)).params
-
-
-@pytest.mark.parametrize("case", ["zeros", "init", "constant-column", "cutoff"])
-@pytest.mark.parametrize("d, n", ORACLE_SHAPES)
-def test_fit_matches_pair_loop_oracle(d, n, case):
-    rng = np.random.default_rng(1000 * d + n)
-    data = correlated_spins(rng, n, d)
-    config = fvbm.FitConfig()
-    if case == "init":
-        config = fvbm.FitConfig(init=random_params(rng, d, scale=0.5))
-    elif case == "constant-column":
-        # a constant column never converges; 40 sweeps drive its bias past 2.5
-        data[:, 0] = 1.0
-        config = fvbm.FitConfig(max_iterations=40)
-    elif case == "cutoff":
-        config = fvbm.FitConfig(max_iterations=3)
-    fast = row_sweep_fit(data, config)
-    slow = pair_loop_fit(data, config)
-    assert fast.iterations_used == slow.iterations_used
-    assert fast.converged == slow.converged
-    assert fast.degenerate_columns == slow.degenerate_columns
-    np.testing.assert_allclose(
-        fast.params.to_flat(), slow.params.to_flat(), rtol=0.0, atol=1e-12
-    )
-
-
-def _assert_same_fit(fast, slow):
-    assert fast.iterations_used == slow.iterations_used
-    assert fast.converged == slow.converged
-    assert fast.degenerate_columns == slow.degenerate_columns
-    np.testing.assert_allclose(
-        fast.params.to_flat(), slow.params.to_flat(), rtol=0.0, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        fast.objective_trace, slow.objective_trace, rtol=1e-12, atol=0.0
-    )
-
-
-@pytest.mark.parametrize("oracle", [incremental_fit, pair_loop_fit])
-@pytest.mark.parametrize("case", ["zeros", "init", "constant-column", "cutoff"])
-@pytest.mark.parametrize("d, n", ORACLE_SHAPES)
-def test_row_sweep_matches_per_pair_oracles(d, n, case, oracle):
-    rng = np.random.default_rng(1000 * d + n)
-    data = correlated_spins(rng, n, d)
-    config = fvbm.FitConfig()
-    if case == "init":
-        config = fvbm.FitConfig(init=random_params(rng, d, scale=0.5))
-    elif case == "constant-column":
-        data[:, 0] = 1.0
-        config = fvbm.FitConfig(max_iterations=40)
-    elif case == "cutoff":
-        config = fvbm.FitConfig(max_iterations=3)
-    _assert_same_fit(row_sweep_fit(data, config), oracle(data, config))
-
-
-def test_row_sweep_matches_oracle_at_benchmark_tolerance():
-    # the benchmark fits with --tol 1e-10, where the stopping test sits a
-    # few dozen ulps of the objective from the per-sweep change
-    rng = np.random.default_rng(24_2000)
-    data = correlated_spins(rng, 2000, 24)
-    config = fvbm.FitConfig(objective_tolerance=1e-10)
-    fast = row_sweep_fit(data, config)
-    assert fast.converged
-    _assert_same_fit(fast, incremental_fit(data, config))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    d=st.integers(1, 8),
-    n=st.integers(1, 60),
-    sweeps=st.integers(1, 3),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_row_sweep_matches_incremental_oracle_property(d, n, sweeps, seed):
-    rng = np.random.default_rng(seed)
-    data = random_spins(rng, n, d)
-    init = random_params(rng, d, scale=float(rng.uniform(0.0, 3.0)))
-    config = fvbm.FitConfig(max_iterations=sweeps, init=init)
-    _assert_same_fit(row_sweep_fit(data, config), incremental_fit(data, config))
 
 
 def test_monotone_from_extreme_initialization():

@@ -13,6 +13,7 @@ import fvbm
 from fvbm import jsonio
 from fvbm import inference
 from fvbm.inference import _symmetric_inverse, two_sided_p_value
+from fvbm.params import upper_indices
 
 import reference_values as ref
 from oracles import (
@@ -420,8 +421,8 @@ def test_fdr_reference_bias_anchors():
 
 def test_fdr_reference_interaction_anchor():
     adjusted = fvbm.fdr_adjust(ref.INTERACTION_P, "by")
-    pairs = fvbm.pair_indices(8)
-    slot = pairs.index((2, 6))  # NXT:DHJP, raw 7.24E-07
+    rows, cols = upper_indices(8)
+    (slot,) = np.flatnonzero((rows == 2) & (cols == 6))  # NXT:DHJP, raw 7.24E-07
     # step-up minimum comes from rank 2: c(28) * 28 * 7.58E-07 / 2
     c28 = sum(1.0 / k for k in range(1, 29))
     assert adjusted[slot] == pytest.approx(c28 * 14 * 7.58e-07, rel=1e-12)

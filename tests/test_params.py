@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import fvbm
 from fvbm import jsonio
-from fvbm.params import flat_dimension, slot_map
+from fvbm.params import flat_dimension, slot_map, upper_indices
 
 from oracles import random_params
 
@@ -23,9 +23,12 @@ def test_flat_length():
     assert fvbm.flat_length(8) == 36
 
 
-def test_pair_indices_lexicographic():
-    assert fvbm.pair_indices(3) == [(0, 1), (0, 2), (1, 2)]
-    assert fvbm.pair_indices(4)[:4] == [(0, 1), (0, 2), (0, 3), (1, 2)]
+def test_upper_indices_lexicographic():
+    np.testing.assert_array_equal(upper_indices(3), [[0, 0, 1], [1, 2, 2]])
+    rows, cols = upper_indices(4)
+    np.testing.assert_array_equal([rows[:4], cols[:4]], [[0, 0, 0, 1], [1, 2, 3, 2]])
+    with pytest.raises(ValueError):
+        rows[0] = 1
 
 
 def test_slot_map_indexes_the_flat_layout():
@@ -33,7 +36,7 @@ def test_slot_map_indexes_the_flat_layout():
     for d in (1, 2, 6):
         slot = slot_map(d)
         assert [slot[j, j] for j in range(d)] == list(range(d))
-        for q, (j, k) in enumerate(fvbm.pair_indices(d), start=d):
+        for q, (j, k) in enumerate(zip(*upper_indices(d)), start=d):
             assert slot[j, k] == slot[k, j] == q
     with pytest.raises(ValueError):
         slot_map(3)[0, 0] = 7

@@ -1,5 +1,5 @@
-"""Checks on the repository itself: README's code runs, and no module of
-``src/fvbm`` imports a name it does not use."""
+"""Checks on the repository itself: README's code runs, no module of
+``src/fvbm`` imports a name it does not use, and every oracle is used."""
 
 import ast
 import contextlib
@@ -11,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "fvbm").glob("*.py") if p.name != "__init__.py")
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
 def test_readme_library_tour_runs():
@@ -39,3 +40,32 @@ def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in _imported_names(tree) if name not in used] == []
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Every bare name and attribute name in the code under ``tree``."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_oracle_is_named_by_a_test():
+    # an oracle is used when a test module names it, or a used oracle does;
+    # one that only retired tests or retired oracles named fails here
+    oracles = {
+        node.name: node
+        for node in ast.parse(ORACLES.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    named = set()
+    for path in ORACLES.parent.glob("test_*.py"):
+        named |= _referenced_names(ast.parse(path.read_text(), filename=str(path)))
+    used, frontier = set(), [name for name in oracles if name in named]
+    while frontier:
+        name = frontier.pop()
+        if name not in used:
+            used.add(name)
+            frontier += [n for n in _referenced_names(oracles[name]) if n in oracles]
+    assert sorted(set(oracles) - used) == []

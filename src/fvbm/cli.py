@@ -34,7 +34,7 @@ from .inference import (
     default_groups,
     format_report_tables,
 )
-from .model import enumerate_pmf, marginal_probability, pairwise_joint, sample
+from .model import _joint, pair_cells, sample
 from .params import FvbmParams, as_spin_matrix, check_labels, flat_labels, flat_length
 from .votes import (
     ImputeConfig,
@@ -265,10 +265,8 @@ def cmd_probs(args) -> None:
         obj = jsonio.load(args.fit)
         params = FitResult.from_json_dict(obj).params
         labels = _labels(obj.get("labels"), params.d)
-    table = enumerate_pmf(params)
-    marginals = {
-        label: marginal_probability(table, j) for j, label in enumerate(labels)
-    }
+    cells = pair_cells(params)
+    marginals = {label: float(cells[0, j, 0, j]) for j, label in enumerate(labels)}
     pairs_out = []
     for spec in args.pair or []:
         names = [s.strip() for s in spec.split(",")]
@@ -277,7 +275,7 @@ def cmd_probs(args) -> None:
         if any(name not in labels for name in names):
             raise DataError(f"pair {spec!r} names a column not present in {labels}")
         j, k = (labels.index(name) for name in names)
-        joint = pairwise_joint(table, j, k)
+        joint = _joint(cells, j, k)
         pairs_out.append(
             {
                 "a": names[0],

@@ -25,32 +25,51 @@ The half terms ride in the cross product as two extra columns,
     logw = [s_hi M[hi, lo], q_hi, 1] [s_lo, 1, q_lo]',
 
 so one (2^hi x (lo+2)) by ((lo+2) x 2^lo) product makes all 2^d
-log-weights.  Its factors are small (1024 x 12 at d=20); its output is
-the only 2^d array.  Every exact quantity then exponentiates that array
-once, in place, after subtracting its max: the PMF divides by the sum,
-and :func:`sample` takes its CDF in place.  One 2^d vector (8 MB at d=20)
-is held, with no 2^d temporaries.  The log-weights are within
-1e-13 * max(1, |logw|) of summing each state's terms directly.
+log-weights, and a block of its rows makes those rows' log-weights.  Its
+factors are small (1024 x 12 at d=20).  The log-weights are within
+1e-13 * max(1, |logw|) of summing each state's terms directly.  Every
+exact quantity exponentiates them after subtracting their max, so the
+largest weight is exactly 1.
+
+:func:`enumerate_pmf` and :func:`sample` hold the whole product as one
+2^d vector (8 MB at d=20), exponentiated in place, with no 2^d
+temporaries.  :func:`sample` inverts a two-level CDF over it.  One
+product with a ones vector gives the totals of 32-state chunks, and a
+cumulative sum over those 2^d/32 totals the chunk edges.  Each target
+u * total (u uniform on [0, 1)) is found among the edges, in sorted
+order, then within its chunk by the prefix sums of one product with a
+triangular ones matrix, a block of targets at a time.  Each target stays
+strictly below the total and below its chunk's last prefix sum, so
+rounding never puts a draw past its chunk or on a state of zero weight.
+The draws equal those of one sequential 2^d-long CDF
+(``oracles.table_sample``) unless a uniform lands within rounding of a
+CDF boundary.
 
 Marginals and pairwise joints are read from one array of pair cells,
 ``cells[a, j, c, k] = P(X_j = s_a, X_k = s_c)`` with s = (+1, -1), whose
-diagonal ``cells[0, j, 0, j]`` is P(X_j = +1).  Splitting the state index
-into its high and low bits as above views the table as
-``w = p.reshape(2^hi, 2^lo)``.  With the 0/1 indicator matrix
-``C = [B, 1 - B]`` of each half's states (B[s, j] = bit j of s):
+diagonal ``cells[0, j, 0, j]`` is P(X_j = +1).  View the weights as
+``w = weights.reshape(2^hi, 2^lo)``, split as above.  With the 0/1
+indicator matrix ``C = [B, 1 - B]`` of each half's states
+(B[s, j] = bit j of s):
 
     pairs across the halves     C_hi' (w C_lo)
     pairs within the low bits   C_lo' diag(w.sum(0)) C_lo
     pairs within the high bits  C_hi' diag(w.sum(1)) C_hi
 
-Every cell is a sum of nonnegative probabilities, never a difference.
-The cost is two passes over the table plus one 2^d-by-2lo product, ~3 ms
-at d=20.  Each cell is within a relative 1e-14 of the correctly rounded
-(``math.fsum``) sum of its states.
+Each row block of w adds its rows of ``w C_lo`` and of the row sums, and
+its column sums, so the cells need no whole table.  :func:`pair_cells`
+makes each 32-row block of the log-weight product in one held buffer,
+shifts it by the global max (from a first pass of the same products) and
+exponentiates it there, and divides the cells by the total weight once
+at the end.  ``PmfTable.pair_cells`` sums its stored probabilities as
+one block.  Every cell is a sum of nonnegative weights, never a
+difference, and is within a relative 1e-14 of the correctly rounded
+(``math.fsum``) sum of its states' probabilities.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,12 +79,22 @@ from .errors import DataError
 from .params import FvbmParams
 
 ENUMERATION_CAP = 20
+_CHUNK = 32  # states per chunk of the sampler's inverse CDF
+_TARGET_BLOCK = 256  # sampler targets placed within their chunks per product
+_ROW_BLOCK = 32  # rows of the 2^hi-by-2^lo weights per block of pair_cells
+
+
+def _bits(idx, d: int) -> np.ndarray:
+    """Bits 0..d-1 of each state index, as uint8 columns."""
+    octets = np.asarray(idx, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=d, bitorder="little")
 
 
 def _spins(idx, d: int) -> np.ndarray:
     """+/-1 configurations of state indices: bit j of each index is coordinate j."""
-    bits = (np.asarray(idx)[..., None] >> np.arange(d)) & 1
-    return bits.astype(np.float64) * 2.0 - 1.0
+    spins = np.multiply(_bits(idx, d), 2.0)
+    spins -= 1.0
+    return spins
 
 
 def _sub_log_weights(spins: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,9 +109,10 @@ def _check_enumerable(d: int) -> None:
         )
 
 
-def _log_weights(params: FvbmParams) -> np.ndarray:
-    """Exponents 0.5 * x'Mx + x'b of all 2^d states, in one 2^d vector
-    (module docstring)."""
+def _half_factors(params: FvbmParams) -> tuple[np.ndarray, np.ndarray]:
+    """The factors [s_hi M[hi, lo], q_hi, 1] and [s_lo, 1, q_lo] whose
+    product ``left @ right.T`` is the 2^hi-by-2^lo log-weights (module
+    docstring)."""
     d = params.d
     _check_enumerable(d)
     m, b = params.interaction, params.bias
@@ -94,27 +124,72 @@ def _log_weights(params: FvbmParams) -> np.ndarray:
     right = np.column_stack(
         [s_lo, np.ones(len(s_lo)), _sub_log_weights(s_lo, m[:lo, :lo], b[:lo])]
     )
+    return left, right
+
+
+def _log_weights(params: FvbmParams) -> np.ndarray:
+    """Exponents 0.5 * x'Mx + x'b of all 2^d states, in one 2^d vector
+    (module docstring)."""
+    left, right = _half_factors(params)
     return (left @ right.T).reshape(-1)
 
 
 def _shifted_weights(params: FvbmParams) -> np.ndarray:
-    """exp(logw - max logw) of all 2^d states: the one exponentiation of the
-    module, done in place on the log-weights."""
+    """exp(logw - max logw) of all 2^d states, exponentiated in place on the
+    log-weights."""
     w = _log_weights(params)
     w -= w.max()
     return np.exp(w, out=w)
 
 
+def _weight_blocks(params: FvbmParams):
+    """Row blocks ``(rows, w[rows])`` of the shifted weights viewed as
+    2^hi-by-2^lo, each made and exponentiated in one held buffer."""
+    left, right = _half_factors(params)
+    size = min(_ROW_BLOCK, len(left))
+    buffer = np.empty((size, len(right)))
+    blocks = [slice(start, start + size) for start in range(0, len(left), size)]
+    top = max(np.matmul(left[rows], right.T, out=buffer).max() for rows in blocks)
+    for rows in blocks:
+        np.matmul(left[rows], right.T, out=buffer)
+        buffer -= top
+        yield rows, np.exp(buffer, out=buffer)
+
+
 def _indicators(bits: int) -> np.ndarray:
     """C = [B, 1 - B] over the 2^bits states of ``bits`` coordinates:
     column a*bits + j is 1 where coordinate j is s_a, s = (+1, -1)."""
-    b = (np.arange(1 << bits)[:, None] >> np.arange(bits)) & 1
+    b = _bits(np.arange(1 << bits), bits)
     return np.concatenate([b, 1 - b], axis=1).astype(np.float64)
 
 
 def _within(c: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """C' diag(mass) C: the pair cells of the coordinates ``c`` indicates."""
     return (c * mass[:, None]).T @ c
+
+
+def _pair_cell_sums(d: int, blocks) -> tuple[np.ndarray, float]:
+    """Unnormalized pair cells and the total weight, from the row blocks
+    ``(rows, w[rows])`` of 2^d weights viewed as 2^hi-by-2^lo (module
+    docstring)."""
+    lo = d // 2
+    hi = d - lo
+    c_lo, c_hi = _indicators(lo), _indicators(hi)
+    by_row = np.empty((1 << hi, 2 * lo))  # w C_lo
+    row_mass = np.empty(1 << hi)
+    col_mass = np.zeros(1 << lo)
+    for rows, w in blocks:
+        np.matmul(w, c_lo, out=by_row[rows])
+        w.sum(axis=1, out=row_mass[rows])
+        col_mass += w.sum(axis=0)
+    across = (c_hi.T @ by_row).reshape(2, hi, 2, lo)
+    del by_row  # before the within-half products allocate
+    cells = np.empty((2, d, 2, d))
+    cells[:, lo:, :, :lo] = across
+    cells[:, :lo, :, lo:] = across.transpose(2, 3, 0, 1)
+    cells[:, :lo, :, :lo] = _within(c_lo, col_mass).reshape(2, lo, 2, lo)
+    cells[:, lo:, :, lo:] = _within(c_hi, row_mass).reshape(2, hi, 2, hi)
+    return cells, float(row_mass.sum())
 
 
 @dataclass(frozen=True)
@@ -128,7 +203,8 @@ class PmfTable:
     :attr:`pair_cells` holds every marginal and pairwise joint of the
     table in a 2-by-d-by-2-by-d array (module docstring).  It is computed
     on first use by two passes over the table and one product, ~3 ms at
-    d=20; each cell is within a relative 1e-14 of the correctly rounded
+    d=20, the block sums of :func:`pair_cells` over the whole table as one
+    block; each cell is within a relative 1e-14 of the correctly rounded
     sum of its states.
     """
 
@@ -153,17 +229,10 @@ class PmfTable:
     @cached_property
     def pair_cells(self) -> np.ndarray:
         """Read-only ``cells[a, j, c, k] = P(X_j = s_a, X_k = s_c)``, s = (+1, -1),
-        by the blocked products of the module docstring."""
+        by the blocked products of the module docstring over the whole table."""
         lo = self.d // 2
-        hi = self.d - lo
-        w = self.probabilities.reshape(1 << hi, 1 << lo)
-        c_lo, c_hi = _indicators(lo), _indicators(hi)
-        cells = np.empty((2, self.d, 2, self.d))
-        across = (c_hi.T @ (w @ c_lo)).reshape(2, hi, 2, lo)
-        cells[:, lo:, :, :lo] = across
-        cells[:, :lo, :, lo:] = across.transpose(2, 3, 0, 1)
-        cells[:, :lo, :, :lo] = _within(c_lo, w.sum(axis=0)).reshape(2, lo, 2, lo)
-        cells[:, lo:, :, lo:] = _within(c_hi, w.sum(axis=1)).reshape(2, hi, 2, hi)
+        w = self.probabilities.reshape(-1, 1 << lo)
+        cells, _ = _pair_cell_sums(self.d, [(slice(None), w)])
         cells.setflags(write=False)
         return cells
 
@@ -183,6 +252,17 @@ def enumerate_pmf(params: FvbmParams) -> PmfTable:
     w = _shifted_weights(params)
     w /= w.sum()
     return PmfTable._trusted(params.d, w)
+
+
+def pair_cells(params: FvbmParams) -> np.ndarray:
+    """The model's read-only pair cells, as ``PmfTable.pair_cells`` holds
+    them, streamed from row blocks of the log-weight product, so no 2^d
+    table is built (module docstring)."""
+    _check_enumerable(params.d)  # before the lazy blocks, ahead of any allocation
+    cells, total = _pair_cell_sums(params.d, _weight_blocks(params))
+    cells /= total
+    cells.setflags(write=False)
+    return cells
 
 
 def _check_coordinate(table: PmfTable, j: int) -> None:
@@ -206,9 +286,15 @@ def pairwise_joint(table: PmfTable, j: int, k: int) -> np.ndarray:
         raise ValueError("pairwise joint needs two distinct coordinates")
     _check_coordinate(table, j)
     _check_coordinate(table, k)
+    return _joint(table.pair_cells, j, k)
+
+
+def _joint(cells: np.ndarray, j: int, k: int) -> np.ndarray:
+    """The 2x2 joint of distinct coordinates (X_j, X_k) from pair cells,
+    read from the j < k cells so that (X_k, X_j) gives exactly its transpose."""
     if j > k:
-        return table.pair_cells[:, k, :, j].T.copy()
-    return table.pair_cells[:, j, :, k].copy()
+        return cells[:, k, :, j].T.copy()
+    return cells[:, j, :, k].copy()
 
 
 def concordance(table: PmfTable, j: int, k: int) -> float:
@@ -218,7 +304,8 @@ def concordance(table: PmfTable, j: int, k: int) -> float:
 
 
 def sample(params: FvbmParams, n: int, seed: int) -> np.ndarray:
-    """Exact i.i.d. draws by inverse CDF over the enumerated weights.
+    """Exact i.i.d. draws by a two-level inverse CDF over the enumerated
+    weights (module docstring).
 
     Deterministic for a fixed seed.  Returns an n-by-d matrix of +/-1;
     n = 0 yields an empty matrix, and d > ENUMERATION_CAP is refused for
@@ -234,15 +321,43 @@ def sample(params: FvbmParams, n: int, seed: int) -> np.ndarray:
     _check_enumerable(d)
     if n == 0:
         return np.empty((0, d))
-    # The unnormalized CDF overwrites the weights, and is freed before the
-    # n-by-d decode allocates.
-    cdf = _shifted_weights(params)
-    np.cumsum(cdf, out=cdf)
-    # Searching the uniforms in sorted order walks the CDF (8 MB at d=20)
-    # once from front to back instead of at random.
+    # Sorting the uniforms first frees their unsorted copy before the 2^d
+    # weights exist, and visits the chunks from front to back.
     u = np.random.default_rng(seed).random(n)
     order = np.argsort(u)
-    idx = np.empty(n, dtype=np.intp)
-    idx[order] = np.searchsorted(cdf, u[order] * cdf[-1], side="right")
-    del cdf
-    return _spins(np.minimum(idx, (1 << d) - 1), d)
+    targets = u[order]
+    del u
+    w = _shifted_weights(params)
+    width = min(_CHUNK, w.size)
+    chunks = w.reshape(-1, width)
+    edges = np.zeros(len(chunks) + 1)  # edges[c]: the weight of chunks before c
+    np.matmul(chunks, np.ones(width), out=edges[1:])
+    np.cumsum(edges[1:], out=edges[1:])
+    # a target at the total would pass the last chunk of positive weight
+    targets *= edges[-1]
+    np.minimum(targets, math.nextafter(edges[-1], 0.0), out=targets)
+    # Column t of L @ rows' (L the lower-triangular ones) holds the prefix
+    # sums of target t's chunk; its state is the chunk's first state plus
+    # the count of those sums <= its rest.  Held flat buffers give each
+    # block contiguous views, so one block's temporaries never meet the
+    # next block's.
+    prefix_ones = np.cumsum(np.eye(width), axis=0)
+    size = min(n, _TARGET_BLOCK) * width
+    prefix, below = np.empty(size), np.empty(size, dtype=bool)
+    # each block's states overwrite its targets once they are read
+    sorted_states = targets.view(np.int64)
+    for start in range(0, n, _TARGET_BLOCK):
+        block = slice(start, start + _TARGET_BLOCK)
+        chunk = np.searchsorted(edges[1:], targets[block], side="right")
+        cells = len(chunk) * width
+        sums = np.matmul(prefix_ones, chunks[chunk].T, out=prefix[:cells].reshape(width, -1))
+        rest = targets[block] - edges[chunk]
+        # The edges and the prefix sums round apart, so a rest may pass its
+        # chunk: it stays below the last sum (positive, so one less in its bits).
+        np.minimum(rest, (sums[-1].view(np.int64) - 1).view(np.float64), out=rest)
+        hits = np.less_equal(sums, rest, out=below[:cells].reshape(width, -1))
+        sorted_states[block] = chunk * width + hits.sum(axis=0)
+    del w, chunks
+    states = np.empty(n, dtype=np.int64)
+    states[order] = sorted_states
+    return _spins(states, d)

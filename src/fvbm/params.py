@@ -200,8 +200,11 @@ def as_spin_matrix(values, *, allow_empty: bool = False) -> np.ndarray:
         if allow_empty:
             return x
         raise DataError("spin data must contain at least one row")
-    if not np.all(np.abs(x) == 1.0):
-        bad = np.argwhere(np.abs(x) != 1.0)[0]
+    # checked on boolean masks, one byte a cell, with no float temporary
+    spin = x == 1.0
+    spin |= x == -1.0
+    if not spin.all():
+        bad = np.argwhere(~spin)[0]
         raise DataError(
             f"spin data must contain only -1/+1; offending cell "
             f"(row {bad[0]}, column {bad[1]})"

@@ -493,8 +493,7 @@ def write_spin_csv(path, labels: list[str], values: np.ndarray) -> None:
     # is -1, so run c's code is 256 c + sum_j 2^(j & 7) (1 - x_j) / 2: a sum
     # of halves and powers of two below 256, exact in any order.  The
     # product's n d ceil(d/8) multiply-adds stay cheaper than the join up to
-    # several hundred columns.  Shifts, not // and **, as sample's _spins
-    # already runs them: no more numpy code becomes resident.
+    # several hundred columns.
     columns = np.arange(d)
     half = np.zeros((d, len(starts)))
     half[columns, columns >> 3] = 0.5 * (1 << (columns & 7))

@@ -730,12 +730,14 @@ def list_read_spin_csv(path) -> tuple[list[str], np.ndarray]:
 
 def table_sample(params: FvbmParams, n: int, seed: int) -> np.ndarray:
     """Inverse-CDF draws from a PMF table built from :func:`block_log_weights`
-    and normalized here, kept alive with its CDF throughout.
+    and normalized here, kept alive with its one sequential 2^d-long CDF
+    throughout.
 
-    ``fvbm.sample`` searches its own unnormalized CDF, whose entries differ
-    from these in the last bits.  The draws still agree exactly unless a
-    uniform lands within rounding of a CDF boundary, which the seeded tests
-    never meet.
+    ``fvbm.sample`` searches no 2^d-long CDF: it finds each target among
+    the unnormalized totals of 32-state chunks, then within its chunk, so
+    its CDF boundaries differ from these in the last bits.  The draws still
+    agree exactly unless a uniform lands within rounding of a CDF boundary,
+    which the seeded tests never meet.
     """
     d = params.d
     if n == 0:

@@ -2,6 +2,7 @@
 joints, and seeded sampling."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fvbm
-from fvbm.model import _log_weights
+from fvbm.cli import main
+from fvbm.model import _TARGET_BLOCK, _log_weights
 
 from oracles import (
     block_log_weights,
@@ -289,6 +291,52 @@ def test_adjacent_pairs_at_the_enumeration_cap():
         _assert_within(fvbm.pairwise_joint(table, j, j + 1), _fsum_joint(table, j, j + 1))
 
 
+def _probs_through_cli(directory, params, pairs) -> dict:
+    """``fvbm probs`` on a fit record of ``params``, columns X0, X1, ..."""
+    labels = [f"X{j}" for j in range(params.d)]
+    record = fvbm.FitResult(
+        params=params, objective_trace=np.zeros(1), iterations_used=0, converged=True
+    )
+    fit_path, out = directory / "fit.json", directory / "probs.json"
+    fvbm.jsonio.dump(record.to_json_dict(labels), fit_path)
+    flags = [arg for j, k in pairs for arg in ("--pair", f"X{j},X{k}")]
+    assert main(["probs", str(fit_path), "-o", str(out), *flags]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("d", [1, 2, 11, 20])
+def test_streamed_and_table_pair_cells_equal_mask_oracle(tmp_path, d):
+    # the CLI streams its cells from blocks of the log-weight product and
+    # the table sums its stored probabilities; both meet the mask oracle
+    params = random_params(np.random.default_rng(670 + d), d, scale=0.5)
+    table = fvbm.enumerate_pmf(params)
+    if d <= 11:
+        pairs = [(j, k) for j in range(d) for k in range(d) if j != k]
+    else:  # adjacent, reversed and across the two halves of the state index
+        pairs = [(j, j + 1) for j in range(d - 1)] + [(9, 2), (19, 0)]
+        pairs += [(j, j + d // 2) for j in range(d // 2)]
+    probs = _probs_through_cli(tmp_path, params, pairs)
+    for j in range(d):
+        expected = mask_marginal_probability(table, j)
+        _assert_within(probs["marginals"][f"X{j}"], expected)
+        _assert_within(table.pair_cells[0, j, 0, j], expected)
+    assert len(probs["pairs"]) == len(pairs)
+    for (j, k), pair in zip(pairs, probs["pairs"]):
+        expected = mask_pairwise_joint(table, j, k)
+        cells = pair["joint"]
+        _assert_within([[cells["++"], cells["+-"]], [cells["-+"], cells["--"]]], expected)
+        _assert_within(fvbm.pairwise_joint(table, j, k), expected)
+
+
+def test_probs_holds_no_state_table(tmp_path):
+    # one 32-row block of weights (256 KiB at d=20) and the half-state
+    # indicators, never the 8 MiB of 2^20 probabilities
+    params = random_params(np.random.default_rng(690), 20, scale=0.1)
+    pairs = [(j, j + 1) for j in range(19)]
+    peak = _traced_peak(lambda: _probs_through_cli(tmp_path, params, pairs))
+    assert peak < 2 * 2**20
+
+
 def test_pair_cells_are_computed_once_read_only_and_not_serialized():
     table = fvbm.enumerate_pmf(random_params(np.random.default_rng(661), 5))
     cells = table.pair_cells
@@ -420,13 +468,47 @@ def test_sample_concordance_matches_enumeration():
     assert abs(agree - expected) < 0.01
 
 
-@pytest.mark.parametrize("d", [1, 5, 12, 20])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 12, 20])
 def test_sample_equals_table_oracle(d):
+    # 2^d below (d < 5), at (d = 5) and above one chunk of 32 states; 2000
+    # draws end in a partial block of targets
+    assert 2000 % _TARGET_BLOCK
     params = random_params(np.random.default_rng(600 + d), d, scale=0.3)
     for seed in (0, 7, 2**40):
         np.testing.assert_array_equal(
             fvbm.sample(params, 2000, seed=seed), table_sample(params, 2000, seed=seed)
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 10),
+    scale=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 700),
+)
+def test_sample_equals_table_oracle_for_any_parameters(d, scale, seed, n):
+    params = random_params(np.random.default_rng(seed), d, scale=scale)
+    np.testing.assert_array_equal(
+        fvbm.sample(params, n, seed=seed), table_sample(params, n, seed=seed)
+    )
+
+
+@pytest.mark.parametrize("huge", [slice(0, 5), slice(5, 10)])
+def test_sample_draws_only_states_of_positive_probability(huge):
+    # b = +/-400 on five coordinates leaves one setting of them with nonzero
+    # weight: on the high bits 31 of 32 chunks weigh exactly zero, on the
+    # low bits every chunk holds one state of nonzero weight among 31 zeros
+    rng = np.random.default_rng(640)
+    params = random_params(rng, 10, scale=0.5)
+    bias = params.bias.copy()
+    bias[huge] = 400.0 * rng.choice([-1.0, 1.0], size=5)
+    params = fvbm.FvbmParams(bias=bias, interaction=params.interaction)
+    probabilities = fvbm.enumerate_pmf(params).probabilities
+    assert np.count_nonzero(probabilities) == 32
+    draws = fvbm.sample(params, 5000, seed=41)
+    assert np.all(probabilities[(draws > 0) @ (1 << np.arange(10))] > 0.0)
+    np.testing.assert_array_equal(draws, table_sample(params, 5000, seed=41))
 
 
 # One 2^20 float64 vector (8 MiB) plus the half-state tables.
@@ -454,12 +536,18 @@ def test_enumeration_holds_one_state_vector(enumerate_states):
     assert _traced_peak(lambda: enumerate_states(params)) < ONE_STATE_VECTOR_AT_CAP
 
 
+# The traced peak of the sampler's earlier 2^d-long CDF at d=20, n=20000.
+SEQUENTIAL_CDF_PEAK = 8.77 * 2**20
+
+
 def test_sample_frees_table_before_decoding():
-    # the CDF overwrites the 2^20 weights in place and is gone before the
-    # 20000-by-20 decode allocates
+    # the sorted targets, their order, the chunk edges and one block's
+    # buffers join the 2^20 weights, which are gone before the 20000-by-20
+    # decode allocates
     params = random_params(np.random.default_rng(620), 20, scale=0.1)
     peak = _traced_peak(lambda: fvbm.sample(params, 20_000, seed=3))
     assert peak < ONE_STATE_VECTOR_AT_CAP
+    assert peak < SEQUENTIAL_CDF_PEAK
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,30 @@ def test_spin_validation():
         fvbm.as_spin_matrix(np.empty((0, 3)))
     out = fvbm.as_spin_matrix([[1, -1], [-1, 1]])
     assert out.dtype == np.float64
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, 2.0, -1.0000000000000002, np.nan, np.inf, -np.inf])
+def test_spin_validation_names_the_first_offending_cell(bad):
+    x = np.ones((4, 3))
+    x[3, 0] = -bad  # a later cell in row-major order
+    x[2, 1] = bad
+    with pytest.raises(fvbm.DataError) as refusal:
+        fvbm.as_spin_matrix(x)
+    assert str(refusal.value) == (
+        "spin data must contain only -1/+1; offending cell (row 2, column 1)"
+    )
+
+
+def test_spin_validation_adds_no_float_temporary():
+    # two n-by-d boolean masks (0.76 MiB), not np.abs(x)'s float copy (3 MiB)
+    x = np.where(np.random.default_rng(5).random((20_000, 20)) < 0.5, 1.0, -1.0)
+    tracemalloc.start()
+    try:
+        assert fvbm.as_spin_matrix(x) is x
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x.size + 2**16
 
 
 def test_flat_dimension_inverts_flat_length():

@@ -27,21 +27,24 @@ The half terms ride in the cross product as two extra columns,
 so one (2^hi x (lo+2)) by ((lo+2) x 2^lo) product makes all 2^d
 log-weights, and a block of its rows makes those rows' log-weights.  Its
 factors are small (1024 x 12 at d=20).  The log-weights are within
-1e-13 * max(1, |logw|) of summing each state's terms directly.  Every
-exact quantity exponentiates them after subtracting their max, so the
-largest weight is exactly 1.
+1e-13 * max(1, |logw|) of summing each state's terms directly.
 
-:func:`enumerate_pmf` and :func:`sample` hold the whole product as one
-2^d vector (8 MB at d=20), exponentiated in place, with no 2^d
-temporaries.  :func:`sample` inverts a two-level CDF over it.  One
-product with a ones vector gives the totals of 32-state chunks, and a
-cumulative sum over those 2^d/32 totals the chunk edges.  Each target
-u * total (u uniform on [0, 1)) is found among the edges, in sorted
-order, then within its chunk by the prefix sums of one product with a
-triangular ones matrix, a block of targets at a time.  Each target stays
-strictly below the total and below its chunk's last prefix sum, so
-rounding never puts a draw past its chunk or on a state of zero weight.
-The draws equal those of one sequential 2^d-long CDF
+:func:`enumerate_pmf` holds the whole product as one 2^d vector (8 MB at
+d=20), shifted by its max and exponentiated in place.  :func:`sample` and
+:func:`pair_cells` hold no 2^d vector: they stream 32-row blocks of the
+product, each made in one held buffer, shifted by its own max shift_b and
+exponentiated there, and scale each block's sums by exp(shift_b - max
+shift), so a block far below the max weighs exactly zero.
+
+:func:`sample` inverts a two-level CDF in two passes.  The first keeps
+only the totals of 32-state chunks (256 KiB at d=20), and a cumulative
+sum over them gives the chunk edges.  Each target u * total (u uniform
+on [0, 1)) is found among the edges, in sorted order.  The second pass
+remakes each block that holds targets and places each target within its
+chunk by the prefix sums of one product with a triangular ones matrix.
+Each target stays strictly below the total and below its chunk's last
+prefix sum, so rounding never puts a draw past its chunk or on a state
+of zero weight.  The draws equal those of one sequential 2^d-long CDF
 (``oracles.table_sample``) unless a uniform lands within rounding of a
 CDF boundary.
 
@@ -58,11 +61,9 @@ indicator matrix ``C = [B, 1 - B]`` of each half's states
 
 Each row block of w adds its rows of ``w C_lo`` and of the row sums, and
 its column sums, so the cells need no whole table.  :func:`pair_cells`
-makes each 32-row block of the log-weight product in one held buffer,
-shifts it by the global max (from a first pass of the same products) and
-exponentiates it there, and divides the cells by the total weight once
-at the end.  ``PmfTable.pair_cells`` sums its stored probabilities as
-one block.  Every cell is a sum of nonnegative weights, never a
+sums the streamed blocks in one pass and divides the cells by the total
+weight once at the end.  ``PmfTable.pair_cells`` sums its stored
+probabilities as one block.  Every cell is a sum of nonnegative weights, never a
 difference, and is within a relative 1e-14 of the correctly rounded
 (``math.fsum``) sum of its states' probabilities.
 """
@@ -80,8 +81,8 @@ from .params import FvbmParams
 
 ENUMERATION_CAP = 20
 _CHUNK = 32  # states per chunk of the sampler's inverse CDF
-_TARGET_BLOCK = 256  # sampler targets placed within their chunks per product
-_ROW_BLOCK = 32  # rows of the 2^hi-by-2^lo weights per block of pair_cells
+_TARGET_BLOCK = 1024  # sampler targets placed within their chunks per product
+_ROW_BLOCK = 32  # rows of the 2^hi-by-2^lo weights per streamed block
 
 
 def _bits(idx, d: int) -> np.ndarray:
@@ -134,26 +135,17 @@ def _log_weights(params: FvbmParams) -> np.ndarray:
     return (left @ right.T).reshape(-1)
 
 
-def _shifted_weights(params: FvbmParams) -> np.ndarray:
-    """exp(logw - max logw) of all 2^d states, exponentiated in place on the
-    log-weights."""
-    w = _log_weights(params)
-    w -= w.max()
-    return np.exp(w, out=w)
-
-
-def _weight_blocks(params: FvbmParams):
-    """Row blocks ``(rows, w[rows])`` of the shifted weights viewed as
-    2^hi-by-2^lo, each made and exponentiated in one held buffer."""
-    left, right = _half_factors(params)
+def _weight_blocks(left: np.ndarray, right: np.ndarray, blocks=None):
+    """Row blocks ``(b, exp(logw_b - shift_b), shift_b)`` of the weights
+    viewed as 2^hi-by-2^lo, shift_b the max of block b's log-weights, each
+    made in one held buffer; ``blocks`` picks the blocks (default all)."""
     size = min(_ROW_BLOCK, len(left))
     buffer = np.empty((size, len(right)))
-    blocks = [slice(start, start + size) for start in range(0, len(left), size)]
-    top = max(np.matmul(left[rows], right.T, out=buffer).max() for rows in blocks)
-    for rows in blocks:
-        np.matmul(left[rows], right.T, out=buffer)
-        buffer -= top
-        yield rows, np.exp(buffer, out=buffer)
+    for b in range(len(left) // size) if blocks is None else blocks:
+        np.matmul(left[b * size : (b + 1) * size], right.T, out=buffer)
+        shift = buffer.max()
+        buffer -= shift
+        yield b, np.exp(buffer, out=buffer), shift
 
 
 def _indicators(bits: int) -> np.ndarray:
@@ -169,19 +161,28 @@ def _within(c: np.ndarray, mass: np.ndarray) -> np.ndarray:
 
 
 def _pair_cell_sums(d: int, blocks) -> tuple[np.ndarray, float]:
-    """Unnormalized pair cells and the total weight, from the row blocks
-    ``(rows, w[rows])`` of 2^d weights viewed as 2^hi-by-2^lo (module
-    docstring)."""
+    """Unnormalized pair cells and the total weight, from equal row blocks
+    ``(b, w_b, shift_b)`` of 2^d weights viewed as 2^hi-by-2^lo, each
+    block's sums scaled by exp(shift_b - max shift) (module docstring)."""
     lo = d // 2
     hi = d - lo
-    c_lo, c_hi = _indicators(lo), _indicators(hi)
+    c_lo = _indicators(lo)
     by_row = np.empty((1 << hi, 2 * lo))  # w C_lo
     row_mass = np.empty(1 << hi)
-    col_mass = np.zeros(1 << lo)
-    for rows, w in blocks:
+    col_sums, shifts = [], []
+    for b, w, shift in blocks:
+        rows = slice(b * len(w), (b + 1) * len(w))
         np.matmul(w, c_lo, out=by_row[rows])
         w.sum(axis=1, out=row_mass[rows])
-        col_mass += w.sum(axis=0)
+        col_sums.append(w.sum(axis=0))
+        shifts.append(shift)
+    del w  # the last block's buffer
+    scale = np.exp(np.subtract(shifts, max(shifts)))
+    row_scale = np.repeat(scale, len(row_mass) // len(scale))
+    by_row *= row_scale[:, None]
+    row_mass *= row_scale
+    col_mass = sum(s * c for s, c in zip(scale, col_sums))
+    c_hi = _indicators(hi)
     across = (c_hi.T @ by_row).reshape(2, hi, 2, lo)
     del by_row  # before the within-half products allocate
     cells = np.empty((2, d, 2, d))
@@ -232,7 +233,7 @@ class PmfTable:
         by the blocked products of the module docstring over the whole table."""
         lo = self.d // 2
         w = self.probabilities.reshape(-1, 1 << lo)
-        cells, _ = _pair_cell_sums(self.d, [(slice(None), w)])
+        cells, _ = _pair_cell_sums(self.d, [(0, w, 0.0)])
         cells.setflags(write=False)
         return cells
 
@@ -249,7 +250,9 @@ class PmfTable:
 
 def enumerate_pmf(params: FvbmParams) -> PmfTable:
     """Probabilities of all 2^d states; sums to one within 1e-12."""
-    w = _shifted_weights(params)
+    w = _log_weights(params)
+    w -= w.max()
+    np.exp(w, out=w)
     w /= w.sum()
     return PmfTable._trusted(params.d, w)
 
@@ -258,8 +261,7 @@ def pair_cells(params: FvbmParams) -> np.ndarray:
     """The model's read-only pair cells, as ``PmfTable.pair_cells`` holds
     them, streamed from row blocks of the log-weight product, so no 2^d
     table is built (module docstring)."""
-    _check_enumerable(params.d)  # before the lazy blocks, ahead of any allocation
-    cells, total = _pair_cell_sums(params.d, _weight_blocks(params))
+    cells, total = _pair_cell_sums(params.d, _weight_blocks(*_half_factors(params)))
     cells /= total
     cells.setflags(write=False)
     return cells
@@ -321,43 +323,64 @@ def sample(params: FvbmParams, n: int, seed: int) -> np.ndarray:
     _check_enumerable(d)
     if n == 0:
         return np.empty((0, d))
-    # Sorting the uniforms first frees their unsorted copy before the 2^d
+    # Sorting the uniforms first frees their unsorted copy before any
     # weights exist, and visits the chunks from front to back.
     u = np.random.default_rng(seed).random(n)
     order = np.argsort(u)
     targets = u[order]
     del u
-    w = _shifted_weights(params)
-    width = min(_CHUNK, w.size)
-    chunks = w.reshape(-1, width)
-    edges = np.zeros(len(chunks) + 1)  # edges[c]: the weight of chunks before c
-    np.matmul(chunks, np.ones(width), out=edges[1:])
+    states = np.empty(n, dtype=np.int64)
+    states[order] = _sorted_states(params, targets)
+    return _spins(states, d)
+
+
+def _sorted_states(params: FvbmParams, targets: np.ndarray) -> np.ndarray:
+    """The state indices drawn by sorted uniforms ``targets``, written over
+    them, by the two-pass inverse CDF of the module docstring."""
+    left, right = _half_factors(params)
+    width = min(_CHUNK, len(left) * len(right))
+    # First pass: each row block's chunk totals in its own shift, then scaled;
+    # edges[c] is the weight of the chunks before c
+    edges = np.zeros(len(left) * len(right) // width + 1)
+    totals = edges[1:].reshape(len(left) // min(_ROW_BLOCK, len(left)), -1)
+    shifts = []
+    for b, w, shift in _weight_blocks(left, right):
+        np.matmul(w.reshape(-1, width), np.ones(width), out=totals[b])
+        shifts.append(shift)
+    del w  # the first pass's buffer
+    scale = np.exp(np.subtract(shifts, max(shifts)))
+    totals *= scale[:, None]
     np.cumsum(edges[1:], out=edges[1:])
     # a target at the total would pass the last chunk of positive weight
     targets *= edges[-1]
     np.minimum(targets, math.nextafter(edges[-1], 0.0), out=targets)
+    # targets[bounds[b]:bounds[b + 1]] fall in the chunks of row block b
+    bounds = np.searchsorted(targets, edges[:: totals.shape[1]])
     # Column t of L @ rows' (L the lower-triangular ones) holds the prefix
     # sums of target t's chunk; its state is the chunk's first state plus
     # the count of those sums <= its rest.  Held flat buffers give each
     # block contiguous views, so one block's temporaries never meet the
     # next block's.
     prefix_ones = np.cumsum(np.eye(width), axis=0)
-    size = min(n, _TARGET_BLOCK) * width
+    size = min(len(targets), _TARGET_BLOCK) * width
     prefix, below = np.empty(size), np.empty(size, dtype=bool)
     # each block's states overwrite its targets once they are read
     sorted_states = targets.view(np.int64)
-    for start in range(0, n, _TARGET_BLOCK):
-        block = slice(start, start + _TARGET_BLOCK)
-        chunk = np.searchsorted(edges[1:], targets[block], side="right")
-        cells = len(chunk) * width
-        sums = np.matmul(prefix_ones, chunks[chunk].T, out=prefix[:cells].reshape(width, -1))
-        rest = targets[block] - edges[chunk]
-        # The edges and the prefix sums round apart, so a rest may pass its
-        # chunk: it stays below the last sum (positive, so one less in its bits).
-        np.minimum(rest, (sums[-1].view(np.int64) - 1).view(np.float64), out=rest)
-        hits = np.less_equal(sums, rest, out=below[:cells].reshape(width, -1))
-        sorted_states[block] = chunk * width + hits.sum(axis=0)
-    del w, chunks
-    states = np.empty(n, dtype=np.int64)
-    states[order] = sorted_states
-    return _spins(states, d)
+    # Second pass: remake each row block that holds targets
+    for b, w, _ in _weight_blocks(left, right, np.flatnonzero(np.diff(bounds))):
+        chunks = w.reshape(-1, width)
+        first = b * len(chunks)
+        block_edges = edges[first : first + len(chunks) + 1]
+        for start in range(bounds[b], bounds[b + 1], _TARGET_BLOCK):
+            block = slice(start, min(start + _TARGET_BLOCK, bounds[b + 1]))
+            chunk = np.searchsorted(block_edges[1:], targets[block], side="right")
+            cells = len(chunk) * width
+            sums = np.matmul(prefix_ones, chunks[chunk].T, out=prefix[:cells].reshape(width, -1))
+            rest = targets[block] - block_edges[chunk]
+            rest /= scale[b]  # in the block's own shift, as its sums are
+            # The edges and the prefix sums round apart, so a rest may pass its
+            # chunk: it stays below the last sum (positive, so one less in its bits).
+            np.minimum(rest, (sums[-1].view(np.int64) - 1).view(np.float64), out=rest)
+            hits = np.less_equal(sums, rest, out=below[:cells].reshape(width, -1))
+            sorted_states[block] = (first + chunk) * width + hits.sum(axis=0)
+    return sorted_states

@@ -174,7 +174,7 @@ def _information(x: np.ndarray, a: np.ndarray) -> np.ndarray:
         w = design[:, : xb.shape[1]]
         w[1 : d + 1] = xb
         pairs = w[d + 1 :]
-        np.take(xb, rows, axis=0, out=pairs)
+        np.take(xb, rows, axis=0, out=pairs, mode="clip")  # in range: no buffered copy
         pairs *= xb[cols]
         gt += w @ s[start : start + block]
     target, source = _hessian_gather(d)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import fvbm
 from fvbm.cli import main
-from fvbm.model import _TARGET_BLOCK, _log_weights
+from fvbm.model import _TARGET_BLOCK, _half_factors, _joint, _log_weights, _weight_blocks
 
 from oracles import (
     block_log_weights,
@@ -511,6 +511,33 @@ def test_sample_draws_only_states_of_positive_probability(huge):
     np.testing.assert_array_equal(draws, table_sample(params, 5000, seed=41))
 
 
+@pytest.mark.parametrize("huge", [slice(0, 7), slice(7, 14)])
+def test_streamed_blocks_far_below_the_max_weigh_zero(huge):
+    # b = +/-400 on the high seven of 14 coordinates leaves one of the 128
+    # rows of weights nonzero, so exp(shift_b - max) of the three 32-row
+    # blocks without it underflows to zero; on the low seven every row keeps
+    # one nonzero column
+    rng = np.random.default_rng(650)
+    params = random_params(rng, 14, scale=0.5)
+    bias = params.bias.copy()
+    bias[huge] = 400.0 * rng.choice([-1.0, 1.0], size=7)
+    params = fvbm.FvbmParams(bias=bias, interaction=params.interaction)
+    shifts = np.array([shift for _, _, shift in _weight_blocks(*_half_factors(params))])
+    assert len(shifts) == 4
+    assert np.count_nonzero(np.exp(shifts - shifts.max())) == (1 if huge.start else 4)
+    table = fvbm.enumerate_pmf(params)
+    assert np.count_nonzero(table.probabilities) == 128
+    for seed in (43, 2**40):
+        np.testing.assert_array_equal(
+            fvbm.sample(params, 3000, seed=seed), table_sample(params, 3000, seed=seed)
+        )
+    cells = fvbm.model.pair_cells(params)
+    for j in range(14):
+        _assert_within(cells[0, j, 0, j], mask_marginal_probability(table, j))
+        for k in range(j + 1, 14):
+            _assert_within(_joint(cells, j, k), mask_pairwise_joint(table, j, k))
+
+
 # One 2^20 float64 vector (8 MiB) plus the half-state tables.
 ONE_STATE_VECTOR_AT_CAP = 9 * 2**20
 
@@ -541,13 +568,25 @@ SEQUENTIAL_CDF_PEAK = 8.77 * 2**20
 
 
 def test_sample_frees_table_before_decoding():
-    # the sorted targets, their order, the chunk edges and one block's
-    # buffers join the 2^20 weights, which are gone before the 20000-by-20
-    # decode allocates
+    # the streamed passes hold the sorted targets, their order, the 2^15
+    # chunk edges and one row block of weights, all gone before the
+    # 20000-by-20 decode (3.05 MiB of draws) allocates; measured 3.96 MiB
     params = random_params(np.random.default_rng(620), 20, scale=0.1)
     peak = _traced_peak(lambda: fvbm.sample(params, 20_000, seed=3))
     assert peak < ONE_STATE_VECTOR_AT_CAP
     assert peak < SEQUENTIAL_CDF_PEAK
+    assert peak < 4.5 * 2**20
+
+
+def test_sample_and_simulate_hold_no_state_vector(tmp_path):
+    # the chunk edges and one row block of weights (256 KiB each at d=20),
+    # never the 8 MiB of 2^20 weights; measured 0.86 and 0.87 MiB
+    params = random_params(np.random.default_rng(622), 20, scale=0.1)
+    params_path = tmp_path / "params.json"
+    fvbm.jsonio.dump(params.to_json_dict(), params_path)
+    args = ["simulate", str(params_path), "--n", "500", "-o", str(tmp_path / "sim.csv")]
+    assert _traced_peak(lambda: fvbm.sample(params, 500, seed=5)) < 2**20
+    assert _traced_peak(lambda: main(args)) < 2**20
 
 
 @pytest.mark.parametrize(

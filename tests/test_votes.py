@@ -814,6 +814,54 @@ def test_read_spin_csv_byte_pass_matches_list_oracle(tmp_path_factory, d, n, fau
     np.testing.assert_array_equal(values, expected[1])
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    n=st.integers(0, 5),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "delete", "replace"]),
+            st.integers(0, 200),
+            st.sampled_from(b"-1,\n\r0+ "),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    data=st.data(),
+)
+def test_byte_pass_agrees_with_csv_reader_on_mutated_bodies(tmp_path_factory, d, n, edits, data):
+    # the byte pass either refuses a mutated body or reads the values that
+    # csv.reader reads; it never accepts a file that csv.reader refuses
+    cells = st.lists(st.sampled_from(["1", "-1"]), min_size=d, max_size=d)
+    rows = data.draw(st.lists(cells, min_size=n, max_size=n))
+    body = bytearray("".join(",".join(r) + "\n" for r in rows).encode())
+    for op, at, byte in edits:
+        at %= len(body) + 1
+        if op == "insert":
+            body.insert(at, byte)
+        elif at < len(body):
+            if op == "delete":
+                del body[at]
+            else:
+                body[at] = byte
+    header = ",".join(f"c{j}" for j in range(d))
+    text = header.encode() + b"\n" + bytes(body)
+    fast = votes_module._canonical_cells(bytes(body), d)
+    path = tmp_path_factory.mktemp("mutated") / "spins.csv"
+    path.write_bytes(text)
+    try:
+        expected = list_read_spin_csv(path)
+    except fvbm.DataError:
+        assert fast is None
+        return
+    if fast is not None:
+        assert fast.shape == expected[1].shape
+        np.testing.assert_array_equal(fast, expected[1])
+    labels, values = fvbm.read_spin_csv(path)
+    assert labels == expected[0]
+    np.testing.assert_array_equal(values, expected[1])
+
+
 @pytest.mark.parametrize(
     "text",
     [

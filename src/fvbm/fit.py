@@ -37,8 +37,8 @@ On separated data (no finite maximizer; Albert & Anderson 1984) the
 objective approaches its supremum while the parameters run off to
 infinity, so its change dies out while every Newton step stays of order
 one.  ``converged`` is therefore true only if the tolerance stopped the
-fit, the largest |entry| of the last accepted step is at most
-``STEP_LIMIT``, and no column is constant.  On 500 draws of n=147 from
+fit, no |entry| of the last step exceeds ``STEP_LIMIT`` (NaN counts as
+large), and no column is constant.  On 500 draws of n=147 from
 the paper's d=8 estimates, the last step of a fit whose estimate exists
 was at most 2.8e-5, and of one whose estimate does not exist about 0.25
 or more, so 1e-3 separates the two with room on both sides.
@@ -115,8 +115,10 @@ class FitResult:
     coordinate is not a finite maximizer.  ``last_step`` is the last
     accepted step over the flat layout, or ``None`` if no step was taken.
     ``stopped_by`` names the rule of ``STOP_RULES`` that stopped the fit
-    (``None`` in an older record).  A record whose fields do not fit its
-    parameters, or whose ``converged`` contradicts them, is malformed.
+    (``None`` in an older record).  The constructor refuses, as a malformed
+    record (DataError), fields that do not fit the parameters and a
+    ``converged`` that contradicts ``_converges``, whether the record was
+    read from JSON or built in memory.
     """
 
     params: FvbmParams
@@ -127,11 +129,40 @@ class FitResult:
     last_step: np.ndarray | None = None
     stopped_by: str | None = None
 
+    def __post_init__(self) -> None:
+        try:
+            trace = np.asarray(self.objective_trace, dtype=np.float64)
+            step = None if self.last_step is None else np.asarray(self.last_step, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"malformed fit record: {exc}") from exc
+        object.__setattr__(self, "objective_trace", trace)
+        object.__setattr__(self, "last_step", step)
+        p, d, columns = self.params.n_params, self.params.d, self.degenerate_columns
+        if not (
+            isinstance(self.converged, bool)
+            and self.stopped_by in (None, *STOP_RULES)
+            and (step is None or step.shape == (p,))
+            and isinstance(columns, tuple)
+            and all(type(j) is int and 0 <= j < d for j in columns)
+            # a record without stopped_by may read unconverged whatever the rule says
+            and (
+                self.converged == _converges(self.stopped_by, columns, step)
+                or not self.converged and self.stopped_by is None
+            )
+        ):
+            raise DataError(
+                f"malformed fit record: converged must be true or false, stopped_by null "
+                f"or one of {', '.join(STOP_RULES)}, last_step null or {p} numbers, and "
+                f"degenerate_columns indices below d={d}; converged true needs no degenerate "
+                f"column, no |last_step| > {STEP_LIMIT:g} and stopped_by null or tolerance, "
+                f"and a tolerance stop with neither of the first two is converged true"
+            )
+
     def large_step_coordinates(self) -> list[int]:
-        """Flat coordinates that the last step moved by more than STEP_LIMIT."""
+        """Flat coordinates that the last step moved by more than STEP_LIMIT or by NaN."""
         if self.last_step is None:
             return []
-        return [int(q) for q in np.flatnonzero(np.abs(self.last_step) > STEP_LIMIT)]
+        return np.flatnonzero(~(np.abs(self.last_step) <= STEP_LIMIT)).tolist()
 
     def unconverged_reason(self, names: list[str]) -> str | None:
         """Why the fit is not converged, or None: constant columns, then a stop
@@ -165,14 +196,12 @@ class FitResult:
         out = {
             "schema_version": 1,
             "params": self.params.to_json_dict(),
-            "objective_trace": [float(v) for v in self.objective_trace],
+            "objective_trace": self.objective_trace.tolist(),
             "iterations_used": self.iterations_used,
             "stopped_by": self.stopped_by,
             "converged": self.converged,
             "degenerate_columns": list(self.degenerate_columns),
-            "last_step": (
-                None if self.last_step is None else [float(v) for v in self.last_step]
-            ),
+            "last_step": None if self.last_step is None else self.last_step.tolist(),
         }
         if labels is not None:
             out["labels"] = list(labels)
@@ -181,40 +210,25 @@ class FitResult:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FitResult":
         try:
-            params = FvbmParams.from_json_dict(obj["params"])
-            converged, columns = obj["converged"], obj.get("degenerate_columns", [])
-            step, stopped_by = obj.get("last_step"), obj.get("stopped_by")
-            step = None if step is None else np.asarray(step, dtype=np.float64)
-            result = cls(
-                params=params,
-                objective_trace=np.asarray(obj["objective_trace"], dtype=np.float64),
-                iterations_used=int(obj["iterations_used"]),
-                converged=converged,
-                degenerate_columns=tuple(columns),
-                last_step=step,
-                stopped_by=stopped_by,
-            )
+            params, n = FvbmParams.from_json_dict(obj["params"]), obj["iterations_used"]
+            trace, converged = obj["objective_trace"], obj["converged"]
+            if type(n) is not int or n < 0:
+                raise TypeError(f"iterations_used must be an integer >= 0, got {n!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed fit record: {exc}") from exc
-        p, d = params.n_params, params.d
-        large = result.large_step_coordinates()
-        verdict = stopped_by in (None, "tolerance") and not (columns or large)
-        if not (
-            isinstance(converged, bool)
-            and stopped_by in (None, *STOP_RULES)
-            and (step is None or step.shape == (p,))
-            and isinstance(columns, list)
-            and all(type(j) is int and 0 <= j < d for j in columns)
-            and (converged == verdict or not converged and stopped_by != "tolerance")
-        ):
-            raise DataError(
-                f"malformed fit record: converged must be true or false, stopped_by null "
-                f"or one of {', '.join(STOP_RULES)}, last_step null or {p} numbers, and "
-                f"degenerate_columns indices below d={d}; converged true needs no degenerate "
-                f"column, no |last_step| > {STEP_LIMIT:g} and stopped_by null or tolerance, "
-                f"and a tolerance stop with neither of the first two is converged true"
-            )
-        return result
+        columns = obj.get("degenerate_columns", [])
+        columns = tuple(columns) if isinstance(columns, list) else columns
+        return cls(params, trace, n, converged, columns, obj.get("last_step"), obj.get("stopped_by"))
+
+
+def _converges(stopped_by: str | None, degenerate_columns, last_step) -> bool:
+    """The convergence rule of the module docstring, where an older record may
+    name no stop; a NaN in the step makes its max NaN, which fails the test."""
+    return (
+        stopped_by in (None, "tolerance")
+        and not degenerate_columns
+        and (last_step is None or float(np.abs(last_step).max()) <= STEP_LIMIT)
+    )
 
 
 def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -327,16 +341,11 @@ def fit(data, config: FitConfig | None = None) -> FitResult:
             stopped_by = "tolerance"
             break
 
-    converged = (
-        stopped_by == "tolerance"
-        and not degenerate
-        and float(np.abs(last_step).max()) <= STEP_LIMIT
-    )
     return FitResult(
         params=params,
         objective_trace=np.asarray(trace),
         iterations_used=len(trace) - 1,
-        converged=converged,
+        converged=_converges(stopped_by, degenerate, last_step),
         degenerate_columns=degenerate,
         last_step=last_step,
         stopped_by=stopped_by,

@@ -54,7 +54,9 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .fit import FitResult, _cholesky_inverse
-from .params import FvbmParams, as_spin_matrix, check_labels, flat_dimension, flat_length, slot_map
+from .params import (
+    FvbmParams, _readonly, as_spin_matrix, check_labels, flat_dimension, flat_length, slot_map
+)
 from .pseudolikelihood import per_observation_scores, pseudo_hessian
 
 CONDITION_LIMIT = 1e12
@@ -251,19 +253,10 @@ class InferenceReport:
     method: str = "by"
 
     def __post_init__(self) -> None:
-        fields = (
-            "estimates",
-            "standard_errors",
-            "z_scores",
-            "p_values",
-            "adjusted_p_values",
-        )
-        vectors = []
-        for name in fields:
-            v = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            v.setflags(write=False)
+        names = ("estimates", "standard_errors", "z_scores", "p_values", "adjusted_p_values")
+        vectors = [_readonly(getattr(self, name)) for name in names]
+        for name, v in zip(names, vectors):
             object.__setattr__(self, name, v)
-            vectors.append(v)
         length = vectors[0].size
         if any(v.shape != (length,) for v in vectors):
             raise ValueError("all report vectors must share one length")
@@ -289,11 +282,11 @@ class InferenceReport:
     def to_json_dict(self, labels: list[str] | None = None) -> dict:
         out = {
             "schema_version": 1,
-            "estimates": [float(v) for v in self.estimates],
-            "standard_errors": [float(v) for v in self.standard_errors],
-            "z_scores": [float(v) for v in self.z_scores],
-            "p_values": [float(v) for v in self.p_values],
-            "adjusted_p_values": [float(v) for v in self.adjusted_p_values],
+            "estimates": self.estimates.tolist(),
+            "standard_errors": self.standard_errors.tolist(),
+            "z_scores": self.z_scores.tolist(),
+            "p_values": self.p_values.tolist(),
+            "adjusted_p_values": self.adjusted_p_values.tolist(),
             "adjustment_groups": {
                 name: list(map(int, idx))
                 for name, idx in self.adjustment_groups.items()
@@ -308,17 +301,9 @@ class InferenceReport:
     def from_json_dict(cls, obj: dict) -> "InferenceReport":
         try:
             return cls(
-                estimates=np.asarray(obj["estimates"], dtype=np.float64),
-                standard_errors=np.asarray(obj["standard_errors"], dtype=np.float64),
-                z_scores=np.asarray(obj["z_scores"], dtype=np.float64),
-                p_values=np.asarray(obj["p_values"], dtype=np.float64),
-                adjusted_p_values=np.asarray(
-                    obj["adjusted_p_values"], dtype=np.float64
-                ),
-                adjustment_groups={
-                    str(k): [int(i) for i in v]
-                    for k, v in obj["adjustment_groups"].items()
-                },
+                obj["estimates"], obj["standard_errors"], obj["z_scores"], obj["p_values"],
+                obj["adjusted_p_values"],
+                {str(k): [int(i) for i in v] for k, v in obj["adjustment_groups"].items()},
                 method=str(obj.get("method", "by")),
             )
         except (AttributeError, KeyError, TypeError) as exc:

@@ -77,7 +77,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
-from .params import FvbmParams
+from .params import FvbmParams, _readonly
 
 ENUMERATION_CAP = 20
 _CHUNK = 32  # states per chunk of the sampler's inverse CDF
@@ -215,7 +215,7 @@ class PmfTable:
     def __post_init__(self) -> None:
         if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
             raise ValueError(f"d must be an int of at least 1, got {self.d!r}")
-        p = np.array(self.probabilities, dtype=np.float64, copy=True)
+        p = _readonly(self.probabilities)
         if p.shape != (1 << self.d,):
             raise ValueError(
                 f"expected {1 << self.d} probabilities for d={self.d}, got {p.shape}"
@@ -224,7 +224,6 @@ class PmfTable:
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {p.sum():.17g}, not 1")
-        p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
 
     @cached_property

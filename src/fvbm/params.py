@@ -161,19 +161,21 @@ class FvbmParams:
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
-            "bias": [float(v) for v in self.bias],
-            "interaction_upper": [float(v) for v in self.to_flat()[self.d:]],
+            "bias": self.bias.tolist(),
+            "interaction_upper": self.to_flat()[self.d:].tolist(),
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FvbmParams":
         try:
-            d = int(obj["d"])
+            d = obj["d"]
+            if type(d) is not int or d < 1:
+                raise TypeError(f"d must be an integer >= 1, got {d!r}")
             bias = np.asarray(obj["bias"], dtype=np.float64)
             upper = np.asarray(obj["interaction_upper"], dtype=np.float64)
         except (KeyError, TypeError) as exc:
             raise DataError(f"malformed parameter record: {exc}") from exc
-        if bias.shape != (d,) or upper.shape != (flat_length(d) - d if d else 0,):
+        if bias.shape != (d,) or upper.shape != (flat_length(d) - d,):
             raise DataError(
                 f"parameter record inconsistent with d={d}: "
                 f"bias has {bias.size} entries, upper triangle {upper.size}"

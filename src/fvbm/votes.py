@@ -423,7 +423,7 @@ def spin_matrix_to_json_dict(labels: list[str], values: np.ndarray) -> dict:
     return {
         "schema_version": 1,
         "labels": check_labels(labels, x.shape[1]),
-        "values": [[int(v) for v in row] for row in x],
+        "values": x.astype(np.int64).tolist(),
     }
 
 

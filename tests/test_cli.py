@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -890,6 +891,11 @@ _RECORD_PROBES = [
     ("infer", {"converged": True, "last_step": [0.0, 0.0, 0.5]}),
     ("infer", {"converged": True, "degenerate_columns": [1]}),
     ("probs", {"converged": True, "last_step": [0.0, -0.002, 0.0]}),
+    # written by json.dumps as NaN: infer once wrote a report for the first,
+    # graph once drew the second, and named no file for the third
+    ("infer", {"converged": True, "last_step": [math.nan, 0.0, 0.0]}),
+    ("graph", {"standard_errors": [math.nan, 1.0, 1.0]}),
+    ("graph", {"p_values": [0.5, 0.5, math.nan], "adjusted_p_values": [1.0, 1.0, math.nan]}),
 ]
 
 
@@ -983,6 +989,14 @@ _FAULTY_INPUTS = [
     ("splits CSV", "date,number,senator\n1/1,1,cull\n", ["prepare", "VOTES", "--splits", "BAD", "--reference", "GOV", "-o", "OUT"]),
     # an initializer whose dimension is not the data's (fit's own check)
     ("--init file", '{"d": 3, "bias": [0, 0, 0], "interaction_upper": [0, 0, 0]}', ["fit", "SPINS", "--init", "BAD", "-o", "OUT"]),
+    # NaN and Infinity, which Python's json reads but no file of fvbm holds
+    ("fit file", '{"params": {"d": 1, "bias": [NaN], "interaction_upper": []}}', ["probs", "BAD", "-o", "OUT"]),
+    ("fit file", '{"last_step": [Infinity]}', ["infer", "BAD", "SPINS", "-o", "OUT"]),
+    ("report file", '{"p_values": [-Infinity]}', ["graph", "BAD", "--json", "OUT"]),
+    ("params file", '{"d": 1, "bias": [NaN], "interaction_upper": []}', ["simulate", "BAD", "--n", "3", "-o", "OUT"]),
+    ("--init file", '{"d": 2, "bias": [Infinity, 0], "interaction_upper": [0]}', ["fit", "SPINS", "--init", "BAD", "-o", "OUT"]),
+    ("config file", '{"tol": NaN}', ["fit", "SPINS", "--config", "BAD", "-o", "OUT"]),
+    ("config file", '{"max_iter": Infinity}', ["fit", "SPINS", "--config", "BAD", "-o", "OUT"]),
 ]
 
 
@@ -1000,6 +1014,8 @@ def test_an_input_fault_is_a_data_error_naming_its_file_once(
     assert main([str(paths.get(arg, arg)) for arg in argv]) == 2
     error = capsys.readouterr().err
     assert error.startswith(f"data error: {kind} {bad}") and error.count(str(bad)) == 1
+    if token := re.search(r"-?Infinity|NaN", text):  # refused as it is read
+        assert error == f"data error: {kind} {bad}: {token.group()} is not a JSON number\n"
     assert not out.exists()
 
 

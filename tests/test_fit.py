@@ -7,9 +7,11 @@ the maximizer by another algorithm, so they check both the estimate and
 the convergence verdict independently of Newton.
 """
 
+import dataclasses
 import importlib
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -565,3 +567,114 @@ def test_fit_record_whose_stopped_by_is_unknown_or_contradicted_is_malformed(ent
         reason = fvbm.FitResult.from_json_dict(record).unconverged_reason([""] * 6)
         n = record["iterations_used"]
         assert reason == f"it did not meet its objective tolerance in {n} iterations"
+
+
+# The refusal of a record of d = 3, worded as the JSON reader has long worded it.
+_MALFORMED_D3 = (
+    "malformed fit record: converged must be true or false, stopped_by null or one of "
+    "tolerance, max_iterations, no_ascent, last_step null or 6 numbers, and "
+    "degenerate_columns indices below d=3; converged true needs no degenerate column, "
+    "no |last_step| > 0.001 and stopped_by null or tolerance, and a tolerance stop with "
+    "neither of the first two is converged true"
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stopped_by=st.sampled_from([None, *fit_module.STOP_RULES]),
+    converged=st.booleans(),
+    columns=st.lists(st.integers(0, 2), max_size=2, unique=True),
+    last_step=st.none()
+    | st.lists(st.sampled_from([0.0, -2e-4, 1e-3, -0.25, 5.0, math.nan]), min_size=6, max_size=6),
+)
+def test_constructor_and_json_reader_accept_the_same_records(
+    stopped_by, converged, columns, last_step
+):
+    # the rule, spelled out apart from fit.py: a tolerance stop or none
+    # recorded, no constant column, and every |step| <= 1e-3, which a NaN fails
+    verdict = (
+        stopped_by in (None, "tolerance")
+        and not columns
+        and (last_step is None or all(abs(v) <= 1e-3 for v in last_step))
+    )
+    # converged follows the rule, but a record without a stop may read unconverged
+    consistent = converged == verdict or (not converged and stopped_by is None)
+    params = fvbm.FvbmParams.zeros(3)
+    record = {
+        "schema_version": 1,
+        "params": params.to_json_dict(),
+        "objective_trace": [-4.0, -3.5],
+        "iterations_used": 1,
+        "stopped_by": stopped_by,
+        "converged": converged,
+        "degenerate_columns": columns,
+        "last_step": last_step,
+    }
+    fields = {
+        "params": params,
+        "objective_trace": np.array([-4.0, -3.5]),
+        "iterations_used": 1,
+        "converged": converged,
+        "degenerate_columns": tuple(columns),
+        "last_step": None if last_step is None else np.array(last_step),
+        "stopped_by": stopped_by,
+    }
+    outcomes = []
+    for build in (lambda: fvbm.FitResult(**fields), lambda: fvbm.FitResult.from_json_dict(record)):
+        try:
+            outcomes.append(build())
+        except fvbm.DataError as exc:
+            outcomes.append(str(exc))
+    built, read = outcomes
+    if not consistent:
+        assert built == read == _MALFORMED_D3
+        return
+    # the record is what to_json_dict writes, so the reader took that too
+    assert json.dumps(built.to_json_dict()) == json.dumps(record) == json.dumps(read.to_json_dict())
+    assert verdict or not built.converged
+    if not built.converged:
+        with pytest.raises(fvbm.DataError, match="^refusing inference on an unconverged fit: "):
+            fvbm.build_report(built, np.ones((4, 3)))
+
+
+def test_record_claiming_convergence_against_its_evidence_is_refused_in_memory():
+    # converged, yet a constant column, a stop at the iteration cap and a
+    # last step of 5: build_report once gave standard errors for this record,
+    # which only the JSON reader refused
+    with pytest.raises(fvbm.DataError, match="converged true needs no degenerate column"):
+        fvbm.FitResult(
+            params=fvbm.FvbmParams.zeros(2),
+            objective_trace=np.zeros(2),
+            iterations_used=1,
+            converged=True,
+            degenerate_columns=(0,),
+            last_step=np.array([5.0, 0.0, 0.0]),
+            stopped_by="max_iterations",
+        )
+
+
+def test_a_nan_last_step_counts_as_large():
+    data = np.random.default_rng(65).choice([-1.0, 1.0], (400, 3))
+    result = fvbm.fit(data)
+    assert result.converged
+    nan_step = np.array([0.0, math.nan, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(fvbm.DataError, match="no \\|last_step\\| > 0.001"):
+        dataclasses.replace(result, last_step=nan_step)
+    record = {**result.to_json_dict(), "last_step": nan_step.tolist()}
+    with pytest.raises(fvbm.DataError, match="no \\|last_step\\| > 0.001"):
+        fvbm.FitResult.from_json_dict(record)
+    # an older record may read unconverged, and then names the coordinate
+    older = dataclasses.replace(result, converged=False, last_step=nan_step, stopped_by=None)
+    assert older.large_step_coordinates() == [1]
+    assert older.unconverged_reason(list("abcdef")).startswith(
+        "its last step was large (up to nan > 0.001, on b)"
+    )
+
+
+@pytest.mark.parametrize("n", [-1, 1.0, 2.5, True, "1", None, [1]])
+def test_fit_record_iterations_used_must_be_an_integer_of_at_least_zero(n):
+    record = fvbm.fit(np.random.default_rng(65).choice([-1.0, 1.0], (400, 3))).to_json_dict()
+    message = f"malformed fit record: iterations_used must be an integer >= 0, got {n!r}"
+    with pytest.raises(fvbm.DataError, match=f"^{re.escape(message)}$"):
+        fvbm.FitResult.from_json_dict({**record, "iterations_used": n})
+    assert fvbm.FitResult.from_json_dict({**record, "iterations_used": 0}).iterations_used == 0

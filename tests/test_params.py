@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 import tracemalloc
 
@@ -220,6 +221,32 @@ def test_json_text_reads_back_bit_for_bit(obj):
     assert _same(json.loads(text), _plain(obj))
 
 
+@settings(max_examples=200, deadline=None)
+@given(obj=_json_trees)
+def test_json_load_refuses_exactly_what_dumps_refuses(tmp_path_factory, obj):
+    # json.dumps with allow_nan writes every non-finite float as one of the
+    # tokens; jsonio.load reads back all and only what jsonio.dumps writes
+    path = tmp_path_factory.getbasetemp() / "load-refuses.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    if _finite(obj):
+        assert _same(jsonio.load(path), _plain(obj))
+    else:
+        with pytest.raises(ValueError, match="is not a JSON number"):
+            jsonio.load(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=arrays(np.float64, st.integers(0, 12), elements=st.floats(-1e300, 1e300)))
+def test_tolist_writes_the_bytes_of_per_element_floats(values):
+    # signed zeros and subnormals included: the JSON writers list arrays
+    # with tolist(), as they once did with float() per element
+    values = np.concatenate([values, [0.0, -0.0, 5e-324, -2.2250738585072014e-308]])
+    assert jsonio.dumps(values.tolist()) == jsonio.dumps([float(v) for v in values])
+    spins = np.where(values < 0, -1.0, 1.0).reshape(1, -1)
+    listed = [[int(v) for v in row] for row in spins]
+    assert jsonio.dumps(spins.astype(np.int64).tolist()) == jsonio.dumps(listed)
+
+
 def test_spin_validation():
     with pytest.raises(fvbm.DataError):
         fvbm.as_spin_matrix([[1.0, 0.5]])
@@ -262,12 +289,15 @@ def test_flat_dimension_inverts_flat_length():
     assert flat_dimension(fvbm.flat_length(d) + 1) is None
 
 
-def test_parameter_record_and_network_sizes_still_allow_zero_columns():
-    # d = 0 and d < 0 keep their own errors, and a network of no nodes is valid
-    with pytest.raises(ValueError, match="dimension must be positive"):
-        fvbm.FvbmParams.from_json_dict({"d": 0, "bias": [], "interaction_upper": []})
-    with pytest.raises(fvbm.DataError, match="inconsistent with d=0"):
-        fvbm.FvbmParams.from_json_dict({"d": 0, "bias": [], "interaction_upper": [1.0]})
-    with pytest.raises(fvbm.DataError, match="inconsistent with d=-1"):
-        fvbm.FvbmParams.from_json_dict({"d": -1, "bias": [], "interaction_upper": []})
+@pytest.mark.parametrize("d", [0, -1, 2.9, 2.0, True, "2", None, [2]])
+def test_parameter_record_d_must_be_an_integer_of_at_least_one(d):
+    # int() would read 2.9, true and "2" as 2, 1 and 2; a d below 1 has no layout
+    record = {"d": d, "bias": [0.0, 0.0], "interaction_upper": [0.0]}
+    message = f"malformed parameter record: d must be an integer >= 1, got {d!r}"
+    with pytest.raises(fvbm.DataError, match=f"^{re.escape(message)}$"):
+        fvbm.FvbmParams.from_json_dict(record)
+    assert fvbm.FvbmParams.from_json_dict({**record, "d": 2}).d == 2
+
+
+def test_a_network_of_no_nodes_is_valid():
     assert fvbm.NetworkSpec(nodes=[], edges=[], mode="raw", level=0.05).nodes == []

@@ -83,9 +83,10 @@ STOP_RULES = ("tolerance", "max_iterations", "no_ascent")
 class FitConfig:
     """Stopping rules and initialization for :func:`fit`.
 
-    ``max_iterations`` caps the Newton iterations.  ``objective_tolerance``
-    is the absolute objective change per iteration below which the fit
-    stops (see the module docstring for when that counts as converged).
+    ``max_iterations``, an int of at least 1, caps the Newton iterations.
+    ``objective_tolerance``, positive and finite, is the absolute objective
+    change per iteration below which the fit stops (see the module
+    docstring for when that counts as converged).
     ``init`` of ``None`` starts from all-zero parameters; concavity makes
     the maximizer, when it exists, the same from any start.
     """
@@ -95,12 +96,15 @@ class FitConfig:
     init: FvbmParams | None = None
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if not self.objective_tolerance > 0:
-            raise ValueError(
-                f"objective_tolerance must be positive, got {self.objective_tolerance}"
-            )
+        cap, tol = self.max_iterations, self.objective_tolerance
+        if isinstance(cap, bool) or not isinstance(cap, int):
+            raise ValueError(f"max_iterations must be an int, got {cap!r}")
+        if cap < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {cap}")
+        if not tol > 0:
+            raise ValueError(f"objective_tolerance must be positive, got {tol}")
+        if tol == np.inf:  # it would stop the fit after one step, as if converged
+            raise ValueError(f"objective_tolerance must be finite, got {tol}")
 
 
 @dataclass(frozen=True)

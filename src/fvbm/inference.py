@@ -241,7 +241,11 @@ class InferenceReport:
     All vectors share the flat layout of a dimension ``d`` (any other length
     is refused).  ``adjustment_groups`` maps a family name to the coordinate
     indices adjusted together; the default treats the bias block and the
-    interaction block as separate families.
+    interaction block as separate families.  The constructor refuses, with
+    a ValueError, a vector that is not finite, an index that is not an int
+    (a bool included), groups that do not partition the layout, and a
+    ``method`` other than ``"by"`` or ``"bh"``, whether the record was read
+    from JSON or built in memory.
     """
 
     estimates: np.ndarray
@@ -256,6 +260,8 @@ class InferenceReport:
         names = ("estimates", "standard_errors", "z_scores", "p_values", "adjusted_p_values")
         vectors = [_readonly(getattr(self, name)) for name in names]
         for name, v in zip(names, vectors):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, v)
         length = vectors[0].size
         if any(v.shape != (length,) for v in vectors):
@@ -265,9 +271,13 @@ class InferenceReport:
                 f"report has {length} coordinates, which matches no "
                 f"bias-plus-upper-triangle layout"
             )
-        covered = sorted(i for idx in self.adjustment_groups.values() for i in idx)
-        if covered != list(range(length)):
+        covered = [i for idx in self.adjustment_groups.values() for i in idx]
+        if bad := [i for i in covered if isinstance(i, bool) or not isinstance(i, (int, np.integer))]:
+            raise ValueError(f"adjustment group indices must be ints, got {bad[0]!r}")
+        if sorted(covered) != list(range(length)):
             raise ValueError("adjustment groups must partition the flat layout")
+        if self.method not in ("by", "bh"):
+            raise ValueError(f"method must be 'by' or 'bh', got {self.method!r}")
         if np.any(self.adjusted_p_values + 1e-15 < self.p_values):
             raise ValueError("adjusted p-values cannot fall below raw p-values")
 
@@ -303,8 +313,8 @@ class InferenceReport:
             return cls(
                 obj["estimates"], obj["standard_errors"], obj["z_scores"], obj["p_values"],
                 obj["adjusted_p_values"],
-                {str(k): [int(i) for i in v] for k, v in obj["adjustment_groups"].items()},
-                method=str(obj.get("method", "by")),
+                {k: list(v) for k, v in obj["adjustment_groups"].items()},
+                method=obj.get("method", "by"),
             )
         except (AttributeError, KeyError, TypeError) as exc:
             raise DataError(f"malformed report record: {exc}") from exc
@@ -358,7 +368,7 @@ def build_report(
         p_values=p,
         adjusted_p_values=adjusted,
         adjustment_groups=groups,
-        method=method,
+        method=method.lower(),
     )
 
 

@@ -5,8 +5,10 @@ The probability of a +/-1 configuration ``x`` is
     P(x) = exp(0.5 * x'Mx + x'b) / z,    z = sum over all 2^d states,
 
 so anything exact (the full PMF table, marginals, pairwise joints, exact
-sampling) costs 2^d work.  Operations that enumerate refuse dimensions
-above ``ENUMERATION_CAP`` (20) rather than silently blowing up.
+sampling) costs 2^d work.  A :class:`PmfTable` is the exact distribution
+of one model; :func:`enumerate_pmf` builds it, and it makes each read-out
+on first read.  The table and :func:`sample` refuse dimensions above
+``ENUMERATION_CAP`` (20) rather than silently blowing up.
 
 State indexing convention: state index ``i`` encodes coordinate ``j``
 (0-based) in bit ``j`` of ``i``, with a set bit meaning +1.  Index 0 is the
@@ -29,9 +31,9 @@ log-weights, and a block of its rows makes those rows' log-weights.  Its
 factors are small (1024 x 12 at d=20).  The log-weights are within
 1e-13 * max(1, |logw|) of summing each state's terms directly.
 
-:func:`enumerate_pmf` holds the whole product as one 2^d vector (8 MB at
-d=20), shifted by its max and exponentiated in place.  :func:`sample` and
-:func:`pair_cells` hold no 2^d vector: they stream 32-row blocks of the
+``PmfTable.probabilities`` holds the whole product as one 2^d vector (8 MB
+at d=20), shifted by its max and exponentiated in place.  :func:`sample`
+and ``PmfTable.pair_cells`` hold no 2^d vector: they stream 32-row blocks of the
 product, each made in one held buffer, shifted by its own max shift_b and
 exponentiated there, and scale each block's sums by exp(shift_b - max
 shift), so a block far below the max weighs exactly zero.
@@ -60,10 +62,9 @@ indicator matrix ``C = [B, 1 - B]`` of each half's states
     pairs within the high bits  C_hi' diag(w.sum(1)) C_hi
 
 Each row block of w adds its rows of ``w C_lo`` and of the row sums, and
-its column sums, so the cells need no whole table.  :func:`pair_cells`
+its column sums, so the cells need no whole table.  ``PmfTable.pair_cells``
 sums the streamed blocks in one pass and divides the cells by the total
-weight once at the end.  ``PmfTable.pair_cells`` sums its stored
-probabilities as one block.  Every cell is a sum of nonnegative weights, never a
+weight once at the end.  Every cell is a sum of nonnegative weights, never a
 difference, and is within a relative 1e-14 of the correctly rounded
 (``math.fsum``) sum of its states' probabilities.
 """
@@ -77,7 +78,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
-from .params import FvbmParams, _readonly
+from .params import FvbmParams
 
 ENUMERATION_CAP = 20
 _CHUNK = 32  # states per chunk of the sampler's inverse CDF
@@ -115,7 +116,6 @@ def _half_factors(params: FvbmParams) -> tuple[np.ndarray, np.ndarray]:
     product ``left @ right.T`` is the 2^hi-by-2^lo log-weights (module
     docstring)."""
     d = params.d
-    _check_enumerable(d)
     m, b = params.interaction, params.bias
     lo = d // 2
     s_hi, s_lo = (_spins(np.arange(1 << k), k) for k in (d - lo, lo))
@@ -160,17 +160,19 @@ def _within(c: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return (c * mass[:, None]).T @ c
 
 
-def _pair_cell_sums(d: int, blocks) -> tuple[np.ndarray, float]:
-    """Unnormalized pair cells and the total weight, from equal row blocks
-    ``(b, w_b, shift_b)`` of 2^d weights viewed as 2^hi-by-2^lo, each
-    block's sums scaled by exp(shift_b - max shift) (module docstring)."""
+def _pair_cells(params: FvbmParams) -> np.ndarray:
+    """The pair cells of ``params``, summed over the row blocks
+    ``(b, w_b, shift_b)`` of its weights viewed as 2^hi-by-2^lo, each
+    block's sums scaled by exp(shift_b - max shift), and divided by the
+    total weight once at the end (module docstring)."""
+    d = params.d
     lo = d // 2
     hi = d - lo
     c_lo = _indicators(lo)
     by_row = np.empty((1 << hi, 2 * lo))  # w C_lo
     row_mass = np.empty(1 << hi)
     col_sums, shifts = [], []
-    for b, w, shift in blocks:
+    for b, w, shift in _weight_blocks(*_half_factors(params)):
         rows = slice(b * len(w), (b + 1) * len(w))
         np.matmul(w, c_lo, out=by_row[rows])
         w.sum(axis=1, out=row_mass[rows])
@@ -190,80 +192,54 @@ def _pair_cell_sums(d: int, blocks) -> tuple[np.ndarray, float]:
     cells[:, :lo, :, lo:] = across.transpose(2, 3, 0, 1)
     cells[:, :lo, :, :lo] = _within(c_lo, col_mass).reshape(2, lo, 2, lo)
     cells[:, lo:, :, lo:] = _within(c_hi, row_mass).reshape(2, hi, 2, hi)
-    return cells, float(row_mass.sum())
+    cells /= row_mass.sum()
+    return cells
 
 
 @dataclass(frozen=True)
 class PmfTable:
-    """Full PMF over all 2^d states in the canonical index order.
+    """The exact distribution of one model over all 2^d states, in the
+    canonical index order; d > ``ENUMERATION_CAP`` is refused here.
 
-    Direct construction copies the probabilities and checks their shape,
-    range and sum; :func:`enumerate_pmf`, which builds a valid vector
-    itself, skips both (the copy alone is 8 MB at d=20).
-
-    :attr:`pair_cells` holds every marginal and pairwise joint of the
-    table in a 2-by-d-by-2-by-d array (module docstring).  It is computed
-    on first use by two passes over the table and one product, ~3 ms at
-    d=20, the block sums of :func:`pair_cells` over the whole table as one
-    block; each cell is within a relative 1e-14 of the correctly rounded
-    sum of its states.
+    Both read-outs are made on first read and kept, read-only.
+    :attr:`probabilities` is the whole 2^d vector (8 MB at d=20).
+    :attr:`pair_cells` holds every marginal and pairwise joint in a
+    2-by-d-by-2-by-d array, streamed from row blocks of the log-weight
+    product without the 2^d vector (module docstring); each cell is within
+    a relative 1e-14 of the correctly rounded sum of its states.
     """
 
-    d: int
-    probabilities: np.ndarray
+    params: FvbmParams
 
     def __post_init__(self) -> None:
-        if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
-            raise ValueError(f"d must be an int of at least 1, got {self.d!r}")
-        p = _readonly(self.probabilities)
-        if p.shape != (1 << self.d,):
-            raise ValueError(
-                f"expected {1 << self.d} probabilities for d={self.d}, got {p.shape}"
-            )
-        if np.any(p < -1e-15) or np.any(p > 1.0 + 1e-12):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {p.sum():.17g}, not 1")
-        object.__setattr__(self, "probabilities", p)
+        _check_enumerable(self.params.d)
+
+    @property
+    def d(self) -> int:
+        return self.params.d
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        """Read-only probabilities of all 2^d states; they sum to one within 1e-12."""
+        w = _log_weights(self.params)
+        w -= w.max()
+        np.exp(w, out=w)
+        w /= w.sum()
+        w.setflags(write=False)
+        return w
 
     @cached_property
     def pair_cells(self) -> np.ndarray:
         """Read-only ``cells[a, j, c, k] = P(X_j = s_a, X_k = s_c)``, s = (+1, -1),
-        by the blocked products of the module docstring over the whole table."""
-        lo = self.d // 2
-        w = self.probabilities.reshape(-1, 1 << lo)
-        cells, _ = _pair_cell_sums(self.d, [(0, w, 0.0)])
+        streamed from row blocks of the log-weight product (module docstring)."""
+        cells = _pair_cells(self.params)
         cells.setflags(write=False)
         return cells
 
-    @classmethod
-    def _trusted(cls, d: int, probabilities: np.ndarray) -> "PmfTable":
-        """Wrap a 2^d vector built in this module without copying or
-        validating it; the table takes ownership and makes it read-only."""
-        table = object.__new__(cls)
-        probabilities.setflags(write=False)
-        object.__setattr__(table, "d", d)
-        object.__setattr__(table, "probabilities", probabilities)
-        return table
-
 
 def enumerate_pmf(params: FvbmParams) -> PmfTable:
-    """Probabilities of all 2^d states; sums to one within 1e-12."""
-    w = _log_weights(params)
-    w -= w.max()
-    np.exp(w, out=w)
-    w /= w.sum()
-    return PmfTable._trusted(params.d, w)
-
-
-def pair_cells(params: FvbmParams) -> np.ndarray:
-    """The model's read-only pair cells, as ``PmfTable.pair_cells`` holds
-    them, streamed from row blocks of the log-weight product, so no 2^d
-    table is built (module docstring)."""
-    cells, total = _pair_cell_sums(params.d, _weight_blocks(*_half_factors(params)))
-    cells /= total
-    cells.setflags(write=False)
-    return cells
+    """The exact distribution of ``params``; its read-outs are made on first read."""
+    return PmfTable(params)
 
 
 def _check_coordinate(table: PmfTable, j: int) -> None:

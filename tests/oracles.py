@@ -20,6 +20,7 @@ import fvbm
 from fvbm import DataError, FvbmParams
 from fvbm.fit import MAX_HALVINGS, STEP_LIMIT, _cholesky_solve
 from fvbm.inference import CONDITION_LIMIT
+from fvbm.model import _log_weights
 from fvbm.params import slot_map
 from fvbm.pseudolikelihood import _activations, _check_dims, _log_pl, _sech2
 from fvbm.votes import ImputeConfig, Vote, _normalize_cell, _rows_from
@@ -656,6 +657,17 @@ def doubling_log_weights(params: FvbmParams) -> np.ndarray:
         np.subtract(rest, coupling, out=field[:, :half])
         np.add(rest, coupling, out=field[:, half:])
     return logw
+
+
+def eager_probabilities(params: FvbmParams) -> np.ndarray:
+    """All 2^d probabilities as the eager enumeration made them: the whole
+    log-weight product, shifted by its max, exponentiated and normalized in
+    place, the bits that ``PmfTable.probabilities`` must keep."""
+    w = _log_weights(params)
+    w -= w.max()
+    np.exp(w, out=w)
+    w /= w.sum()
+    return w
 
 
 def slice_fixed_sum(table: "fvbm.PmfTable", fixed: dict[int, int]) -> float:

@@ -597,6 +597,9 @@ _CONFIG_PROBES = [
     ("graph", {"level": 0}, ["--level", "0"], 1),
     # in range, but more neighbors than the 4 rows give: a data error
     ("prepare", {"k": 9}, ["--k", "9"], 2),
+    # not finite: a tolerance that would stop the fit after one step
+    ("fit", {"tol": "inf"}, ["--tol", "inf"], 1),
+    ("fit", {"tol": 1e999}, ["--tol", "1e999"], 1),
 ]
 
 
@@ -605,7 +608,9 @@ def test_config_entry_exits_like_its_flag(tmp_path, chain_files, command, entry,
     output = "dot" if command == "graph" else "output"
     out = str(tmp_path / "out")
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({output: out, **entry}))
+    # json.dumps writes an infinity as the refused token Infinity; a file
+    # holds it as 1e999, which reads back as inf
+    config.write_text(json.dumps({output: out, **entry}).replace("Infinity", "1e999"))
     assert main([*chain_files[command], "--config", str(config)]) == code
     assert main([*chain_files[command], f"--{output}", out, *flags]) == code
 
@@ -617,6 +622,9 @@ _RANGE_MESSAGES = [
     ("fit", ["--max-iter", "0"], "argument --max-iter: max_iterations must be at least 1, got 0"),
     ("fit", ["--tol", "-1"], "argument --tol: objective_tolerance must be positive, got -1.0"),
     ("graph", ["--level", "0"], "argument --level: level must lie in (0, 1), got 0.0"),
+    ("fit", ["--tol", "inf"], "argument --tol: objective_tolerance must be finite, got inf"),
+    ("fit", ["--tol", "1e999"], "argument --tol: objective_tolerance must be finite, got inf"),
+    ("fit", ["--max-iter", "2.5"], "argument --max-iter: invalid int value: '2.5'"),
 ]
 
 
@@ -896,6 +904,15 @@ _RECORD_PROBES = [
     ("infer", {"converged": True, "last_step": [math.nan, 0.0, 0.0]}),
     ("graph", {"standard_errors": [math.nan, 1.0, 1.0]}),
     ("graph", {"p_values": [0.5, 0.5, math.nan], "adjusted_p_values": [1.0, 1.0, math.nan]}),
+    # graph once drew these: indices read by int(), a method by str(), and
+    # an infinity written as 1e999, which json reads back as inf
+    ("graph", {"adjustment_groups": {"bias": [0, 1.9, "2"]}}),
+    ("graph", {"adjustment_groups": {"bias": [0, 1], "interaction": ["2"]}}),
+    ("graph", {"adjustment_groups": {"all": [0, True, 2]}}),
+    ("graph", {"method": 5}),
+    ("graph", {"method": "holm"}),
+    ("graph", {"standard_errors": [math.inf, 1.0, 1.0]}),
+    ("graph", {"estimates": [0.5, -math.inf, 0.5]}),
 ]
 
 
@@ -905,7 +922,9 @@ def _edited_run(chain_files, command, entries, directory):
     record_path = Path(chain_files["graph" if command == "graph" else "infer"][1])
     record = {**json.loads(record_path.read_text()), **entries}
     edited, out = directory / "edited.json", directory / "out.json"
-    edited.write_text(json.dumps(record))
+    # an infinity as 1e999, which json reads back as inf: json.dumps would
+    # write the token Infinity, which jsonio.load refuses as it reads
+    edited.write_text(json.dumps(record).replace("Infinity", "1e999"))
     out.unlink(missing_ok=True)
     inputs = {"probs": [], "graph": [], "infer": chain_files["infer"][2:]}[command]
     flag = "--json" if command == "graph" else "-o"
@@ -972,6 +991,16 @@ def test_fit_warns_and_strict_refuses_with_the_reason_infer_gives(tmp_path, caps
             assert code == 0 and reason in error and "a:c" in reason
 
 
+def _report_text(groups: str, method, standard_error: str) -> str:
+    """A d=2 report record with the given group entries, method and first standard error."""
+    return (
+        f'{{"estimates": [0.5, 0.5, 0.5], "standard_errors": [{standard_error}, 1.0, 1.0], '
+        '"z_scores": [0.5, 0.5, 0.5], "p_values": [0.6, 0.6, 0.6], '
+        f'"adjusted_p_values": [1.0, 1.0, 1.0], "adjustment_groups": {{{groups}}}, '
+        f'"method": {json.dumps(method)}}}'
+    )
+
+
 # (input kind, a faulty file of that kind, the argv that reads it as BAD)
 _FAULTY_INPUTS = [
     ("fit file", "{", ["probs", "BAD", "-o", "OUT"]),
@@ -997,6 +1026,12 @@ _FAULTY_INPUTS = [
     ("--init file", '{"d": 2, "bias": [Infinity, 0], "interaction_upper": [0]}', ["fit", "SPINS", "--init", "BAD", "-o", "OUT"]),
     ("config file", '{"tol": NaN}', ["fit", "SPINS", "--config", "BAD", "-o", "OUT"]),
     ("config file", '{"max_iter": Infinity}', ["fit", "SPINS", "--config", "BAD", "-o", "OUT"]),
+    # report records that the report itself refuses: an index that is not
+    # an int, a method other than by or bh, a vector entry read as inf
+    ("report file", _report_text('"bias": [0, 1.9, "2"]', "by", "1.0"), ["graph", "BAD", "--json", "OUT"]),
+    ("report file", _report_text('"bias": [0, 1], "interaction": ["2"]', "by", "1.0"), ["graph", "BAD", "--json", "OUT"]),
+    ("report file", _report_text('"bias": [0, 1], "interaction": [2]', 5, "1.0"), ["graph", "BAD", "--json", "OUT"]),
+    ("report file", _report_text('"bias": [0, 1], "interaction": [2]', "by", "1e999"), ["graph", "BAD", "--json", "OUT"]),
 ]
 
 

@@ -153,6 +153,25 @@ def test_fit_config_validation():
         fvbm.FitConfig(objective_tolerance=0.0)
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"max_iterations": 2.5}, "max_iterations must be an int, got 2.5"),
+        ({"max_iterations": True}, "max_iterations must be an int, got True"),
+        ({"objective_tolerance": float("inf")}, "objective_tolerance must be finite, got inf"),
+        ({"objective_tolerance": float("nan")}, "objective_tolerance must be positive, got nan"),
+    ],
+)
+def test_fit_config_refuses_a_cap_that_is_no_int_and_a_tolerance_that_is_not_finite(
+    entry, message
+):
+    # an infinite tolerance stopped the fit after one step, and a float cap
+    # reached range() as a TypeError
+    with pytest.raises(ValueError) as refusal:
+        fvbm.FitConfig(**entry)
+    assert str(refusal.value) == message
+
+
 def test_fit_rejects_empty_and_mismatched():
     with pytest.raises(fvbm.DataError):
         fvbm.fit(np.empty((0, 2)))

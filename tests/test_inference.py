@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -597,6 +598,39 @@ def test_report_json_round_trip():
     np.testing.assert_array_equal(rebuilt.estimates, report.estimates)
     np.testing.assert_array_equal(rebuilt.adjusted_p_values, report.adjusted_p_values)
     assert rebuilt.adjustment_groups == report.adjustment_groups
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"standard_errors": [np.inf, 1.0, 1.0]}, "standard_errors must be finite"),
+        ({"estimates": [0.5, np.nan, 0.5]}, "estimates must be finite"),
+        ({"z_scores": [0.5, 0.5, -np.inf]}, "z_scores must be finite"),
+        ({"adjustment_groups": {"bias": [0, 1.0, 2]}}, "indices must be ints, got 1.0"),
+        ({"adjustment_groups": {"bias": [0, 1], "x": ["2"]}}, "indices must be ints, got '2'"),
+        ({"adjustment_groups": {"all": [0, True, 2]}}, "indices must be ints, got True"),
+        ({"method": "BY"}, "method must be 'by' or 'bh', got 'BY'"),
+        ({"method": 5}, "method must be 'by' or 'bh', got 5"),
+    ],
+)
+def test_report_refuses_fields_that_no_inference_gives(entry, message):
+    fields = {
+        "estimates": [0.5, 0.5, 0.5],
+        "standard_errors": [1.0, 1.0, 1.0],
+        "z_scores": [0.5, 0.5, 0.5],
+        "p_values": [0.6, 0.6, 0.6],
+        "adjusted_p_values": [1.0, 1.0, 1.0],
+        "adjustment_groups": {"bias": [0, 1], "interaction": [np.int64(2)]},
+        "method": "bh",
+    }
+    assert fvbm.InferenceReport(**fields).d == 2
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fvbm.InferenceReport(**{**fields, **entry})
+
+
+def test_build_report_records_the_method_by_its_lower_case_name():
+    result, data = _small_fit()
+    assert fvbm.build_report(result, data, method="BH").method == "bh"
 
 
 @pytest.mark.parametrize("d, width", [(3, 2), (8, 4), (12, 14)])

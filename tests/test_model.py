@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 import fvbm
 from fvbm.cli import main
-from fvbm.model import _TARGET_BLOCK, _half_factors, _joint, _log_weights, _weight_blocks
+from fvbm.model import _TARGET_BLOCK, _half_factors, _log_weights, _weight_blocks
 
 from oracles import (
     block_log_weights,
     doubling_log_weights,
+    eager_probabilities,
     mask_marginal_probability,
     mask_pairwise_joint,
     naive_pmf,
@@ -306,8 +307,9 @@ def _probs_through_cli(directory, params, pairs) -> dict:
 
 @pytest.mark.parametrize("d", [1, 2, 11, 20])
 def test_streamed_and_table_pair_cells_equal_mask_oracle(tmp_path, d):
-    # the CLI streams its cells from blocks of the log-weight product and
-    # the table sums its stored probabilities; both meet the mask oracle
+    # the table streams its cells from blocks of the log-weight product, and
+    # the CLI reads that table: both are within CELL_RTOL (1e-14 relative) of
+    # the mask oracle, which sums the probabilities in another order
     params = random_params(np.random.default_rng(670 + d), d, scale=0.5)
     table = fvbm.enumerate_pmf(params)
     if d <= 11:
@@ -319,13 +321,15 @@ def test_streamed_and_table_pair_cells_equal_mask_oracle(tmp_path, d):
     for j in range(d):
         expected = mask_marginal_probability(table, j)
         _assert_within(probs["marginals"][f"X{j}"], expected)
-        _assert_within(table.pair_cells[0, j, 0, j], expected)
+        assert probs["marginals"][f"X{j}"] == fvbm.marginal_probability(table, j)
     assert len(probs["pairs"]) == len(pairs)
     for (j, k), pair in zip(pairs, probs["pairs"]):
         expected = mask_pairwise_joint(table, j, k)
         cells = pair["joint"]
-        _assert_within([[cells["++"], cells["+-"]], [cells["-+"], cells["--"]]], expected)
-        _assert_within(fvbm.pairwise_joint(table, j, k), expected)
+        joint = [[cells["++"], cells["+-"]], [cells["-+"], cells["--"]]]
+        _assert_within(joint, expected)
+        assert np.array_equal(joint, fvbm.pairwise_joint(table, j, k))
+        assert pair["concordance"] == fvbm.concordance(table, j, k)
 
 
 def test_probs_holds_no_state_table(tmp_path):
@@ -340,9 +344,16 @@ def test_probs_holds_no_state_table(tmp_path):
 def test_pair_cells_are_computed_once_read_only_and_not_serialized():
     table = fvbm.enumerate_pmf(random_params(np.random.default_rng(661), 5))
     cells = table.pair_cells
+    assert "probabilities" not in vars(table)  # the cells never read the 2^d vector
+    probabilities = table.probabilities
     assert cells.shape == (2, 5, 2, 5) and table.pair_cells is cells
-    assert not cells.flags.writeable
-    assert [f.name for f in dataclasses.fields(table)] == ["d", "probabilities"]
+    assert probabilities.shape == (32,) and table.probabilities is probabilities
+    for read_out in (cells, probabilities):
+        assert not read_out.flags.writeable
+        with pytest.raises(ValueError):
+            read_out.flat[0] = 0.5
+    assert [f.name for f in dataclasses.fields(table)] == ["params"]
+    assert table.d == 5
     joint = fvbm.pairwise_joint(table, 1, 3)
     joint[0, 0] = 2.0
     assert fvbm.pairwise_joint(table, 1, 3)[0, 0] < 1.0
@@ -393,47 +404,16 @@ def test_pairwise_joint_transposes_exactly(d, seed, data):
     assert np.array_equal(fvbm.pairwise_joint(table, k, j), fvbm.pairwise_joint(table, j, k).T)
 
 
-def test_pmf_table_validation():
-    for probabilities in (
-        [0.5, 0.5, 0.5],  # wrong length
-        np.array([0.5, 0.5, 0.25, 0.25]) * 1.2,  # sums to 1.8
-        [1.5, 0.0, 0.0, 0.0],  # above one
-    ):
-        with pytest.raises(ValueError):
-            fvbm.PmfTable(d=2, probabilities=probabilities)
-
-
-def test_pmf_table_constructor_validates_and_copies():
-    for probabilities in (
-        [0.5, 0.5, 0.25, -0.25],  # negative
-        [0.5, 0.5, 0.25, 0.25],  # sums to 1.5
-    ):
-        with pytest.raises(ValueError):
-            fvbm.PmfTable(d=2, probabilities=probabilities)
-    # construction copies: the caller's array stays writable and separate
-    source = np.full(4, 0.25)
-    table = fvbm.PmfTable(d=2, probabilities=source)
-    assert table.probabilities is not source
-    assert source.flags.writeable
-
-
-@pytest.mark.parametrize("d", [True, False, 2.0, -1, 0, "2", None])
-def test_pmf_table_refuses_a_dimension_that_is_not_a_positive_int(d):
-    with pytest.raises(ValueError) as refusal:
-        fvbm.PmfTable(d=d, probabilities=[0.25] * 4)
-    assert str(refusal.value) == f"d must be an int of at least 1, got {d!r}"
-
-
-@pytest.mark.parametrize("d", [1, 6, 13])
-def test_enumerated_table_equals_validated_table(d):
-    # enumerate_pmf skips the copy and checks of direct construction; the
-    # table it returns passes them and is read-only all the same
-    table = fvbm.enumerate_pmf(random_params(np.random.default_rng(640 + d), d))
-    checked = fvbm.PmfTable(d=d, probabilities=table.probabilities)
-    np.testing.assert_array_equal(checked.probabilities, table.probabilities)
-    assert not table.probabilities.flags.writeable
-    with pytest.raises(ValueError):
-        table.probabilities[0] = 0.5
+@pytest.mark.parametrize("d", [1, 6, 13, 20])
+def test_enumerated_probabilities_keep_their_bits(d):
+    # made on first read by the one whole product, shifted and exponentiated
+    # in place, so they keep the bits of the eager enumeration
+    params = random_params(np.random.default_rng(640 + d), d)
+    probabilities = fvbm.enumerate_pmf(params).probabilities
+    expected = eager_probabilities(params)
+    assert probabilities.dtype == expected.dtype == np.float64
+    assert not probabilities.flags.writeable
+    np.testing.assert_array_equal(probabilities.view(np.int64), expected.view(np.int64))
 
 
 def test_sample_deterministic_and_shaped():
@@ -531,11 +511,10 @@ def test_streamed_blocks_far_below_the_max_weigh_zero(huge):
         np.testing.assert_array_equal(
             fvbm.sample(params, 3000, seed=seed), table_sample(params, 3000, seed=seed)
         )
-    cells = fvbm.model.pair_cells(params)
     for j in range(14):
-        _assert_within(cells[0, j, 0, j], mask_marginal_probability(table, j))
+        _assert_within(fvbm.marginal_probability(table, j), mask_marginal_probability(table, j))
         for k in range(j + 1, 14):
-            _assert_within(_joint(cells, j, k), mask_pairwise_joint(table, j, k))
+            _assert_within(fvbm.pairwise_joint(table, j, k), mask_pairwise_joint(table, j, k))
 
 
 # One 2^20 float64 vector (8 MiB) plus the half-state tables.
@@ -551,14 +530,19 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+def enumerate_pmf(params):
+    # a table makes its probabilities on first read, so they are read here
+    return fvbm.enumerate_pmf(params).probabilities
+
+
 def pair_cells(params):
     return fvbm.enumerate_pmf(params).pair_cells
 
 
-@pytest.mark.parametrize("enumerate_states", [fvbm.enumerate_pmf, pair_cells])
+@pytest.mark.parametrize("enumerate_states", [enumerate_pmf, pair_cells])
 def test_enumeration_holds_one_state_vector(enumerate_states):
     # the log-weights are exponentiated in place, with no 2^d temporaries,
-    # and the pair cells add only products of the half-state indicators
+    # and the pair cells are streamed from row blocks of their product
     params = random_params(np.random.default_rng(621), 20, scale=0.1)
     assert _traced_peak(lambda: enumerate_states(params)) < ONE_STATE_VECTOR_AT_CAP
 

@@ -1,8 +1,10 @@
 """Checks on the repository itself: README's code runs, no module of
-``src/fvbm`` imports a name it does not use, and every oracle is used."""
+``src/fvbm`` imports a name it does not use, every oracle is used, and
+every name the benchmark traces exists."""
 
 import ast
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -69,3 +71,21 @@ def test_every_oracle_is_named_by_a_test():
             used.add(name)
             frontier += [n for n in _referenced_names(oracles[name]) if n in oracles]
     assert sorted(set(oracles) - used) == []
+
+
+def test_every_traced_name_resolves():
+    # the benchmark wraps these by name; a retired or renamed one would fail
+    # only the traced benchmark run
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+    assert traced
+    for module_name, attr in traced.values():
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module_name, attr)

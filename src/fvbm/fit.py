@@ -120,9 +120,9 @@ class FitResult:
     accepted step over the flat layout, or ``None`` if no step was taken.
     ``stopped_by`` names the rule of ``STOP_RULES`` that stopped the fit
     (``None`` in an older record).  The constructor refuses, as a malformed
-    record (DataError), fields that do not fit the parameters and a
-    ``converged`` that contradicts ``_converges``, whether the record was
-    read from JSON or built in memory.
+    record (DataError), fields that do not fit the parameters, a
+    ``converged`` that contradicts ``_converges`` and an objective trace that
+    is not finite, whether the record was read from JSON or built in memory.
     """
 
     params: FvbmParams
@@ -161,6 +161,8 @@ class FitResult:
                 f"column, no |last_step| > {STEP_LIMIT:g} and stopped_by null or tolerance, "
                 f"and a tolerance stop with neither of the first two is converged true"
             )
+        if not np.all(np.isfinite(trace)):
+            raise DataError("malformed fit record: objective_trace must be finite")
 
     def large_step_coordinates(self) -> list[int]:
         """Flat coordinates that the last step moved by more than STEP_LIMIT or by NaN."""
@@ -264,17 +266,18 @@ def _cholesky_inverse(chol: np.ndarray) -> np.ndarray:
     identity, SOLVE_BLOCK rows at a time.
 
     W is lower triangular, so the rows of a block need only the columns up
-    to the block's end.  numpy computes ``W.T @ W`` as a symmetric rank-k
-    update of one triangle and mirrors it, so the inverse is exactly
-    symmetric.
+    to the block's end.  W is written over ``chol``, which is left holding
+    W: block row k of W needs only L's block row k and W's earlier rows,
+    and L's zeros past a block's end are W's, so no identity is allocated.
+    numpy computes ``W.T @ W`` as a symmetric rank-k update of one triangle
+    and mirrors it, so the inverse is exactly symmetric.
     """
-    w = np.eye(len(chol))
     for k in range(0, len(chol), SOLVE_BLOCK):
-        rows, cols = slice(k, k + SOLVE_BLOCK), slice(0, k + SOLVE_BLOCK)
-        w[rows, cols] = np.linalg.solve(
-            chol[rows, rows], w[rows, cols] - chol[rows, :k] @ w[:k, cols]
+        end = min(k + SOLVE_BLOCK, len(chol))
+        chol[k:end, :end] = np.linalg.solve(
+            chol[k:end, k:end], np.eye(end - k, end, k) - chol[k:end, :k] @ chol[:k, :end]
         )
-    return w.T @ w
+    return chol.T @ chol
 
 
 def _newton_step(score: np.ndarray, info: np.ndarray) -> np.ndarray:

@@ -22,9 +22,14 @@ one p^3 product where the full covariance takes two.
 Wald z-scores divide the estimates by those standard errors (a null of
 zero); two-sided p-values come from the standard normal tail via erfc.
 
-inv(I1) is W'W with W = inv(L) from the Cholesky factor I1 = L L'.  A fit
-whose I1 has a condition number above ``CONDITION_LIMIT`` (1e12) is
-refused.  For a symmetric positive definite A (Frobenius norms),
+inv(I1) is W'W with W = inv(L) from the Cholesky factor I1 = L L'.  The
+report holds at most three p-by-p arrays at once.  The meat comes first:
+I2, one score block of at least p rows and its Gram.  Then, beside I2, I1
+is dropped once factored, W is written over L, and W'W is formed; I1 is
+built again only where ``eigh`` must run after a factorization.  Last come
+I2, inv(I1) and their product.  A fit whose I1 has a condition number
+above ``CONDITION_LIMIT`` (1e12) is refused.  For a symmetric positive
+definite A (Frobenius norms),
 
     cond_2(A) <= |A|_F |inv(A)|_F <= p cond_2(A),
 
@@ -61,11 +66,12 @@ from .pseudolikelihood import per_observation_scores, pseudo_hessian
 
 CONDITION_LIMIT = 1e12
 # Score entries per row block of the meat (2.5 MiB); a block has at least
-# p rows.  The size is set for a long-lived process that fits and infers in
-# turn: with 1 MiB blocks glibc trims the heap after infer, and the next
-# fit re-faults it (at d=24, n=2000, minor faults per fit-infer pass rose
-# from 4.7k at this size to 13.8k; see CHANGES.md).  A one-shot run does
-# not fit after it infers.
+# p rows.  The size was set for a long-lived process that fits and infers
+# in turn: with 1 MiB blocks glibc trims the heap after infer, and the next
+# fit re-faults it.  At d=24, n=2000, minor faults per harness pass were
+# 13.8k with 1 MiB blocks and 4.5k at this size, and about 1 with the meat
+# first and W in L's storage (see CHANGES.md).  The size stays, because
+# the block partition sets I2's bits.
 MEAT_BLOCK = 5 << 16
 
 
@@ -107,18 +113,24 @@ def empirical_info_2(params: FvbmParams, data) -> np.ndarray:
     return i2
 
 
-def _symmetric_inverse(a: np.ndarray, coordinate_names: list[str] | None) -> np.ndarray:
-    """inv(a) for the symmetric ``a``, refused when its condition number
-    exceeds CONDITION_LIMIT (module docstring)."""
+def _symmetric_inverse(build, coordinate_names: list[str] | None) -> np.ndarray:
+    """inv(a) for the symmetric ``a = build()``, refused when its condition
+    number exceeds CONDITION_LIMIT (module docstring).  ``a`` is dropped once
+    factored, and built again only if ``eigh`` must run on it."""
+    a = build()
+    norm = np.linalg.norm(a)
     try:
-        inverse = _cholesky_inverse(np.linalg.cholesky(a))
+        chol = np.linalg.cholesky(a)
+        a = None
+        inverse = _cholesky_inverse(chol)
     except np.linalg.LinAlgError:
         pass
     else:
         # cond(a) <= |a|_F |inv(a)|_F; a NaN fails the comparison
-        if np.linalg.norm(a) * np.linalg.norm(inverse) <= CONDITION_LIMIT / 2:
+        if norm * np.linalg.norm(inverse) <= CONDITION_LIMIT / 2:
             return inverse
-    eigvals, eigvecs = np.linalg.eigh(a)
+    chol = inverse = None  # not held beside eigh's arrays
+    eigvals, eigvecs = np.linalg.eigh(build() if a is None else a)
     absvals = np.abs(eigvals)
     worst = int(np.argmin(absvals))
     cond = np.inf if absvals[worst] == 0.0 else float(absvals.max() / absvals[worst])
@@ -138,15 +150,6 @@ def _symmetric_inverse(a: np.ndarray, coordinate_names: list[str] | None) -> np.
     return (eigvecs / eigvals) @ eigvecs.T
 
 
-def _sandwich_factors(
-    params: FvbmParams, x: np.ndarray, coordinate_names: list[str] | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(inv(I1), I2) at ``params`` for the spin matrix ``x``; the inverse is
-    refused past CONDITION_LIMIT before I2 is computed."""
-    i1_inv = _symmetric_inverse(empirical_info_1(params, x), coordinate_names)
-    return i1_inv, empirical_info_2(params, x)
-
-
 def sandwich_covariance(
     params: FvbmParams, data, coordinate_names: list[str] | None = None
 ) -> np.ndarray:
@@ -157,8 +160,9 @@ def sandwich_covariance(
             names the coordinates carrying the near-null direction.
     """
     x = as_spin_matrix(data)
-    i1_inv, i2 = _sandwich_factors(params, x, coordinate_names)
-    cov = i1_inv @ i2 @ i1_inv / x.shape[0]
+    # bread first, unlike the report: bench/test_bench.py pins this call order
+    i1_inv = _symmetric_inverse(lambda: empirical_info_1(params, x), coordinate_names)
+    cov = i1_inv @ empirical_info_2(params, x) @ i1_inv / x.shape[0]
     return (cov + cov.T) / 2.0
 
 
@@ -166,9 +170,10 @@ def _sandwich_variances(
     params: FvbmParams, data, coordinate_names: list[str] | None
 ) -> np.ndarray:
     """The diagonal of :func:`sandwich_covariance` from one p^3 product:
-    (1/n) sum_k (K I2)_qk K_qk with the symmetric K = inv(I1)."""
+    (1/n) sum_k (K I2)_qk K_qk with the symmetric K = inv(I1), I2 first."""
     x = as_spin_matrix(data)
-    i1_inv, i2 = _sandwich_factors(params, x, coordinate_names)
+    i2 = empirical_info_2(params, x)
+    i1_inv = _symmetric_inverse(lambda: empirical_info_1(params, x), coordinate_names)
     products = i1_inv @ i2
     products *= i1_inv
     return products.sum(axis=1) / x.shape[0]

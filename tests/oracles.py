@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 import fvbm
 from fvbm import DataError, FvbmParams
-from fvbm.fit import MAX_HALVINGS, STEP_LIMIT, _cholesky_solve
+from fvbm.fit import MAX_HALVINGS, SOLVE_BLOCK, STEP_LIMIT, _cholesky_solve
 from fvbm.inference import CONDITION_LIMIT
 from fvbm.model import _log_weights
 from fvbm.params import slot_map
@@ -74,6 +74,29 @@ def naive_log_pseudolikelihood(theta: np.ndarray, data: np.ndarray, d: int) -> f
             a = float(m[j] @ x + b[j])
             total += x[j] * a - np.logaddexp(a, -a)
     return total
+
+
+def naive_pseudo_score(theta: np.ndarray, data: np.ndarray, d: int) -> np.ndarray:
+    """Direct double-loop gradient of :func:`naive_log_pseudolikelihood`:
+    conditional j adds r_j = x_j - tanh(a_j) to b_j, and m_jk gets
+    r_j x_k + r_k x_j."""
+    b = theta[:d]
+    m = np.zeros((d, d))
+    q = d
+    for j in range(d):
+        for k in range(j + 1, d):
+            m[j, k] = m[k, j] = theta[q]
+            q += 1
+    grad = np.zeros(q)
+    for x in data:
+        r = [x[j] - math.tanh(float(m[j] @ x + b[j])) for j in range(d)]
+        q = d
+        for j in range(d):
+            grad[j] += r[j]
+            for k in range(j + 1, d):
+                grad[q] += r[j] * x[k] + r[k] * x[j]
+                q += 1
+    return grad
 
 
 def naive_state_weights(params: FvbmParams) -> dict[tuple, float]:
@@ -787,6 +810,18 @@ def listed_network_to_json_dict(spec) -> dict:
             for e in spec.edges
         ],
     }
+
+
+def eye_cholesky_inverse(chol: np.ndarray) -> np.ndarray:
+    """W'W for W = inv(L) by blocked forward substitution into a separate
+    identity, leaving the factor ``chol`` as it was."""
+    w = np.eye(len(chol))
+    for k in range(0, len(chol), SOLVE_BLOCK):
+        rows, cols = slice(k, k + SOLVE_BLOCK), slice(0, k + SOLVE_BLOCK)
+        w[rows, cols] = np.linalg.solve(
+            chol[rows, rows], w[rows, cols] - chol[rows, :k] @ w[:k, cols]
+        )
+    return w.T @ w
 
 
 def eigh_symmetric_inverse(a: np.ndarray, coordinate_names: list[str] | None) -> np.ndarray:

@@ -21,6 +21,7 @@ from oracles import (
     fd_gradient,
     fd_jacobian,
     naive_log_pseudolikelihood,
+    naive_pseudo_score,
     random_params,
     random_spins,
     relative_error,
@@ -100,6 +101,7 @@ def test_criterion_04_global_maximizer_oracle():
                     lambda th: -naive_log_pseudolikelihood(th, data, d),
                     start,
                     method="L-BFGS-B",
+                    jac=lambda th: -naive_pseudo_score(th, data, d),
                     options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 2000},
                 )
                 if best is None or opt.fun < best.fun:

@@ -913,6 +913,9 @@ _RECORD_PROBES = [
     ("graph", {"method": "holm"}),
     ("graph", {"standard_errors": [math.inf, 1.0, 1.0]}),
     ("graph", {"estimates": [0.5, -math.inf, 0.5]}),
+    # a first objective edited to -1e999: probs and infer once read it
+    ("probs", {"objective_trace": [-math.inf, -1.0]}),
+    ("infer", {"objective_trace": [-math.inf, -1.0]}),
 ]
 
 

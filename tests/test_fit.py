@@ -28,6 +28,7 @@ from oracles import (
     cholesky_newton_fit,
     cholesky_newton_step,
     correlated_spins,
+    eye_cholesky_inverse,
     eye_ridge_newton_step,
     random_params,
     random_spins,
@@ -438,6 +439,22 @@ def test_cholesky_inverse_across_block_edges(p, cond):
     rng = np.random.default_rng(p)
     q, _ = np.linalg.qr(rng.normal(size=(p, p)))
     _check_cholesky_inverse((q * np.geomspace(1.0, 1.0 / cond, p)) @ q.T)
+
+
+@pytest.mark.parametrize("p", [1, 3, 63, 64, 65, 300])
+def test_cholesky_inverse_writes_w_over_the_factor_with_the_out_of_place_bits(p):
+    # block row k of W reads only L's block row k and W's earlier rows, so
+    # W can take L's storage and keep the bits of a separate identity; the
+    # scale of 4 keeps L, and so W, away from the identity at p = 1
+    rng = np.random.default_rng(p)
+    q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    chol = np.linalg.cholesky((q * np.geomspace(4.0, 4e-6, p)) @ q.T)
+    expected = eye_cholesky_inverse(chol)
+    w = chol.copy()
+    inverse = fit_module._cholesky_inverse(w)
+    assert np.array_equal(inverse, expected)
+    assert np.array_equal(w.T @ w, inverse)
+    np.testing.assert_allclose(w @ chol, np.eye(p), rtol=0.0, atol=1e-9)
 
 
 def test_identical_columns_keep_newton_steps_of_one_half():

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 
 import fvbm
@@ -241,7 +242,7 @@ def test_inverse_refuses_exactly_as_the_eigh_oracle(p, monkeypatch):
     paths = set()
     for a in _battery(p):
         calls.clear()
-        got = _outcome(_symmetric_inverse, a, names)
+        got = _outcome(lambda a, names: _symmetric_inverse(lambda: a, names), a, names)
         expected = _outcome(eigh_symmetric_inverse, a, names)
         if isinstance(expected, tuple):
             assert got == expected
@@ -255,11 +256,52 @@ def test_inverse_refuses_exactly_as_the_eigh_oracle(p, monkeypatch):
     assert paths == {"cholesky", "eigh", "refused"}
 
 
+@pytest.mark.parametrize("p", [3, 55, 300])
+def test_inverse_builds_the_matrix_again_only_for_a_factored_eigh(p, monkeypatch):
+    # the matrix is dropped once factored: one build where the Cholesky
+    # inverse stands or the factorization fails, two where a factored
+    # matrix goes on to eigh
+    eigh = np.linalg.eigh
+    eighs = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
+    cases = set()
+    for a in _battery(p):
+        builds = []
+        try:
+            np.linalg.cholesky(a)
+            factored = True
+        except np.linalg.LinAlgError:
+            factored = False
+        eighs.clear()
+        _outcome(lambda a, names: _symmetric_inverse(lambda: builds.append(1) or a, names), a, None)
+        cases.add((factored, bool(eighs)))
+        assert len(builds) == 1 + (factored and bool(eighs))
+    assert cases == {(True, False), (True, True), (False, True)}
+
+
+def _block_model(sizes, seed):
+    """Independent blocks of ``random_params(rng, size, scale=0.5)``."""
+    rng = np.random.default_rng(seed)
+    return [random_params(rng, size, scale=0.5) for size in sizes]
+
+
+def _block_draw(blocks, n):
+    """``n`` rows with each block sampled exactly, block b with seed b + 1."""
+    return np.hstack([fvbm.sample(block, n, seed=s) for s, block in enumerate(blocks, 1)])
+
+
+def _truth_record(blocks):
+    """The block-diagonal true parameters as a record marked converged."""
+    params = fvbm.FvbmParams(
+        bias=np.concatenate([b.bias for b in blocks]),
+        interaction=scipy.linalg.block_diag(*(b.interaction for b in blocks)),
+    )
+    return fvbm.FitResult(params=params, objective_trace=np.zeros(1), iterations_used=0, converged=True)
+
+
 def _d24_draw():
     # three independent 8-column blocks, each sampled exactly
-    rng = np.random.default_rng(24)
-    blocks = [fvbm.sample(random_params(rng, 8, scale=0.5), 2000, seed=s) for s in (1, 2, 3)]
-    return np.hstack(blocks)
+    return _block_draw(_block_model([8, 8, 8], 24), 2000)
 
 
 @functools.cache
@@ -322,20 +364,44 @@ def test_report_refuses_exactly_as_the_eigh_oracle(monkeypatch):
     assert paths == {"cholesky", "eigh", "refused"}
 
 
+def _traced_report_peak(record, data):
+    tracemalloc.start()
+    try:
+        fvbm.build_report(record, data)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_report_holds_no_score_matrix():
     # the one-shot meat holds the n-by-p scores together with I2 and
     # inv(I1) at least: 5.9 MiB at d = 24, n = 2000 (6.8 MiB was traced).
-    # Blocks of MEAT_BLOCK entries stay well below it (4.3 MiB traced).
+    # Blocks of MEAT_BLOCK entries stay well below it (3.6 MiB traced).
     result, data = _fit_d24_draw()
     n, p = data.shape[0], result.params.n_params
     assert _meat_rows(p) < n
-    tracemalloc.start()
-    try:
-        fvbm.build_report(result, data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * (n * p + 2 * p * p)
+    assert _traced_report_peak(result, data) < 8 * (n * p + 2 * p * p)
+
+
+def test_report_at_d24_holds_no_score_block_beside_the_inverse():
+    # I2 is summed before I1 is inverted, so the 1092-row score block and
+    # its Gram are never held beside inv(I1): 3.60 MiB traced, 4.29 MiB
+    # when the bread came first (3.61 and 4.51 where the call first built
+    # the Hessian's cached gather indices)
+    blocks = _block_model([8, 8, 8], 24)
+    assert _traced_report_peak(_truth_record(blocks), _block_draw(blocks, 2000)) < 4.0 * 2**20
+
+
+@pytest.mark.parametrize("n", [2000, 10_000])
+def test_report_at_d60_holds_three_p_by_p_arrays(n):
+    # seven 8-column blocks and one of 4, p = 1830: I2, the factor that W
+    # is written over, and inv(I1) = W'W are the three arrays.  3.00 p^2
+    # doubles were traced, 3.14 where the call first built the Hessian's
+    # cached gather indices; holding I1 beside them gave 4.00 and 4.14.
+    blocks = _block_model([8] * 7 + [4], 60)
+    record = _truth_record(blocks)
+    p = record.params.n_params
+    assert _traced_report_peak(record, _block_draw(blocks, n)) < 3.25 * p * p * 8
 
 
 def test_well_conditioned_report_runs_no_eigh(monkeypatch):

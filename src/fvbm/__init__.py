@@ -18,7 +18,6 @@ from .inference import (
     fdr_adjust,
     format_report_tables,
     sandwich_covariance,
-    standard_errors,
     wald_test,
 )
 from .model import (
@@ -52,7 +51,6 @@ from .votes import (
     empirical_proportions,
     encode_agreement,
     knn_impute,
-    knn_impute_cells,
     parse_split_records,
     parse_votes,
     read_spin_csv,
@@ -96,7 +94,6 @@ __all__ = [
     "flat_length",
     "format_report_tables",
     "knn_impute",
-    "knn_impute_cells",
     "log_pseudolikelihood",
     "marginal_probability",
     "network_to_json_dict",
@@ -111,7 +108,6 @@ __all__ = [
     "sample",
     "sandwich_covariance",
     "spin_matrix_to_json_dict",
-    "standard_errors",
     "wald_test",
     "write_spin_csv",
     "__version__",

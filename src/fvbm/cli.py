@@ -191,6 +191,12 @@ def cmd_prepare(args) -> None:
     )
     kept = drop_sparse_columns(resolved, threshold=args.drop_threshold)
     dropped = [p for p in resolved.parties if p not in kept.parties]
+    if args.reference in dropped:
+        missing = resolved.cells[:, resolved.parties.index(args.reference)] == Vote.MISSING
+        raise DataError(
+            f"reference party {args.reference!r} was dropped as sparse: its missing share "
+            f"{np.count_nonzero(missing) / resolved.n:.3g} exceeds --drop-threshold {args.drop_threshold}"
+        )
     complete = knn_impute(kept, ImputeConfig(k=args.k))
     agreement = encode_agreement(complete, args.reference)
     write_spin_csv(output, agreement.labels, agreement.values)

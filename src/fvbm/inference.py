@@ -179,17 +179,6 @@ def _sandwich_variances(
     return products.sum(axis=1) / x.shape[0]
 
 
-def _root_variances(variances: np.ndarray) -> np.ndarray:
-    if np.any(variances <= 0):
-        bad = [int(i) for i in np.flatnonzero(variances <= 0)]
-        raise NumericalError(f"nonpositive variance for coordinate(s) {bad}")
-    return np.sqrt(variances)
-
-
-def standard_errors(covariance: np.ndarray) -> np.ndarray:
-    return _root_variances(np.diag(covariance))
-
-
 def two_sided_p_value(z: float) -> float:
     """2 * (1 - Phi(|z|)), computed as erfc(|z|/sqrt(2)) for full accuracy."""
     return math.erfc(abs(z) / math.sqrt(2.0))
@@ -361,7 +350,11 @@ def build_report(
     if reason := fit_result.unconverged_reason(names):
         raise DataError(f"refusing inference on an unconverged fit: {reason}")
     theta = params.to_flat()
-    se = _root_variances(_sandwich_variances(params, data, coordinate_names))
+    variances = _sandwich_variances(params, data, coordinate_names)
+    if np.any(variances <= 0):
+        bad = [int(i) for i in np.flatnonzero(variances <= 0)]
+        raise NumericalError(f"nonpositive variance for coordinate(s) {bad}")
+    se = np.sqrt(variances)
     z, p = wald_test(theta, se)
     if groups is None:
         groups = default_groups(params.d)

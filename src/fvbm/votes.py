@@ -338,28 +338,6 @@ def _knn_fill(codes: np.ndarray, observed: np.ndarray, k: int) -> np.ndarray:
     return filled
 
 
-def knn_impute_cells(rows: list[list], k: int) -> list[list]:
-    """Generic categorical k-NN imputation; ``None`` marks a missing cell.
-
-    The rules are those of :class:`ImputeConfig`, with categories coded in
-    ``str`` order: a final tie goes to the category whose ``str`` sorts first.
-    """
-    ImputeConfig(k=k)  # refuses k < 1
-    if not rows:
-        return []
-    d = len(rows[0])
-    if any(len(r) != d for r in rows):
-        raise DataError("imputation input must be rectangular")
-    categories = sorted(dict.fromkeys(v for r in rows for v in r if v is not None), key=str)
-    code = {cat: c for c, cat in enumerate(categories)}
-    codes = np.array([[-1 if v is None else code[v] for v in r] for r in rows], dtype=np.intp)
-    filled = _knn_fill(codes, codes >= 0, k)
-    result = [list(r) for r in rows]
-    for i, j in np.argwhere(codes < 0).tolist():
-        result[i][j] = categories[filled[i, j]]
-    return result
-
-
 def knn_impute(table: VoteTable, config: ImputeConfig | None = None) -> VoteTable:
     """Fill every Missing cell of a split-resolved table."""
     config = config or ImputeConfig()
@@ -396,6 +374,8 @@ def encode_agreement(table: VoteTable, reference: str) -> AgreementMatrix:
     """
     if reference not in table.parties:
         raise DataError(f"reference party {reference!r} not present in the table")
+    if len(table.parties) == 1:
+        raise DataError(f"no party besides the reference {reference!r} to encode")
     incomplete = np.argwhere(table.cells > Vote.YES)
     if incomplete.size:
         r, c = incomplete[0]

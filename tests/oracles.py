@@ -622,6 +622,8 @@ def list_encode_agreement(table: ListVoteTable, reference: str) -> "fvbm.Agreeme
     by cell (see :func:`fvbm.encode_agreement`)."""
     if reference not in table.parties:
         raise DataError(f"reference party {reference!r} not present in the table")
+    if len(table.parties) == 1:
+        raise DataError(f"no party besides the reference {reference!r} to encode")
     ref_idx = table.parties.index(reference)
     for r, row in enumerate(table.cells):
         for c, vote in enumerate(row):

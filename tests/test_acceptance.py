@@ -116,7 +116,7 @@ def test_criterion_05_consistency_and_coverage():
 
         data = fvbm.sample(params0, 10_000, seed=20160831)
         result = fvbm.fit(data)
-        se = fvbm.standard_errors(fvbm.sandwich_covariance(result.params, data))
+        se = np.sqrt(np.diag(fvbm.sandwich_covariance(result.params, data)))
         assert np.all(np.abs(result.params.to_flat() - theta0) <= 4.0 * se)
 
         replicates = 200
@@ -124,7 +124,7 @@ def test_criterion_05_consistency_and_coverage():
         for r in range(replicates):
             draw = fvbm.sample(params0, 2000, seed=1_000_000 + r)
             fitted = fvbm.fit(draw)
-            ses = fvbm.standard_errors(fvbm.sandwich_covariance(fitted.params, draw))
+            ses = np.sqrt(np.diag(fvbm.sandwich_covariance(fitted.params, draw)))
             hits += np.abs(fitted.params.to_flat() - theta0) <= 1.96 * ses
         coverage = hits / replicates
         assert np.all(coverage >= 0.92)
@@ -236,15 +236,17 @@ def test_criterion_09_full_pipeline_reproduction():
 
 def test_criterion_10_knn_unit_oracle():
     with criterion(10, "hand-enumerated 5-row k-NN example imputes the majority", 5.0):
+        y, n, missing = fvbm.Vote.YES, fvbm.Vote.NO, fvbm.Vote.MISSING
         rows = [
-            ["y", "y", "y"],
-            ["y", "y", "n"],
-            ["n", "n", "n"],
-            ["y", "n", "y"],
-            ["y", None, "y"],
+            [y, y, y],
+            [y, y, n],
+            [n, n, n],
+            [y, n, y],
+            [y, missing, y],
         ]
-        filled = fvbm.knn_impute_cells(rows, k=3)
-        assert filled[4][1] == "y"
+        table = fvbm.VoteTable(["1/1"] * 5, [str(r) for r in range(1, 6)], ["A", "B", "C"], rows)
+        filled = fvbm.knn_impute(table, fvbm.ImputeConfig(k=3))
+        assert filled.cells[4, 1] == fvbm.Vote.YES
 
 
 def test_criterion_11_graph_counts():

@@ -162,6 +162,28 @@ def test_prepare_split_without_records_fails(tmp_path, votes_csv):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "votes, message",
+    [
+        # the reference alone: nothing is left to encode against it
+        ("date,number,GOV\n1/1,1,Yes\n1/1,2,No\n",
+         "no party besides the reference 'GOV' to encode"),
+        # the reference column is the one the threshold drops
+        ("date,number,GOV,P1\n1/1,1,-,No\n1/1,2,-,No\n1/1,3,Yes,Yes\n",
+         "reference party 'GOV' was dropped as sparse: its missing share 0.667 exceeds "
+         "--drop-threshold 0.5"),
+    ],
+    ids=["reference-alone", "reference-dropped"],
+)
+def test_prepare_says_why_the_reference_leaves_nothing_to_encode(tmp_path, capsys, votes, message):
+    path, out = tmp_path / "votes.csv", tmp_path / "m.csv"
+    path.write_text(votes)
+    capsys.readouterr()
+    assert main(["prepare", str(path), "--reference", "GOV", "--k", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not out.exists()
+
+
 def test_prepare_missing_reference_is_usage_error(tmp_path, votes_csv, splits_csv):
     code = main(
         ["prepare", str(votes_csv), "--splits", str(splits_csv), "-o", str(tmp_path / "m.csv")]
@@ -303,7 +325,7 @@ def test_simulate_fit_recovers_truth(tmp_path):
     assert fit_obj["converged"] is True
     fitted = fvbm.FvbmParams.from_json_dict(fit_obj["params"])
     labels, data = fvbm.read_spin_csv(data_path)
-    se = fvbm.standard_errors(fvbm.sandwich_covariance(fitted, data))
+    se = np.sqrt(np.diag(fvbm.sandwich_covariance(fitted, data)))
     assert np.all(np.abs(fitted.to_flat() - params.to_flat()) <= 4.0 * se)
 
 
@@ -828,6 +850,16 @@ def test_probs_pair_naming_one_column_twice_is_usage_error(tmp_path, chain_files
     assert not out.exists()
 
 
+def test_probs_pair_naming_a_missing_column_is_data_error(tmp_path, chain_files, capsys):
+    out = tmp_path / "probs.json"
+    capsys.readouterr()
+    assert main(["probs", chain_files["infer"][1], "--pair", "P,Z", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "data error: pair 'P,Z' names a column not present in ['P', 'Q']\n"
+    )
+    assert not out.exists()
+
+
 def test_probs_output_is_byte_identical_across_runs(tmp_path):
     d = 12
     rng = np.random.default_rng(12)
@@ -916,6 +948,10 @@ _RECORD_PROBES = [
     # a first objective edited to -1e999: probs and infer once read it
     ("probs", {"objective_trace": [-math.inf, -1.0]}),
     ("infer", {"objective_trace": [-math.inf, -1.0]}),
+    # reports that the report itself refuses: groups that miss coordinate 2,
+    # and an adjusted p-value below its raw one
+    ("graph", {"adjustment_groups": {"bias": [0, 1]}}),
+    ("graph", {"p_values": [0.5, 0.5, 0.5], "adjusted_p_values": [0.1, 0.5, 0.5]}),
 ]
 
 
@@ -1035,6 +1071,10 @@ _FAULTY_INPUTS = [
     ("report file", _report_text('"bias": [0, 1], "interaction": ["2"]', "by", "1.0"), ["graph", "BAD", "--json", "OUT"]),
     ("report file", _report_text('"bias": [0, 1], "interaction": [2]', 5, "1.0"), ["graph", "BAD", "--json", "OUT"]),
     ("report file", _report_text('"bias": [0, 1], "interaction": [2]', "by", "1e999"), ["graph", "BAD", "--json", "OUT"]),
+    # a bias vector of another length than d, and empty input files
+    ("params file", '{"d": 2, "bias": [0.0], "interaction_upper": [0.0]}', ["simulate", "BAD", "--n", "3", "-o", "OUT"]),
+    ("votes CSV", "", ["prepare", "BAD", "--reference", "GOV", "-o", "OUT"]),
+    ("splits CSV", "", ["prepare", "VOTES", "--splits", "BAD", "--reference", "GOV", "-o", "OUT"]),
 ]
 
 

@@ -194,7 +194,7 @@ def test_sandwich_symmetric_and_positive():
     cov = fvbm.sandwich_covariance(result.params, data)
     np.testing.assert_array_equal(cov, cov.T)
     assert np.all(np.diag(cov) > 0)
-    assert np.all(fvbm.standard_errors(cov) > 0)
+    assert np.all(np.sqrt(np.diag(cov)) > 0)
 
 
 def test_sandwich_singular_information_raises():
@@ -464,6 +464,8 @@ def test_wald_rejects_bad_se():
         fvbm.wald_test([1.0], [0.0])
     with pytest.raises(ValueError):
         fvbm.wald_test([1.0], [-0.2])
+    with pytest.raises(ValueError, match="must align"):
+        fvbm.wald_test([1.0, 2.0], [0.1])
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +530,8 @@ def test_fdr_validates_inputs():
         fvbm.fdr_adjust([0.5, 1.2])
     with pytest.raises(ValueError):
         fvbm.fdr_adjust([0.5], method="holm")
+    with pytest.raises(ValueError, match="1-D vector"):
+        fvbm.fdr_adjust([[0.5, 0.2]])
 
 
 def test_fdr_matches_scipy_oracle():

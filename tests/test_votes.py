@@ -23,7 +23,6 @@ from oracles import (
     list_knn_impute,
     list_read_spin_csv,
     list_resolve_splits,
-    loop_knn_impute_cells,
     loop_write_spin_csv,
     row_loop_knn_fill,
 )
@@ -282,6 +281,28 @@ def test_drop_threshold_validation():
 # ---------------------------------------------------------------------------
 
 
+# rows of "y", "n" and None as Yes, No and Missing votes, and back; the
+# other names map the tables of up to 4 categories onto Yes and No
+_AS_VOTE = {None: Vote.MISSING, "y": Vote.YES, "yes": Vote.YES, "abstain": Vote.YES,
+            "n": Vote.NO, "no": Vote.NO, "absent": Vote.NO}
+_AS_LETTER = {Vote.YES: "y", Vote.NO: "n", Vote.MISSING: None}
+
+
+def _vote_table(rows: list[list]) -> fvbm.VoteTable:
+    return fvbm.VoteTable(
+        dates=[f"{r}/1" for r in range(len(rows))],
+        numbers=["1"] * len(rows),
+        parties=[f"P{c}" for c in range(len(rows[0]))],
+        cells=[[_AS_VOTE[v] for v in row] for row in rows],
+    )
+
+
+def _impute_letters(rows: list[list], k: int) -> list[list]:
+    """``knn_impute`` of rows of "y", "n" and None, read back as letters."""
+    filled = fvbm.knn_impute(_vote_table(rows), fvbm.ImputeConfig(k=k))
+    return [[_AS_LETTER[v] for v in row] for row in filled.cells.tolist()]
+
+
 def test_knn_handcrafted_example():
     # distances to the incomplete row over its two observed columns:
     # row 1 -> 0, row 2 -> 0.5, row 3 -> 1, row 4 -> 0; the three nearest
@@ -293,7 +314,7 @@ def test_knn_handcrafted_example():
         ["y", "n", "y"],
         ["y", None, "y"],
     ]
-    filled = fvbm.knn_impute_cells(rows, k=3)
+    filled = _impute_letters(rows, k=3)
     assert filled[4][1] == "y"
     # everything observed is untouched
     for i in range(4):
@@ -301,8 +322,8 @@ def test_knn_handcrafted_example():
 
 
 def test_knn_no_missing_is_identity():
-    rows = [["a", "b"], ["b", "a"], ["a", "a"]]
-    assert fvbm.knn_impute_cells(rows, k=1) == rows
+    rows = [["y", "n"], ["n", "y"], ["y", "y"]]
+    assert _impute_letters(rows, k=1) == rows
 
 
 def test_knn_never_alters_observed_cells():
@@ -315,7 +336,7 @@ def test_knn_never_alters_observed_cells():
     for r in rows:
         if all(v is None for v in r):
             r[0] = "y"
-    filled = fvbm.knn_impute_cells(rows, k=3)
+    filled = _impute_letters(rows, k=3)
     for i in range(12):
         for j in range(4):
             if rows[i][j] is not None:
@@ -326,15 +347,15 @@ def test_knn_never_alters_observed_cells():
 
 def test_knn_deterministic():
     rows = [["y", None], ["y", "y"], ["n", "n"], ["y", "n"]]
-    a = fvbm.knn_impute_cells(rows, k=3)
-    b = fvbm.knn_impute_cells(rows, k=3)
+    a = _impute_letters(rows, k=3)
+    b = _impute_letters(rows, k=3)
     assert a == b
 
 
 def test_knn_k_validation():
     rows = [["y", "y"], ["n", None]]
     with pytest.raises(fvbm.DataError):
-        fvbm.knn_impute_cells(rows, k=3)
+        _impute_letters(rows, k=3)
     with pytest.raises(ValueError):
         fvbm.ImputeConfig(k=0)
 
@@ -342,13 +363,13 @@ def test_knn_k_validation():
 def test_knn_unimputable_cell_error():
     rows = [["y", None], ["y", None], ["n", None]]
     with pytest.raises(fvbm.DataError, match="column 2"):
-        fvbm.knn_impute_cells(rows, k=1)
+        _impute_letters(rows, k=1)
 
 
 def test_knn_all_missing_row_error():
     rows = [[None, None], ["y", "n"], ["y", "y"]]
     with pytest.raises(fvbm.DataError, match="row 1"):
-        fvbm.knn_impute_cells(rows, k=1)
+        _impute_letters(rows, k=1)
 
 
 def test_knn_impute_table_requires_resolved_splits():
@@ -376,13 +397,13 @@ def test_knn_tie_rules():
     # k=1 among three rows at distance 0: the lowest index wins, although
     # the column majority is "y"
     rows = [["y", None], ["y", "n"], ["y", "y"], ["y", "y"]]
-    assert fvbm.knn_impute_cells(rows, k=1)[0][1] == "n"
+    assert _impute_letters(rows, k=1)[0][1] == "n"
     # k=2 splits 1-1 ("n" first): the column majority "y" wins over the
-    # first neighbor and over name order
+    # first neighbor and over code order
     rows = [["y", None], ["y", "n"], ["y", "y"], ["n", "y"], ["n", "y"]]
-    assert fvbm.knn_impute_cells(rows, k=2)[0][1] == "y"
-    # k=2 splits 1-1 and P2 is 2-2 overall: the category name decides, so
-    # "Vote.NO" beats "Vote.YES", which appears first and is defined first
+    assert _impute_letters(rows, k=2)[0][1] == "y"
+    # k=2 splits 1-1 and P2 is 2-2 overall: the lowest code decides, so No
+    # beats Yes, which appears first
     table = _table(
         "date,number,P1,P2\n"
         "1/1,1,Yes,-\n"
@@ -397,7 +418,7 @@ def test_knn_tie_rules():
 
 def test_knn_cells_reject_k_below_one():
     with pytest.raises(ValueError, match="k must be at least 1"):
-        fvbm.knn_impute_cells([["y", None], ["y", "n"]], k=0)
+        _impute_letters([["y", None], ["y", "n"]], k=0)
 
 
 @pytest.mark.parametrize("k", [2.5, 2.0, True, "3"])
@@ -405,7 +426,7 @@ def test_impute_config_refuses_a_k_that_is_not_an_int(k):
     with pytest.raises(ValueError, match="k must be an int"):
         fvbm.ImputeConfig(k=k)
     with pytest.raises(ValueError, match="k must be an int"):
-        fvbm.knn_impute_cells([["y", None], ["y", "n"], ["n", "n"]], k)
+        _impute_letters([["y", None], ["y", "n"], ["n", "n"]], k)
 
 
 def _random_cells(rng, n, d, categories, missing):
@@ -415,37 +436,6 @@ def _random_cells(rng, n, d, categories, missing):
         [None if hole else categories[v] for v, hole in zip(vrow, hrow)]
         for vrow, hrow in zip(values, holes)
     ]
-
-
-def _impute_outcome(impute, rows, k):
-    try:
-        return impute(rows, k)
-    except fvbm.DataError as exc:
-        return type(exc), str(exc)
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    n=st.integers(1, 15),
-    d=st.integers(1, 6),
-    categories=st.lists(
-        st.sampled_from(["yes", "no", "abstain"]), min_size=1, max_size=3, unique=True
-    ),
-    missing=st.floats(0.0, 0.8),
-    k=st.integers(1, 5),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_knn_matches_loop_oracle(n, d, categories, missing, k, seed):
-    rows = _random_cells(np.random.default_rng(seed), n, d, categories, missing)
-    assert _impute_outcome(fvbm.knn_impute_cells, rows, k) == _impute_outcome(
-        loop_knn_impute_cells, rows, k
-    )
-
-
-@pytest.mark.parametrize("n, k", [(400, 3), (1000, 4)])
-def test_knn_matches_loop_oracle_at_stress_size(n, k):
-    rows = _random_cells(np.random.default_rng(n), n, 10, [Vote.YES, Vote.NO], 0.1)
-    assert fvbm.knn_impute_cells(rows, k) == loop_knn_impute_cells(rows, k)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -493,11 +483,6 @@ _EQUAL_RATIOS = [
 _EQUAL_RATIOS_SWAPPED = [_EQUAL_RATIOS[0], _EQUAL_RATIOS[2], _EQUAL_RATIOS[1]]
 
 
-# the tables as Yes/No votes, for knn_impute
-_AS_VOTE = {None: Vote.MISSING, "y": Vote.YES, "yes": Vote.YES, "abstain": Vote.YES,
-            "n": Vote.NO, "no": Vote.NO, "absent": Vote.NO}
-
-
 def _fill_outcome(fill, codes, observed, k):
     try:
         filled = fill(codes, observed, k)
@@ -523,19 +508,13 @@ def test_knn_blocks_match_the_loop_oracles(rows, k, budget, filler):
         dtype=np.int8,
     )
     observed = np.array([[v is not None for v in row] for row in rows])
+    table = _vote_table(rows)
     listed = ListVoteTable(
-        dates=[f"{r}/1" for r in range(len(rows))],
-        numbers=["1"] * len(rows),
-        parties=[f"P{c}" for c in range(len(rows[0]))],
-        cells=[[_AS_VOTE[v] for v in row] for row in rows],
+        table.dates, table.numbers, table.parties, [[_AS_VOTE[v] for v in row] for row in rows]
     )
-    table = fvbm.VoteTable(listed.dates, listed.numbers, listed.parties, listed.cells)
     config = fvbm.ImputeConfig(k=k)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(votes_module, "_FILL_BLOCK", budget)
-        assert _impute_outcome(fvbm.knn_impute_cells, rows, k) == _impute_outcome(
-            loop_knn_impute_cells, rows, k
-        )
         assert _stage_outcome(fvbm.knn_impute, table, config) == _stage_outcome(
             list_knn_impute, listed, config
         )
@@ -545,10 +524,10 @@ def test_knn_blocks_match_the_loop_oracles(rows, k, budget, filler):
 
 
 def test_knn_edge_tables_impute_as_described():
-    assert fvbm.knn_impute_cells(_ZERO_OVERLAP, 1)[0][1] == "n"
-    assert [row[1] for row in fvbm.knn_impute_cells(_FEW_OBSERVERS, 3)] == ["y"] * 4
-    assert fvbm.knn_impute_cells(_EQUAL_RATIOS, 1)[0][4] == "n"
-    assert fvbm.knn_impute_cells(_EQUAL_RATIOS_SWAPPED, 1)[0][4] == "y"
+    assert _impute_letters(_ZERO_OVERLAP, 1)[0][1] == "n"
+    assert [row[1] for row in _impute_letters(_FEW_OBSERVERS, 3)] == ["y"] * 4
+    assert _impute_letters(_EQUAL_RATIOS, 1)[0][4] == "n"
+    assert _impute_letters(_EQUAL_RATIOS_SWAPPED, 1)[0][4] == "y"
 
 
 # ---------------------------------------------------------------------------
@@ -1031,6 +1010,11 @@ def _oracle_prepare(case, table, records):
     """Outputs and provenance counts of ``prepare``, from the list oracles."""
     resolved = list_resolve_splits(table, records, case["extract"], case["label"])
     kept = list_drop_sparse_columns(resolved, case["threshold"])
+    if "GOV" in resolved.parties and "GOV" not in kept.parties:
+        raise fvbm.DataError(
+            f"reference party 'GOV' was dropped as sparse: its missing share "
+            f"{resolved.missing_fraction('GOV'):.3g} exceeds --drop-threshold {case['threshold']}"
+        )
     missing = sum(v is Vote.MISSING for row in kept.cells for v in row)
     complete = list_knn_impute(kept, fvbm.ImputeConfig(k=case["k"]))
     agreement = list_encode_agreement(complete, "GOV")

@@ -34,11 +34,12 @@ from .inference import (
     default_groups,
     format_report_tables,
 )
-from .model import concordance, enumerate_pmf, marginal_probability, pairwise_joint, sample
+from .model import _draw_states, concordance, enumerate_pmf, marginal_probability, pairwise_joint
 from .params import FvbmParams, as_spin_matrix, check_labels, flat_labels, flat_length
 from .votes import (
     ImputeConfig,
     Vote,
+    _write_state_csv,
     check_drop_threshold,
     drop_sparse_columns,
     encode_agreement,
@@ -328,8 +329,9 @@ def cmd_simulate(args) -> None:
         labels = _labels(given, params.d)
     except DataError as exc:
         raise UsageError(f"--labels: {exc}") from exc
-    draws = sample(params, args.n, seed=args.seed)
-    write_spin_csv(args.output, labels, draws)
+    # the draws go to the file from their state indices, never as +/-1 rows
+    states = _draw_states(params, args.n, seed=args.seed)
+    _write_state_csv(args.output, labels, states, params.d)
 
 
 # ---------------------------------------------------------------------------

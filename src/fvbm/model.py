@@ -48,7 +48,9 @@ Each target stays strictly below the total and below its chunk's last
 prefix sum, so rounding never puts a draw past its chunk or on a state
 of zero weight.  The draws equal those of one sequential 2^d-long CDF
 (``oracles.table_sample``) unless a uniform lands within rounding of a
-CDF boundary.
+CDF boundary.  The draws are state indices (``_draw_states``), and
+:func:`sample` returns their +/-1 rows; the ``simulate`` command writes its
+CSV from the indices themselves, so it never makes that n-by-d matrix.
 
 Marginals and pairwise joints are read from one array of pair cells,
 ``cells[a, j, c, k] = P(X_j = s_a, X_k = s_c)`` with s = (+1, -1), whose
@@ -289,15 +291,20 @@ def sample(params: FvbmParams, n: int, seed: int) -> np.ndarray:
     every n, 0 included.  ``n`` and ``seed`` must be nonnegative ints (not
     bools).
     """
+    return _spins(_draw_states(params, n, seed), params.d)
+
+
+def _draw_states(params: FvbmParams, n: int, seed: int) -> np.ndarray:
+    """The int64 state indices of :func:`sample`'s draws, checked as it checks
+    its arguments; ``_spins`` of them are its n-by-d draws."""
     for name, value in (("n", n), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an int, got {value!r}")
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
-    d = params.d
-    _check_enumerable(d)
+    _check_enumerable(params.d)
     if n == 0:
-        return np.empty((0, d))
+        return np.empty(0, dtype=np.int64)
     # Sorting the uniforms first frees their unsorted copy before any
     # weights exist, and visits the chunks from front to back.
     u = np.random.default_rng(seed).random(n)
@@ -306,7 +313,7 @@ def sample(params: FvbmParams, n: int, seed: int) -> np.ndarray:
     del u
     states = np.empty(n, dtype=np.int64)
     states[order] = _sorted_states(params, targets)
-    return _spins(states, d)
+    return states
 
 
 def _sorted_states(params: FvbmParams, targets: np.ndarray) -> np.ndarray:

@@ -18,7 +18,10 @@ from __future__ import annotations
 import csv
 import functools
 import logging
+import math
+import os
 import re
+import stat
 from array import array
 from dataclasses import dataclass
 from enum import IntEnum
@@ -449,55 +452,115 @@ def _cell_table(width: int, last: bool) -> np.ndarray:
     return table
 
 
-def write_spin_csv(path, labels: list[str], values: np.ndarray) -> None:
-    """Write a +/-1 matrix as CSV with a label header (deterministic bytes).
+def _write_runs(path, labels: list[str], d: int, code_blocks) -> None:
+    """Write a spin CSV of ``d`` columns whose rows are given as run codes,
+    one array of rows at a time from ``code_blocks`` (deterministic bytes).
 
-    Each row is cut into runs of 8 columns.  The signs of a run give its
-    code, bit j set when its column j is -1, from one float product with
-    the +/-1 values that is exact below 256.  A code picks that run's cell
-    bytes from :func:`_cell_table`, so no cell is formatted on its own.
-    Rows go to the file joined one block of ``_WRITE_BLOCK`` rows at a
-    time, through one handle.
+    Each row is cut into runs of 8 columns.  Run c's code is 256 c plus its
+    sign code, bit j set when its column j is -1, and picks that run's cell
+    bytes from :func:`_cell_table`, so no cell is formatted on its own.  Each
+    array of codes goes to the file joined, through one handle.
 
     ``labels`` must be one distinct string per column (:func:`check_labels`)
     that the reader gets back as written (:func:`_csv_header`).  Both are
     checked before the file is opened, so a refused write leaves no file.
     """
-    x = as_spin_matrix(values, allow_empty=True)
-    header = _csv_header(check_labels(labels, x.shape[1]))
-    d = x.shape[1]
-    starts = range(0, d, 8)
+    header = _csv_header(check_labels(labels, d))
     # run c's entries start at 256 c: every run but the last has all 8 columns
-    table = np.concatenate([_cell_table(min(8, d - s), s + 8 >= d) for s in starts])
+    table = np.concatenate([_cell_table(min(8, d - s), s + 8 >= d) for s in range(0, d, 8)])
+    with open(path, "wb") as handle:
+        handle.write(header)
+        for codes in code_blocks:
+            handle.write(b"".join(table[codes].ravel().tolist()))
+
+
+def _spin_codes(x: np.ndarray):
+    """The run codes of the +/-1 rows ``x``, ``_WRITE_BLOCK`` rows at a time."""
     # Column j is bit j & 7 of run j >> 3, and (1 - x_j) / 2 is 1 where x_j
     # is -1, so run c's code is 256 c + sum_j 2^(j & 7) (1 - x_j) / 2: a sum
     # of halves and powers of two below 256, exact in any order.  The
     # product's n d ceil(d/8) multiply-adds stay cheaper than the join up to
     # several hundred columns.
+    d = x.shape[1]
     columns = np.arange(d)
-    half = np.zeros((d, len(starts)))
+    half = np.zeros((d, (d + 7) // 8))
     half[columns, columns >> 3] = 0.5 * (1 << (columns & 7))
-    base = half.sum(axis=0) + 256.0 * np.arange(len(starts))
-    with open(path, "wb") as handle:
-        handle.write(header)
-        for start in range(0, len(x), _WRITE_BLOCK):
-            codes = (base - x[start : start + _WRITE_BLOCK] @ half).astype(np.intp)
-            handle.write(b"".join(table[codes].ravel().tolist()))
+    base = half.sum(axis=0) + 256.0 * np.arange(half.shape[1])
+    for start in range(0, len(x), _WRITE_BLOCK):
+        yield (base - x[start : start + _WRITE_BLOCK] @ half).astype(np.intp)
 
 
-def _canonical_cells(body: bytes, d: int) -> np.ndarray | None:
-    """The cells of a CSV body in :func:`write_spin_csv`'s own form, or None.
+def write_spin_csv(path, labels: list[str], values: np.ndarray) -> None:
+    """Write a +/-1 matrix as CSV with a label header (deterministic bytes).
+
+    The rows go through :func:`_write_runs`, their run codes taken from one
+    float product with the values that is exact below 256.  ``labels`` are
+    checked as there, after the values.
+    """
+    x = as_spin_matrix(values, allow_empty=True)
+    _write_runs(path, labels, x.shape[1], _spin_codes(x))
+
+
+def _state_codes(states: np.ndarray, d: int):
+    """The run codes of ``d``-coordinate state indices, bit j of a state set
+    when its column j is +1, ``_WRITE_BLOCK`` states at a time.
+
+    Run c holds bits 8c on, so its sign code is ``(~s >> 8c) & (2^w - 1)``,
+    w its number of columns.
+    """
+    shifts = np.arange(0, d, 8)
+    masks = (1 << np.minimum(8, d - shifts)) - 1
+    base = 256 * np.arange(len(shifts))
+    for start in range(0, len(states), _WRITE_BLOCK):
+        yield base + ((~states[start : start + _WRITE_BLOCK, None] >> shifts) & masks)
+
+
+def _write_state_csv(path, labels: list[str], states: np.ndarray, d: int) -> None:
+    """Write the spin CSV of state indices without making their +/-1 rows:
+    the bytes of :func:`write_spin_csv` of those rows, through
+    :func:`_write_runs` from :func:`_state_codes`."""
+    _write_runs(path, labels, d, _state_codes(states, d))
+
+
+# Bytes per read of a spin CSV: a block's bytes and masks stay a few hundred
+# KB, so the whole file is never one temporary.
+_READ_BLOCK = 1 << 16
+
+
+def _row_blocks(handle):
+    """The bytes of ``handle`` in blocks that each end in a newline, then any
+    bytes after the last newline, read at most ``_READ_BLOCK`` bytes at a
+    time.  Reads of a regular file stop at its size, so a file that fits one
+    block is read once, at that size."""
+    info = os.fstat(handle.fileno())
+    left = info.st_size - handle.tell() if stat.S_ISREG(info.st_mode) else math.inf
+    carry = b""
+    while left > 0 and (block := handle.read(min(_READ_BLOCK, left))):
+        left -= len(block)
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield carry + block[:cut]
+            carry = block[cut:]
+        else:
+            carry += block
+    if carry:
+        yield carry
+
+
+def _block_plus(block: bytes, d: int) -> np.ndarray | None:
+    """Whether each cell of the rows ``block`` is +1, if they are in
+    :func:`write_spin_csv`'s own form; otherwise None.
 
     That form is rows of d tokens ``1`` or ``-1``, joined by commas, each
     row ending in a newline.  With only those four byte values present,
-    writing each ``-1`` as ``0`` leaves one byte per token, so a body in
-    that form becomes exactly d (token, separator) byte pairs per row:
+    writing each ``-1`` as ``0`` leaves one byte per token, so rows in
+    that form become exactly d (token, separator) byte pairs per row:
     tokens ``0`` or ``1``, separators d-1 commas and then a newline.  Any
-    other body, a stray ``-`` included, breaks that layout.
+    other bytes, a stray ``-`` included, break that layout.
     """
-    if body.translate(None, b"-1,\n"):
+    if block.translate(None, b"-1,\n"):
         return None
-    pairs = np.frombuffer(body.replace(b"-1", b"0"), dtype=np.uint8)
+    pairs = np.frombuffer(block.replace(b"-1", b"0"), dtype=np.uint8)
     if pairs.size % (2 * d):
         return None
     pairs = pairs.reshape(-1, d, 2)
@@ -509,7 +572,34 @@ def _canonical_cells(body: bytes, d: int) -> np.ndarray | None:
         and np.all(seps[:, -1] == ord("\n"))
     ):
         return None
-    return np.where(plus, 1.0, -1.0)
+    return plus
+
+
+def _read_canonical(handle) -> tuple[list[str], np.ndarray] | None:
+    """The labels and +/-1 values of a spin CSV in :func:`write_spin_csv`'s
+    own form, an unquoted header and then rows that :func:`_block_plus`
+    decodes, read from ``handle`` in :func:`_row_blocks`; otherwise None."""
+    blocks = _row_blocks(handle)
+    head, newline, rows = next(blocks, b"").partition(b"\n")
+    if not (newline and head) or any(c in head for c in b'"\r\x00'):
+        return None
+    try:
+        labels = [h.strip() for h in head.decode("utf-8").split(",")]
+    except UnicodeDecodeError:
+        return None
+    plus = []
+    while rows is not None:
+        cells = _block_plus(rows, len(labels))
+        if cells is None:
+            return None
+        plus.append(cells)
+        rows = next(blocks, None)
+    # the masks, one byte a cell, fill one float64 output, mapped to +/-1 in
+    # place: no float temporary, and no check of values the decode proved
+    values = np.concatenate(plus, dtype=np.float64)
+    values *= 2.0
+    values -= 1.0
+    return labels, values
 
 
 def read_spin_csv(path) -> tuple[list[str], np.ndarray]:
@@ -517,21 +607,18 @@ def read_spin_csv(path) -> tuple[list[str], np.ndarray]:
 
     A file in the writer's own form (an unquoted header, then ``1`` and
     ``-1`` cells and ``\\n`` line ends only) is decoded from its bytes in
-    one vectorized pass; ``csv.reader`` would read such a file to the same
-    values.  Any other file goes through ``csv.reader``, row by row into
-    one packed float buffer: no per-cell Python object outlives its row,
-    so a large file leaves no fragmented small-object memory behind in a
-    long-running process.
+    blocks of whole rows, read at most ``_READ_BLOCK`` bytes at a time,
+    into one float64 output; ``csv.reader`` would read such a file to the
+    same values.  Any other file, one whose fault lies in any block
+    included, goes through ``csv.reader``, row by row into one packed float
+    buffer: no per-cell Python object outlives its row, so a large file
+    leaves no fragmented small-object memory behind in a long-running
+    process.
     """
-    head, newline, body = Path(path).read_bytes().partition(b"\n")
-    if newline and head and not any(c in head for c in b'"\r\x00'):
-        try:
-            labels = [h.strip() for h in head.decode("utf-8").split(",")]
-        except UnicodeDecodeError:
-            labels = None
-        values = None if labels is None else _canonical_cells(body, len(labels))
-        if values is not None:
-            return labels, as_spin_matrix(values, allow_empty=True)
+    with open(path, "rb") as handle:
+        canonical = _read_canonical(handle)
+    if canonical is not None:
+        return canonical
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)

@@ -765,6 +765,33 @@ def list_read_spin_csv(path) -> tuple[list[str], np.ndarray]:
     return labels, fvbm.as_spin_matrix(values, allow_empty=True)
 
 
+def canonical_cells(body: bytes, d: int) -> np.ndarray | None:
+    """The +/-1 cells of a whole CSV body in ``fvbm.write_spin_csv``'s own
+    form, or None, from one pass over all of its bytes: the reader's byte
+    pass before it read in blocks.
+
+    That form is rows of d tokens ``1`` or ``-1``, joined by commas, each
+    row ending in a newline.  With only those four byte values present,
+    writing each ``-1`` as ``0`` leaves one byte per token, so a body in
+    that form becomes exactly d (token, separator) byte pairs per row.
+    """
+    if body.translate(None, b"-1,\n"):
+        return None
+    pairs = np.frombuffer(body.replace(b"-1", b"0"), dtype=np.uint8)
+    if pairs.size % (2 * d):
+        return None
+    pairs = pairs.reshape(-1, d, 2)
+    tokens, seps = pairs[..., 0], pairs[..., 1]
+    plus = tokens == ord("1")
+    if not (
+        np.all(plus | (tokens == ord("0")))
+        and np.all(seps[:, :-1] == ord(","))
+        and np.all(seps[:, -1] == ord("\n"))
+    ):
+        return None
+    return np.where(plus, 1.0, -1.0)
+
+
 def table_sample(params: FvbmParams, n: int, seed: int) -> np.ndarray:
     """Inverse-CDF draws from a PMF table built from :func:`block_log_weights`
     and normalized here, kept alive with its one sequential 2^d-long CDF

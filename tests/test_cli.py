@@ -269,6 +269,22 @@ def test_module_entry_runs_the_cli(tmp_path):
     assert missing.returncode == 2 and not (tmp_path / "f.json").exists()
 
 
+def test_fit_decodes_a_spin_csv_from_a_pipe(tmp_path):
+    # a shell's <(...) is a pipe whose size reads 0: the reader decodes its
+    # bytes to their end, over several read blocks, without csv.reader
+    _, _, data_path = _simulate(tmp_path, n=30_000)
+    assert data_path.stat().st_size > 2 * fvbm.votes._READ_BLOCK
+    assert main(["fit", str(data_path), "-o", str(tmp_path / "file.json")]) == 0
+    no_reader = "import csv, sys, fvbm.cli; csv.reader = None; sys.exit(fvbm.cli.main(sys.argv[1:]))"
+    piped = subprocess.run(
+        ["bash", "-c", '"$0" -c "$1" fit <(cat "$2") -o "$3"',
+         sys.executable, no_reader, str(data_path), str(tmp_path / "pipe.json")],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert piped.returncode == 0, piped.stderr
+    assert (tmp_path / "pipe.json").read_bytes() == (tmp_path / "file.json").read_bytes()
+
+
 def _simulate(tmp_path, n=4000, seed=7):
     params = fvbm.FvbmParams(bias=[0.3, -0.2], interaction=[[0, 0.4], [0.4, 0]])
     params_path = tmp_path / "params.json"

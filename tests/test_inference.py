@@ -14,6 +14,7 @@ from hypothesis import given, settings
 import fvbm
 from fvbm import jsonio
 from fvbm import inference
+from fvbm.cli import main
 from fvbm.inference import _symmetric_inverse, two_sided_p_value
 from fvbm.params import upper_indices
 
@@ -602,6 +603,32 @@ def test_build_report_refuses_unconverged_fits():
     with pytest.raises(fvbm.DataError, match="did not meet its objective tolerance"):
         fvbm.build_report(capped, data)
     assert fvbm.build_report(result, data).n_params == 6
+
+
+def test_build_report_refuses_a_nonpositive_variance(tmp_path, monkeypatch, capsys):
+    # a zero variance would reach wald_test and exit 2 as a data error, and a
+    # negative one np.sqrt; both are refused as numerical, each one named
+    rng = np.random.default_rng(66)
+    data = random_spins(rng, 200, 3)
+    result = fvbm.fit(data)
+    assert result.converged
+    sandwich = inference._sandwich_variances
+
+    def faulty(*args):
+        variances = sandwich(*args)
+        variances[[1, 4]] = [0.0, -1e-3]
+        return variances
+
+    monkeypatch.setattr(inference, "_sandwich_variances", faulty)
+    message = "nonpositive variance for coordinate(s) [1, 4]"
+    with pytest.raises(fvbm.NumericalError, match=re.escape(message)):
+        fvbm.build_report(result, data)
+    data_path, fit_path, report_path = (tmp_path / f for f in ("x.csv", "fit.json", "r.json"))
+    fvbm.write_spin_csv(data_path, ["a", "b", "c"], data)
+    jsonio.dump(result.to_json_dict(["a", "b", "c"]), fit_path)
+    assert main(["infer", str(fit_path), str(data_path), "-o", str(report_path)]) == 3
+    assert capsys.readouterr().err == f"numerical error: {message}\n"
+    assert not report_path.exists()
 
 
 @settings(max_examples=100, deadline=None)

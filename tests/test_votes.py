@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fvbm.cli import main
 from fvbm.votes import Vote
 from oracles import (
     ListVoteTable,
+    canonical_cells,
     cell_parse_votes,
     list_drop_sparse_columns,
     list_encode_agreement,
@@ -24,6 +26,7 @@ from oracles import (
     list_read_spin_csv,
     list_resolve_splits,
     loop_write_spin_csv,
+    random_params,
     row_loop_knn_fill,
 )
 
@@ -639,6 +642,21 @@ def test_spin_csv_bytes_match_loop_oracle_at_block_edges(tmp_path, d, extra):
     _assert_written_as_loop_oracle(tmp_path, [f"X{j}" for j in range(d)], values)
 
 
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 16, 17, 20])
+@pytest.mark.parametrize("n", [0, 1, votes_module._WRITE_BLOCK + 1])
+def test_simulate_writes_the_bytes_of_its_sample(tmp_path, d, n):
+    # simulate writes from the state indices: the runs of 8 columns at every
+    # width, in one block of rows and across two
+    params = random_params(np.random.default_rng(700 + d), d, scale=0.5)
+    fvbm.jsonio.dump(params.to_json_dict(), tmp_path / "params.json")
+    sampled, simulated = tmp_path / "sample.csv", tmp_path / "simulate.csv"
+    labels = [f"X{j + 1}" for j in range(d)]
+    fvbm.write_spin_csv(sampled, labels, fvbm.sample(params, n, seed=d))
+    args = ["simulate", str(tmp_path / "params.json"), "--n", str(n), "--seed", str(d)]
+    assert main([*args, "-o", str(simulated)]) == 0
+    assert simulated.read_bytes() == sampled.read_bytes()
+
+
 def test_spin_csv_label_count_mismatch(tmp_path):
     path = tmp_path / "spins.csv"
     with pytest.raises(fvbm.DataError, match="3 labels for 2 columns"):
@@ -777,20 +795,35 @@ def test_read_spin_csv_byte_pass_matches_list_oracle(tmp_path_factory, d, n, fau
         body = body[:-1]
     header = ",".join(f"c{j}" for j in range(d))
     if fault is None:
-        assert votes_module._canonical_cells(body.encode(), d) is not None
+        assert canonical_cells(body.encode(), d) is not None
+        assert votes_module._block_plus(body.encode(), d) is not None
     path = tmp_path_factory.mktemp("bytes") / "spins.csv"
     path.write_bytes((header + "\n" + body).encode("utf-8"))
+    _assert_read_as_list_oracle(path)
+
+
+def _assert_read_as_list_oracle(path, blocks=(None, 1, 5, 64)):
+    """``read_spin_csv`` gives the list oracle's labels and values, or its
+    error message, at each read block size in ``blocks``.  The default
+    sizes cut the header and rows of a few bytes anywhere; None keeps
+    ``_READ_BLOCK``, which reads such a small file at once."""
     try:
         expected = list_read_spin_csv(path)
     except fvbm.DataError as exc:
-        with pytest.raises(fvbm.DataError) as raised:
-            fvbm.read_spin_csv(path)
-        assert str(raised.value) == str(exc)
-        return
-    labels, values = fvbm.read_spin_csv(path)
-    assert labels == expected[0]
-    assert values.shape == expected[1].shape
-    np.testing.assert_array_equal(values, expected[1])
+        expected = exc
+    for block in blocks:
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(votes_module, "_READ_BLOCK", block)
+            if isinstance(expected, fvbm.DataError):
+                with pytest.raises(fvbm.DataError) as raised:
+                    fvbm.read_spin_csv(path)
+                assert str(raised.value) == str(expected)
+                continue
+            labels, values = fvbm.read_spin_csv(path)
+        assert labels == expected[0]
+        assert values.shape == expected[1].shape
+        np.testing.assert_array_equal(values, expected[1])
 
 
 @settings(max_examples=400, deadline=None)
@@ -825,20 +858,78 @@ def test_byte_pass_agrees_with_csv_reader_on_mutated_bodies(tmp_path_factory, d,
                 body[at] = byte
     header = ",".join(f"c{j}" for j in range(d))
     text = header.encode() + b"\n" + bytes(body)
-    fast = votes_module._canonical_cells(bytes(body), d)
+    fast = canonical_cells(bytes(body), d)
+    plus = votes_module._block_plus(bytes(body), d)
+    # the block decoder accepts the bodies that the whole-body pass accepts
+    assert (plus is None) == (fast is None)
+    if plus is not None:
+        np.testing.assert_array_equal(np.where(plus, 1.0, -1.0), fast)
     path = tmp_path_factory.mktemp("mutated") / "spins.csv"
     path.write_bytes(text)
     try:
         expected = list_read_spin_csv(path)
     except fvbm.DataError:
         assert fast is None
-        return
-    if fast is not None:
-        assert fast.shape == expected[1].shape
-        np.testing.assert_array_equal(fast, expected[1])
-    labels, values = fvbm.read_spin_csv(path)
-    assert labels == expected[0]
-    np.testing.assert_array_equal(values, expected[1])
+    else:
+        if fast is not None:
+            assert fast.shape == expected[1].shape
+            np.testing.assert_array_equal(fast, expected[1])
+    _assert_read_as_list_oracle(path)
+
+
+# Faults in the last row of a canonical file: (old bytes, new bytes).
+_LAST_ROW_FAULTS = {
+    "plus sign": (b"-1,", b"+1,"),
+    "zero": (b"-1,", b"0,"),
+    "float": (b"-1,", b"-1.0,"),
+    "short row": (b"-1,", b""),
+    "word": (b"-1,", b"x,"),
+    "carriage return": (b"\n", b"\r\n"),
+    "no final newline": (b"\n", b""),
+}
+
+
+@pytest.mark.parametrize("fault", _LAST_ROW_FAULTS)
+def test_a_fault_in_the_last_block_reads_as_csv_reader(tmp_path, monkeypatch, fault):
+    # every block before the last decodes; the last one's fault sends the
+    # whole file through csv.reader, which reads it as the list oracle does
+    d = 20
+    values = np.random.default_rng(len(fault)).choice([-1.0, 1.0], size=(3000, d))
+    values[-1, 0] = -1.0
+    path = tmp_path / "spins.csv"
+    fvbm.write_spin_csv(path, [f"c{j}" for j in range(d)], values)
+    text = path.read_bytes()
+    start = text.rindex(b"\n", 0, -1) + 1
+    old, new = _LAST_ROW_FAULTS[fault]
+    last = text[start:].replace(old, new, 1) if old == b"-1," else text[start:-1] + new
+    path.write_bytes(text[:start] + last)
+    decoded = []
+    block_plus = votes_module._block_plus
+    monkeypatch.setattr(
+        votes_module, "_block_plus", lambda rows, d: decoded.append(block_plus(rows, d)) or decoded[-1]
+    )
+    _assert_read_as_list_oracle(path, blocks=[None])
+    assert len(decoded) > 2 and all(p is not None for p in decoded[:-1]) and decoded[-1] is None
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_spin_csv_holds_its_output_and_one_block(tmp_path):
+    # the 20000-by-20 float output (3.05 MiB), one mask byte a cell and one
+    # block's bytes; measured 3.44 MiB, 5.17 when the whole file was decoded
+    # at once
+    values = np.random.default_rng(74).choice([-1.0, 1.0], size=(20000, 20))
+    path = tmp_path / "spins.csv"
+    fvbm.write_spin_csv(path, [f"c{j}" for j in range(20)], values)
+    assert _traced_peak(lambda: fvbm.read_spin_csv(path)) < 3.6 * 2**20
+    np.testing.assert_array_equal(fvbm.read_spin_csv(path)[1], values)
 
 
 @pytest.mark.parametrize(
@@ -857,16 +948,7 @@ def test_byte_pass_agrees_with_csv_reader_on_mutated_bodies(tmp_path_factory, d,
 def test_read_spin_csv_edge_files_match_list_oracle(tmp_path, text):
     path = tmp_path / "spins.csv"
     path.write_bytes(text.encode("utf-8"))
-    try:
-        expected = list_read_spin_csv(path)
-    except fvbm.DataError as exc:
-        with pytest.raises(fvbm.DataError) as raised:
-            fvbm.read_spin_csv(path)
-        assert str(raised.value) == str(exc)
-        return
-    labels, values = fvbm.read_spin_csv(path)
-    assert labels == expected[0]
-    np.testing.assert_array_equal(values, expected[1])
+    _assert_read_as_list_oracle(path)
 
 
 # ---------------------------------------------------------------------------

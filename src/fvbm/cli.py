@@ -35,7 +35,7 @@ from .inference import (
     format_report_tables,
 )
 from .model import _draw_states, concordance, enumerate_pmf, marginal_probability, pairwise_joint
-from .params import FvbmParams, as_spin_matrix, check_labels, flat_labels, flat_length
+from .params import FvbmParams, check_labels, flat_labels, flat_length
 from .votes import (
     ImputeConfig,
     Vote,
@@ -170,7 +170,11 @@ def _read_spins(path) -> tuple[list[str], np.ndarray]:
     """A spin CSV with at least one row, whose column labels are distinct."""
     with _naming(f"spin CSV {path}"):
         labels, data = read_spin_csv(path)
-        return check_labels(labels, data.shape[1]), as_spin_matrix(data)
+        labels = check_labels(labels, data.shape[1])
+        # read_spin_csv's values are +/-1 already; only the row count is new
+        if not len(data):
+            raise DataError("spin data must contain at least one row")
+        return labels, data
 
 
 # ---------------------------------------------------------------------------

@@ -474,8 +474,14 @@ def _write_runs(path, labels: list[str], d: int, code_blocks) -> None:
             handle.write(b"".join(table[codes].ravel().tolist()))
 
 
-def _spin_codes(x: np.ndarray):
-    """The run codes of the +/-1 rows ``x``, ``_WRITE_BLOCK`` rows at a time."""
+def write_spin_csv(path, labels: list[str], values: np.ndarray) -> None:
+    """Write a +/-1 matrix as CSV with a label header (deterministic bytes).
+
+    The rows go through :func:`_write_runs` ``_WRITE_BLOCK`` at a time, their
+    run codes taken from one float product with the values that is exact
+    below 256.  ``labels`` are checked as there, after the values.
+    """
+    x = as_spin_matrix(values, allow_empty=True)
     # Column j is bit j & 7 of run j >> 3, and (1 - x_j) / 2 is 1 where x_j
     # is -1, so run c's code is 256 c + sum_j 2^(j & 7) (1 - x_j) / 2: a sum
     # of halves and powers of two below 256, exact in any order.  The
@@ -486,40 +492,25 @@ def _spin_codes(x: np.ndarray):
     half = np.zeros((d, (d + 7) // 8))
     half[columns, columns >> 3] = 0.5 * (1 << (columns & 7))
     base = half.sum(axis=0) + 256.0 * np.arange(half.shape[1])
-    for start in range(0, len(x), _WRITE_BLOCK):
-        yield (base - x[start : start + _WRITE_BLOCK] @ half).astype(np.intp)
+    blocks = (x[start : start + _WRITE_BLOCK] for start in range(0, len(x), _WRITE_BLOCK))
+    _write_runs(path, labels, d, ((base - rows @ half).astype(np.intp) for rows in blocks))
 
 
-def write_spin_csv(path, labels: list[str], values: np.ndarray) -> None:
-    """Write a +/-1 matrix as CSV with a label header (deterministic bytes).
+def _write_state_csv(path, labels: list[str], states: np.ndarray, d: int) -> None:
+    """Write the spin CSV of ``d``-coordinate state indices without making
+    their +/-1 rows: the bytes of :func:`write_spin_csv` of those rows.
 
-    The rows go through :func:`_write_runs`, their run codes taken from one
-    float product with the values that is exact below 256.  ``labels`` are
-    checked as there, after the values.
-    """
-    x = as_spin_matrix(values, allow_empty=True)
-    _write_runs(path, labels, x.shape[1], _spin_codes(x))
-
-
-def _state_codes(states: np.ndarray, d: int):
-    """The run codes of ``d``-coordinate state indices, bit j of a state set
-    when its column j is +1, ``_WRITE_BLOCK`` states at a time.
-
-    Run c holds bits 8c on, so its sign code is ``(~s >> 8c) & (2^w - 1)``,
-    w its number of columns.
+    Bit j of a state is set when its column j is +1, and run c holds bits 8c
+    on, so its sign code is ``(~s >> 8c) & (2^w - 1)``, w its number of
+    columns.  The codes go through :func:`_write_runs` ``_WRITE_BLOCK``
+    states at a time.
     """
     shifts = np.arange(0, d, 8)
     masks = (1 << np.minimum(8, d - shifts)) - 1
     base = 256 * np.arange(len(shifts))
-    for start in range(0, len(states), _WRITE_BLOCK):
-        yield base + ((~states[start : start + _WRITE_BLOCK, None] >> shifts) & masks)
-
-
-def _write_state_csv(path, labels: list[str], states: np.ndarray, d: int) -> None:
-    """Write the spin CSV of state indices without making their +/-1 rows:
-    the bytes of :func:`write_spin_csv` of those rows, through
-    :func:`_write_runs` from :func:`_state_codes`."""
-    _write_runs(path, labels, d, _state_codes(states, d))
+    starts = range(0, len(states), _WRITE_BLOCK)
+    blocks = (states[start : start + _WRITE_BLOCK, None] for start in starts)
+    _write_runs(path, labels, d, (base + ((~s >> shifts) & masks) for s in blocks))
 
 
 # Bytes per read of a spin CSV: a block's bytes and masks stay a few hundred
@@ -531,20 +522,22 @@ def _row_blocks(handle):
     """The bytes of ``handle`` in blocks that each end in a newline, then any
     bytes after the last newline, read at most ``_READ_BLOCK`` bytes at a
     time.  Reads of a regular file stop at its size, so a file that fits one
-    block is read once, at that size."""
+    block is read once, at that size.  The bytes since the last newline are
+    joined once, when the next newline or the end comes, so a file with no
+    newline (lone ``\\r`` line ends, say) costs time linear in its size."""
     info = os.fstat(handle.fileno())
     left = info.st_size - handle.tell() if stat.S_ISREG(info.st_mode) else math.inf
-    carry = b""
+    carry = []
     while left > 0 and (block := handle.read(min(_READ_BLOCK, left))):
         left -= len(block)
         cut = block.rfind(b"\n") + 1
         if cut:
-            yield carry + block[:cut]
-            carry = block[cut:]
+            yield b"".join([*carry, block[:cut]])
+            carry = [block[cut:]]
         else:
-            carry += block
-    if carry:
-        yield carry
+            carry.append(block)
+    if rest := b"".join(carry):
+        yield rest
 
 
 def _block_plus(block: bytes, d: int) -> np.ndarray | None:

@@ -8,6 +8,7 @@ evidence rather than tautology.
 import csv
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -932,3 +933,13 @@ def loop_format_report_tables(report: "fvbm.InferenceReport", labels: list[str])
             lines.append(f"{labels[r]:>{width}}" + cells)
         lines.append("")
     return "\n".join(lines)
+
+
+def traced_peak(call) -> int:
+    """The peak bytes that tracemalloc traces while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

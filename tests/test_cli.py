@@ -285,6 +285,23 @@ def test_fit_decodes_a_spin_csv_from_a_pipe(tmp_path):
     assert (tmp_path / "pipe.json").read_bytes() == (tmp_path / "file.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("a,b\n", "spin data must contain at least one row"), ("a,a\n", "repeats column label(s) a")],
+)
+def test_fit_and_infer_refuse_a_spin_csv_without_rows(tmp_path, record_files, capsys, text, message):
+    # the labels are checked first, then the row count; the values
+    # read_spin_csv returns are not checked again
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    fit_path = record_files["infer"][1]
+    for argv in (["fit", str(bad)], ["infer", str(fit_path), str(bad)]):
+        capsys.readouterr()
+        assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"data error: spin CSV {bad}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _simulate(tmp_path, n=4000, seed=7):
     params = fvbm.FvbmParams(bias=[0.3, -0.2], interaction=[[0, 0.4], [0.4, 0]])
     params_path = tmp_path / "params.json"

@@ -4,7 +4,6 @@ joints, and seeded sampling."""
 import dataclasses
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from oracles import (
     random_params,
     slice_fixed_sum,
     table_sample,
+    traced_peak,
 )
 
 # Marginals and joints come from the blocked products of ``pair_cells``,
@@ -337,7 +337,7 @@ def test_probs_holds_no_state_table(tmp_path):
     # indicators, never the 8 MiB of 2^20 probabilities
     params = random_params(np.random.default_rng(690), 20, scale=0.1)
     pairs = [(j, j + 1) for j in range(19)]
-    peak = _traced_peak(lambda: _probs_through_cli(tmp_path, params, pairs))
+    peak = traced_peak(lambda: _probs_through_cli(tmp_path, params, pairs))
     assert peak < 2 * 2**20
 
 
@@ -521,15 +521,6 @@ def test_streamed_blocks_far_below_the_max_weigh_zero(huge):
 ONE_STATE_VECTOR_AT_CAP = 9 * 2**20
 
 
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def enumerate_pmf(params):
     # a table makes its probabilities on first read, so they are read here
     return fvbm.enumerate_pmf(params).probabilities
@@ -544,7 +535,7 @@ def test_enumeration_holds_one_state_vector(enumerate_states):
     # the log-weights are exponentiated in place, with no 2^d temporaries,
     # and the pair cells are streamed from row blocks of their product
     params = random_params(np.random.default_rng(621), 20, scale=0.1)
-    assert _traced_peak(lambda: enumerate_states(params)) < ONE_STATE_VECTOR_AT_CAP
+    assert traced_peak(lambda: enumerate_states(params)) < ONE_STATE_VECTOR_AT_CAP
 
 
 # The traced peak of the sampler's earlier 2^d-long CDF at d=20, n=20000.
@@ -556,7 +547,7 @@ def test_sample_frees_table_before_decoding():
     # chunk edges and one row block of weights, all gone before the
     # 20000-by-20 decode (3.05 MiB of draws) allocates; measured 3.96 MiB
     params = random_params(np.random.default_rng(620), 20, scale=0.1)
-    peak = _traced_peak(lambda: fvbm.sample(params, 20_000, seed=3))
+    peak = traced_peak(lambda: fvbm.sample(params, 20_000, seed=3))
     assert peak < ONE_STATE_VECTOR_AT_CAP
     assert peak < SEQUENTIAL_CDF_PEAK
     assert peak < 4.5 * 2**20
@@ -569,8 +560,8 @@ def test_sample_and_simulate_hold_no_state_vector(tmp_path):
     params_path = tmp_path / "params.json"
     fvbm.jsonio.dump(params.to_json_dict(), params_path)
     args = ["simulate", str(params_path), "--n", "500", "-o", str(tmp_path / "sim.csv")]
-    assert _traced_peak(lambda: fvbm.sample(params, 500, seed=5)) < 2**20
-    assert _traced_peak(lambda: main(args)) < 2**20
+    assert traced_peak(lambda: fvbm.sample(params, 500, seed=5)) < 2**20
+    assert traced_peak(lambda: main(args)) < 2**20
 
 
 def test_simulate_writes_its_draws_without_a_spin_matrix(tmp_path):
@@ -581,7 +572,7 @@ def test_simulate_writes_its_draws_without_a_spin_matrix(tmp_path):
     params_path = tmp_path / "params.json"
     fvbm.jsonio.dump(params.to_json_dict(), params_path)
     args = ["simulate", str(params_path), "--n", "20000", "-o", str(tmp_path / "sim.csv")]
-    assert _traced_peak(lambda: main(args)) < 2.0 * 2**20
+    assert traced_peak(lambda: main(args)) < 2.0 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ import io
 import json
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from oracles import (
     loop_write_spin_csv,
     random_params,
     row_loop_knn_fill,
+    traced_peak,
 )
 
 
@@ -822,7 +822,7 @@ def _assert_read_as_list_oracle(path, blocks=(None, 1, 5, 64)):
                 continue
             labels, values = fvbm.read_spin_csv(path)
         assert labels == expected[0]
-        assert values.shape == expected[1].shape
+        assert values.shape == expected[1].shape and values.dtype == np.float64
         np.testing.assert_array_equal(values, expected[1])
 
 
@@ -912,13 +912,18 @@ def test_a_fault_in_the_last_block_reads_as_csv_reader(tmp_path, monkeypatch, fa
     assert len(decoded) > 2 and all(p is not None for p in decoded[:-1]) and decoded[-1] is None
 
 
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_a_file_with_lone_carriage_returns_reads_as_csv_reader(tmp_path):
+    # no block holds a newline, so the reads gather, each joined once, into
+    # one block at the end; csv.reader then reads the file's rows
+    values = np.random.default_rng(9).choice([-1.0, 1.0], size=(3000, 20))
+    path = tmp_path / "spins.csv"
+    fvbm.write_spin_csv(path, [f"c{j}" for j in range(20)], values)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    assert path.stat().st_size > 2 * votes_module._READ_BLOCK
+    with open(path, "rb") as handle:
+        assert list(votes_module._row_blocks(handle)) == [path.read_bytes()]
+    _assert_read_as_list_oracle(path, blocks=[None, 16])
+    np.testing.assert_array_equal(fvbm.read_spin_csv(path)[1], values)
 
 
 def test_read_spin_csv_holds_its_output_and_one_block(tmp_path):
@@ -928,7 +933,7 @@ def test_read_spin_csv_holds_its_output_and_one_block(tmp_path):
     values = np.random.default_rng(74).choice([-1.0, 1.0], size=(20000, 20))
     path = tmp_path / "spins.csv"
     fvbm.write_spin_csv(path, [f"c{j}" for j in range(20)], values)
-    assert _traced_peak(lambda: fvbm.read_spin_csv(path)) < 3.6 * 2**20
+    assert traced_peak(lambda: fvbm.read_spin_csv(path)) < 3.6 * 2**20
     np.testing.assert_array_equal(fvbm.read_spin_csv(path)[1], values)
 
 

@@ -8,7 +8,7 @@ vote-record preparation pipeline, and network export.
 
 from .errors import DataError, NumericalError
 from .fit import FitConfig, FitResult, fit
-from .graph import NetworkSpec, build_network, emit_dot, network_to_json_dict
+from .graph import build_network, emit_dot
 from .inference import (
     InferenceReport,
     build_report,
@@ -43,7 +43,6 @@ from .pseudolikelihood import (
     pseudo_score,
 )
 from .votes import (
-    AgreementMatrix,
     ImputeConfig,
     Vote,
     VoteTable,
@@ -62,7 +61,6 @@ from .votes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgreementMatrix",
     "DataError",
     "ENUMERATION_CAP",
     "FitConfig",
@@ -70,7 +68,6 @@ __all__ = [
     "FvbmParams",
     "ImputeConfig",
     "InferenceReport",
-    "NetworkSpec",
     "NumericalError",
     "PmfTable",
     "Vote",
@@ -96,7 +93,6 @@ __all__ = [
     "knn_impute",
     "log_pseudolikelihood",
     "marginal_probability",
-    "network_to_json_dict",
     "pairwise_joint",
     "parse_split_records",
     "parse_votes",

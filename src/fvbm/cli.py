@@ -27,7 +27,7 @@ import numpy as np
 from . import jsonio
 from .errors import DataError, NumericalError
 from .fit import FitConfig, FitResult, fit
-from .graph import build_network, check_level, emit_dot, network_to_json_dict
+from .graph import build_network, check_level, emit_dot
 from .inference import (
     InferenceReport,
     build_report,
@@ -203,10 +203,10 @@ def cmd_prepare(args) -> None:
             f"{np.count_nonzero(missing) / resolved.n:.3g} exceeds --drop-threshold {args.drop_threshold}"
         )
     complete = knn_impute(kept, ImputeConfig(k=args.k))
-    agreement = encode_agreement(complete, args.reference)
-    write_spin_csv(output, agreement.labels, agreement.values)
+    labels, values = encode_agreement(complete, args.reference)
+    write_spin_csv(output, labels, values)
     if args.json:
-        jsonio.dump(spin_matrix_to_json_dict(agreement.labels, agreement.values), args.json)
+        jsonio.dump(spin_matrix_to_json_dict(labels, values), args.json)
 
     prov_path = Path(args.provenance) if args.provenance else output.with_suffix(
         output.suffix + ".prov.json"
@@ -222,7 +222,7 @@ def cmd_prepare(args) -> None:
             "split_cells_resolved": int(np.count_nonzero(table.cells == Vote.SPLIT)),
             "dropped_columns": dropped,
             "imputed_cells": int(np.count_nonzero(kept.cells == Vote.MISSING)),
-            "columns": agreement.labels,
+            "columns": labels,
         },
         prov_path,
     )
@@ -318,11 +318,11 @@ def cmd_graph(args) -> None:
         obj = jsonio.load(args.report)
         report = InferenceReport.from_json_dict(obj)
         labels = _labels(obj.get("labels"), report.d)
-    spec = build_network(report, labels, mode=args.mode, level=args.level)
+    network = build_network(report, labels, mode=args.mode, level=args.level)
     if args.dot:
-        Path(args.dot).write_text(emit_dot(spec), encoding="utf-8")
+        Path(args.dot).write_text(emit_dot(network), encoding="utf-8")
     if args.json:
-        jsonio.dump(network_to_json_dict(spec), args.json)
+        jsonio.dump(network, args.json)
 
 
 def cmd_simulate(args) -> None:

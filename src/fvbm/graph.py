@@ -11,10 +11,9 @@ edge's p-value (clamped so a p of exactly zero stays finite).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .inference import InferenceReport
-from .params import check_labels, flat_length, upper_indices
+from .params import check_labels, upper_indices
 
 THICKNESS_RANGE = (0.1, 10.0)
 OPACITY_RANGE = (0.15, 1.0)
@@ -26,43 +25,6 @@ _GREY = "#7f7f7f"
 POSITIVE = "positive-significant"
 NEGATIVE = "negative-significant"
 NEUTRAL = "insignificant"
-
-
-@dataclass(frozen=True)
-class NodeSpec:
-    label: str
-    bias: float
-    decision: str
-    opacity: float
-
-
-@dataclass(frozen=True)
-class EdgeSpec:
-    source: str
-    target: str
-    sign: int
-    significant: bool
-    thickness: float
-    p_value: float
-
-
-@dataclass(frozen=True)
-class NetworkSpec:
-    """Renderable description of the interaction network."""
-
-    nodes: list[NodeSpec]
-    edges: list[EdgeSpec]
-    mode: str
-    level: float
-
-    def __post_init__(self) -> None:
-        d = len(self.nodes)
-        if len(self.edges) != (flat_length(d) - d if d else 0):
-            raise ValueError("network must carry one edge per coordinate pair")
-        if any(not OPACITY_RANGE[0] <= n.opacity <= OPACITY_RANGE[1] for n in self.nodes):
-            raise ValueError("node opacity out of range")
-        if any(not THICKNESS_RANGE[0] <= e.thickness <= THICKNESS_RANGE[1] for e in self.edges):
-            raise ValueError("edge thickness out of range")
 
 
 def _clamp(value: float, bounds: tuple[float, float]) -> float:
@@ -86,12 +48,18 @@ def build_network(
     labels: list[str],
     mode: str = "raw",
     level: float = 0.05,
-) -> NetworkSpec:
-    """Derive node and edge styling from an inference report.
+) -> dict:
+    """The network record of an inference report, as ``fvbm graph --json``
+    writes it: ``schema_version``, ``mode``, ``level``, then per node its
+    ``label``, ``bias``, ``decision`` and ``opacity``, and per coordinate
+    pair, in the flat layout's order, one edge of ``source``, ``target``,
+    ``sign``, ``significant``, ``thickness`` and ``p_value``.
 
     ``mode`` selects which p-values drive the significance decisions:
     ``"raw"`` for the unadjusted Wald p-values at significance level
     ``level``, ``"fdr"`` for the adjusted ones at FDR level ``level``.
+    Opacities lie in ``OPACITY_RANGE`` and thicknesses in
+    ``THICKNESS_RANGE``.
     """
     if mode not in ("raw", "fdr"):
         raise ValueError(f"mode must be 'raw' or 'fdr', got {mode!r}")
@@ -110,29 +78,29 @@ def build_network(
             decision = NEUTRAL
         share = abs(biases[i]) / max_bias if max_bias > 0 else 0.0
         nodes.append(
-            NodeSpec(
-                label=label,
-                bias=float(biases[i]),
-                decision=decision,
-                opacity=_clamp(share, OPACITY_RANGE),
-            )
+            {
+                "label": label,
+                "bias": float(biases[i]),
+                "decision": decision,
+                "opacity": _clamp(share, OPACITY_RANGE),
+            }
         )
 
     rows, cols = upper_indices(d)
     edges = [
-        EdgeSpec(
-            source=labels[j],
-            target=labels[k],
-            sign=-1 if estimate < 0 else 1,
-            significant=p <= level,
-            thickness=_thickness(p),
-            p_value=p,
-        )
+        {
+            "source": labels[j],
+            "target": labels[k],
+            "sign": -1 if estimate < 0 else 1,
+            "significant": p <= level,
+            "thickness": _thickness(p),
+            "p_value": p,
+        }
         for j, k, estimate, p in zip(
             rows.tolist(), cols.tolist(), report.estimates[d:].tolist(), p_vec[d:].tolist()
         )
     ]
-    return NetworkSpec(nodes=nodes, edges=edges, mode=mode, level=level)
+    return {"schema_version": 1, "mode": mode, "level": level, "nodes": nodes, "edges": edges}
 
 
 def _quote(label: str) -> str:
@@ -147,36 +115,26 @@ def _alpha_hex(opacity: float) -> str:
     return f"{round(opacity * 255):02x}"
 
 
-def emit_dot(spec: NetworkSpec) -> str:
-    """Deterministic GraphViz text for the network."""
+def emit_dot(network: dict) -> str:
+    """Deterministic GraphViz text for a network record of
+    :func:`build_network`, or the same record read back from its JSON."""
     lines = [
         "graph interaction_network {",
         "  layout=circo;",
         '  node [shape=circle, style=filled, fontname="Helvetica", fixedsize=true, width=1.0];',
     ]
-    for node in spec.nodes:
-        fill = _node_color(node.decision) + _alpha_hex(node.opacity)
+    for node in network["nodes"]:
+        fill = _node_color(node["decision"]) + _alpha_hex(node["opacity"])
         lines.append(
-            f"  {_quote(node.label)} [fillcolor=\"{fill}\", color=\"#333333\"];"
+            f"  {_quote(node['label'])} [fillcolor=\"{fill}\", color=\"#333333\"];"
         )
-    for edge in spec.edges:
-        style = "solid" if edge.significant else "dashed"
-        color = _BLUE if edge.sign >= 0 else _RED
+    for edge in network["edges"]:
+        style = "solid" if edge["significant"] else "dashed"
+        color = _BLUE if edge["sign"] >= 0 else _RED
         lines.append(
-            f"  {_quote(edge.source)} -- {_quote(edge.target)} "
-            f"[style={style}, color=\"{color}\", penwidth={edge.thickness:.4f}];"
+            f"  {_quote(edge['source'])} -- {_quote(edge['target'])} "
+            f"[style={style}, color=\"{color}\", penwidth={edge['thickness']:.4f}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def network_to_json_dict(spec: NetworkSpec) -> dict:
-    return {
-        "schema_version": 1,
-        "mode": spec.mode,
-        "level": spec.level,
-        # Each instance dict holds its fields in declaration order; a copy
-        # costs a twentieth of ``dataclasses.asdict``'s deep copy.
-        "nodes": [dict(vars(n)) for n in spec.nodes],
-        "edges": [dict(vars(e)) for e in spec.edges],
-    }

@@ -134,10 +134,13 @@ def per_observation_scores(params: FvbmParams, data) -> np.ndarray:
     return scores.T
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _hessian_gather(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices into the p-by-p Hessian and into the transpose of G,
-    (1+p)-by-d, for every (l, u, v).  The arrays are cached and read-only.
+    (1+p)-by-d, for every (l, u, v).  The arrays are read-only and cached
+    for the last d only: the iterations of a fit, and inference at the
+    same d, reuse them, and a process that moves on to another d does not
+    keep them (3.4 MiB at d=60).
 
     Conditional l adds s_il z_u z_v to the entry (slot[l, u], slot[l, v]),
     where z is x with z_l = 1.  z_u z_v is 1 when u == v, the x of the other

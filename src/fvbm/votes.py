@@ -355,25 +355,14 @@ def knn_impute(table: VoteTable, config: ImputeConfig | None = None) -> VoteTabl
     )
 
 
-@dataclass(frozen=True)
-class AgreementMatrix:
-    """+/-1 agreement-encoded observations with one distinct label per column."""
-
-    labels: list[str]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = as_spin_matrix(self.values, allow_empty=True)
-        values.setflags(write=False)
-        object.__setattr__(self, "labels", check_labels(self.labels, values.shape[1]))
-        object.__setattr__(self, "values", values)
-
-
-def encode_agreement(table: VoteTable, reference: str) -> AgreementMatrix:
+def encode_agreement(table: VoteTable, reference: str) -> tuple[list[str], np.ndarray]:
     """Encode each non-reference party's agreement with the reference.
 
     +1 where the party voted with the reference party, -1 where against.
-    Requires a complete Yes/No table (resolve and impute first).
+    Requires a complete Yes/No table (resolve and impute first).  Returns
+    the pair that :func:`write_spin_csv` takes and :func:`read_spin_csv`
+    returns: the other parties' labels, in table order, and the read-only
+    n-by-(d-1) float64 matrix of +/-1 values.
     """
     if reference not in table.parties:
         raise DataError(f"reference party {reference!r} not present in the table")
@@ -389,7 +378,8 @@ def encode_agreement(table: VoteTable, reference: str) -> AgreementMatrix:
     ref_idx = table.parties.index(reference)
     others = [c for c in range(len(table.parties)) if c != ref_idx]
     values = np.where(table.cells[:, others] == table.cells[:, [ref_idx]], 1.0, -1.0)
-    return AgreementMatrix(labels=[table.parties[c] for c in others], values=values)
+    values.setflags(write=False)
+    return [table.parties[c] for c in others], values
 
 
 def empirical_proportions(values) -> tuple[np.ndarray, np.ndarray]:
@@ -545,27 +535,25 @@ def _block_plus(block: bytes, d: int) -> np.ndarray | None:
     :func:`write_spin_csv`'s own form; otherwise None.
 
     That form is rows of d tokens ``1`` or ``-1``, joined by commas, each
-    row ending in a newline.  With only those four byte values present,
-    writing each ``-1`` as ``0`` leaves one byte per token, so rows in
-    that form become exactly d (token, separator) byte pairs per row:
-    tokens ``0`` or ``1``, separators d-1 commas and then a newline.  Any
-    other bytes, a stray ``-`` included, break that layout.
+    row ending in a newline.  The cells are read off by position: each cell
+    is a ``1`` followed by its separator, a comma or, for every d-th cell,
+    a newline, and it is -1 where a ``-`` precedes that ``1``.  Those bytes
+    are distinct, so the block holds nothing else exactly when its size is
+    2 per cell plus 1 per minus sign; a ``1`` in a block's last byte has no
+    separator and is not counted, so that block is refused.
     """
-    if block.translate(None, b"-1,\n"):
+    buf = np.frombuffer(block, dtype=np.uint8)
+    ones = np.flatnonzero(buf[:-1] == ord("1"))
+    if ones.size % d:
         return None
-    pairs = np.frombuffer(block.replace(b"-1", b"0"), dtype=np.uint8)
-    if pairs.size % (2 * d):
+    seps = buf[ones + 1].reshape(-1, d)
+    if not (np.all(seps[:, :-1] == ord(",")) and np.all(seps[:, -1] == ord("\n"))):
         return None
-    pairs = pairs.reshape(-1, d, 2)
-    tokens, seps = pairs[..., 0], pairs[..., 1]
-    plus = tokens == ord("1")
-    if not (
-        np.all(plus | (tokens == ord("0")))
-        and np.all(seps[:, :-1] == ord(","))
-        and np.all(seps[:, -1] == ord("\n"))
-    ):
+    minus = buf[ones - 1] == ord("-")
+    minus[:1] &= ones[:1] > 0  # a block's first byte has no byte before it
+    if buf.size != 2 * ones.size + np.count_nonzero(minus):
         return None
-    return plus
+    return ~minus.reshape(-1, d)
 
 
 def _read_canonical(handle) -> tuple[list[str], np.ndarray] | None:

@@ -618,7 +618,7 @@ def list_knn_impute(table: ListVoteTable, config: ImputeConfig | None = None) ->
     )
 
 
-def list_encode_agreement(table: ListVoteTable, reference: str) -> "fvbm.AgreementMatrix":
+def list_encode_agreement(table: ListVoteTable, reference: str) -> tuple[list[str], np.ndarray]:
     """Encode each non-reference party's agreement with the reference, cell
     by cell (see :func:`fvbm.encode_agreement`)."""
     if reference not in table.parties:
@@ -639,7 +639,7 @@ def list_encode_agreement(table: ListVoteTable, reference: str) -> "fvbm.Agreeme
         ref = row[ref_idx]
         out = [1.0 if v is ref else -1.0 for c, v in enumerate(row) if c != ref_idx]
         values[r] = out
-    return fvbm.AgreementMatrix(labels=labels, values=values)
+    return labels, values
 
 
 def block_log_weights(params: FvbmParams, block: int = 1 << 16) -> np.ndarray:
@@ -766,19 +766,19 @@ def list_read_spin_csv(path) -> tuple[list[str], np.ndarray]:
     return labels, fvbm.as_spin_matrix(values, allow_empty=True)
 
 
-def canonical_cells(body: bytes, d: int) -> np.ndarray | None:
-    """The +/-1 cells of a whole CSV body in ``fvbm.write_spin_csv``'s own
-    form, or None, from one pass over all of its bytes: the reader's byte
-    pass before it read in blocks.
+def replace_block_plus(block: bytes, d: int) -> np.ndarray | None:
+    """Whether each cell of the rows ``block`` is +1, if they are in
+    ``fvbm.write_spin_csv``'s own form, or None, by rewriting each ``-1`` as
+    ``0``: the block decoder of the reader before it read cells by position.
 
     That form is rows of d tokens ``1`` or ``-1``, joined by commas, each
     row ending in a newline.  With only those four byte values present,
-    writing each ``-1`` as ``0`` leaves one byte per token, so a body in
-    that form becomes exactly d (token, separator) byte pairs per row.
+    writing each ``-1`` as ``0`` leaves one byte per token, so rows in
+    that form become exactly d (token, separator) byte pairs per row.
     """
-    if body.translate(None, b"-1,\n"):
+    if block.translate(None, b"-1,\n"):
         return None
-    pairs = np.frombuffer(body.replace(b"-1", b"0"), dtype=np.uint8)
+    pairs = np.frombuffer(block.replace(b"-1", b"0"), dtype=np.uint8)
     if pairs.size % (2 * d):
         return None
     pairs = pairs.reshape(-1, d, 2)
@@ -790,7 +790,15 @@ def canonical_cells(body: bytes, d: int) -> np.ndarray | None:
         and np.all(seps[:, -1] == ord("\n"))
     ):
         return None
-    return np.where(plus, 1.0, -1.0)
+    return plus
+
+
+def canonical_cells(body: bytes, d: int) -> np.ndarray | None:
+    """The +/-1 cells of a whole CSV body in ``fvbm.write_spin_csv``'s own
+    form, or None, from one pass of :func:`replace_block_plus` over all of
+    its bytes: the reader's byte pass before it read in blocks."""
+    plus = replace_block_plus(body, d)
+    return None if plus is None else np.where(plus, 1.0, -1.0)
 
 
 def table_sample(params: FvbmParams, n: int, seed: int) -> np.ndarray:
@@ -818,28 +826,40 @@ def table_sample(params: FvbmParams, n: int, seed: int) -> np.ndarray:
     return bits.astype(np.float64) * 2.0 - 1.0
 
 
-def listed_network_to_json_dict(spec) -> dict:
-    """The network record with every node and edge field listed by hand."""
-    return {
-        "schema_version": 1,
-        "mode": spec.mode,
-        "level": spec.level,
-        "nodes": [
-            {"label": n.label, "bias": n.bias, "decision": n.decision, "opacity": n.opacity}
-            for n in spec.nodes
-        ],
-        "edges": [
-            {
-                "source": e.source,
-                "target": e.target,
-                "sign": e.sign,
-                "significant": e.significant,
-                "thickness": e.thickness,
-                "p_value": e.p_value,
-            }
-            for e in spec.edges
-        ],
-    }
+def listed_network(report, labels: list[str], mode: str, level: float) -> dict:
+    """The network record of :func:`fvbm.build_network`, every node and edge
+    field worked out from the report and listed by hand, pair by pair."""
+    p = report.p_values if mode == "raw" else report.adjusted_p_values
+    d = len(labels)
+    biases = [float(b) for b in report.estimates[:d]]
+    largest = max(abs(b) for b in biases)
+    nodes = []
+    for i, label in enumerate(labels):
+        if p[i] > level:
+            decision = "insignificant"
+        else:
+            decision = "positive-significant" if biases[i] >= 0 else "negative-significant"
+        share = abs(biases[i]) / largest if largest > 0 else 0.0
+        opacity = min(max(share, 0.15), 1.0)
+        nodes.append({"label": label, "bias": biases[i], "decision": decision, "opacity": opacity})
+    edges = []
+    slot = d
+    for j in range(d):
+        for k in range(j + 1, d):
+            p_value = float(p[slot])
+            thickness = 10.0 if p_value <= 0.0 else min(max(-math.log10(p_value), 0.1), 10.0)
+            edges.append(
+                {
+                    "source": labels[j],
+                    "target": labels[k],
+                    "sign": -1 if report.estimates[slot] < 0 else 1,
+                    "significant": p_value <= level,
+                    "thickness": thickness,
+                    "p_value": p_value,
+                }
+            )
+            slot += 1
+    return {"schema_version": 1, "mode": mode, "level": level, "nodes": nodes, "edges": edges}
 
 
 def eye_cholesky_inverse(chol: np.ndarray) -> np.ndarray:

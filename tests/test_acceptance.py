@@ -218,16 +218,16 @@ def test_criterion_09_full_pipeline_reproduction():
         flats = {}
         for k in (1, 3, 5):
             complete = fvbm.knn_impute(kept, fvbm.ImputeConfig(k=k))
-            encoded = fvbm.encode_agreement(complete, "LNP")
-            assert encoded.labels == ref.PARTIES
-            assert encoded.values.shape == (147, 8)
+            labels, values = fvbm.encode_agreement(complete, "LNP")
+            assert labels == ref.PARTIES
+            assert values.shape == (147, 8)
             result = fvbm.fit(
-                encoded.values,
+                values,
                 fvbm.FitConfig(max_iterations=5000, objective_tolerance=1e-12),
             )
             flats[k] = result.params.to_flat()
             if k == 3:
-                proportions, _ = fvbm.empirical_proportions(encoded.values)
+                proportions, _ = fvbm.empirical_proportions(values)
                 assert np.max(np.abs(proportions - ref.MARGINALS_EMPIRICAL)) <= 0.01
         assert np.max(np.abs(flats[3] - ref.FLAT_ESTIMATES)) <= 0.02
         for k in (1, 5):
@@ -259,13 +259,13 @@ def test_criterion_11_graph_counts():
             adjusted_p_values=ref.FLAT_P_ADJUSTED,
             adjustment_groups=fvbm.default_groups(8),
         )
-        raw_spec = fvbm.build_network(report, ref.PARTIES, mode="raw", level=0.05)
-        assert sum(n.decision != "insignificant" for n in raw_spec.nodes) == 5
-        assert sum(e.significant for e in raw_spec.edges) == 10
+        raw = fvbm.build_network(report, ref.PARTIES, mode="raw", level=0.05)
+        assert sum(n["decision"] != "insignificant" for n in raw["nodes"]) == 5
+        assert sum(e["significant"] for e in raw["edges"]) == 10
 
-        fdr_spec = fvbm.build_network(report, ref.PARTIES, mode="fdr", level=0.10)
-        assert sum(n.decision != "insignificant" for n in fdr_spec.nodes) == 5
-        assert sum(e.significant for e in fdr_spec.edges) == 4
+        fdr = fvbm.build_network(report, ref.PARTIES, mode="fdr", level=0.10)
+        assert sum(n["decision"] != "insignificant" for n in fdr["nodes"]) == 5
+        assert sum(e["significant"] for e in fdr["edges"]) == 4
 
         # same counts when the adjusted values are recomputed from the raw ones
         recomputed = fvbm.InferenceReport(
@@ -278,6 +278,6 @@ def test_criterion_11_graph_counts():
             ),
             adjustment_groups=fvbm.default_groups(8),
         )
-        spec = fvbm.build_network(recomputed, ref.PARTIES, mode="fdr", level=0.10)
-        assert sum(n.decision != "insignificant" for n in spec.nodes) == 5
-        assert sum(e.significant for e in spec.edges) == 4
+        network = fvbm.build_network(recomputed, ref.PARTIES, mode="fdr", level=0.10)
+        assert sum(n["decision"] != "insignificant" for n in network["nodes"]) == 5
+        assert sum(e["significant"] for e in network["edges"]) == 4

@@ -8,10 +8,10 @@ import pytest
 
 import fvbm
 from fvbm import jsonio
-from fvbm.graph import EdgeSpec, NetworkSpec, NodeSpec
+from fvbm.cli import main
 
 import reference_values as ref
-from oracles import listed_network_to_json_dict
+from oracles import listed_network
 
 
 def _reference_report() -> fvbm.InferenceReport:
@@ -25,18 +25,37 @@ def _reference_report() -> fvbm.InferenceReport:
     )
 
 
+def _random_report(d: int, seed: int) -> fvbm.InferenceReport:
+    """A report of dimension d with p-values of 0 and 1 among uniform ones,
+    a zero estimate and estimates of both signs."""
+    rng = np.random.default_rng(seed)
+    p_len = fvbm.flat_length(d)
+    estimates = rng.normal(size=p_len)
+    estimates[rng.integers(p_len)] = 0.0
+    p = rng.uniform(size=p_len) ** 4
+    p[rng.integers(p_len, size=2)] = [0.0, 1.0]
+    return fvbm.InferenceReport(
+        estimates=estimates,
+        standard_errors=np.ones(p_len),
+        z_scores=estimates,
+        p_values=p,
+        adjusted_p_values=np.minimum(1.0, 3.0 * p),
+        adjustment_groups=fvbm.default_groups(d),
+    )
+
+
 def test_raw_mode_reference_counts():
-    spec = fvbm.build_network(_reference_report(), ref.PARTIES, mode="raw", level=0.05)
-    significant_nodes = sum(n.decision != "insignificant" for n in spec.nodes)
-    solid_edges = sum(e.significant for e in spec.edges)
+    network = fvbm.build_network(_reference_report(), ref.PARTIES, mode="raw", level=0.05)
+    significant_nodes = sum(n["decision"] != "insignificant" for n in network["nodes"])
+    solid_edges = sum(e["significant"] for e in network["edges"])
     assert significant_nodes == ref.RAW_SIGNIFICANT_BIASES
     assert solid_edges == ref.RAW_SIGNIFICANT_INTERACTIONS
 
 
 def test_fdr_mode_reference_counts():
-    spec = fvbm.build_network(_reference_report(), ref.PARTIES, mode="fdr", level=0.10)
-    significant_nodes = sum(n.decision != "insignificant" for n in spec.nodes)
-    solid_edges = sum(e.significant for e in spec.edges)
+    network = fvbm.build_network(_reference_report(), ref.PARTIES, mode="fdr", level=0.10)
+    significant_nodes = sum(n["decision"] != "insignificant" for n in network["nodes"])
+    solid_edges = sum(e["significant"] for e in network["edges"])
     assert significant_nodes == ref.FDR_SIGNIFICANT_BIASES
     assert solid_edges == ref.FDR_SIGNIFICANT_INTERACTIONS
 
@@ -44,16 +63,16 @@ def test_fdr_mode_reference_counts():
 def test_decisions_match_thresholding():
     report = _reference_report()
     for mode, level in (("raw", 0.05), ("fdr", 0.10)):
-        spec = fvbm.build_network(report, ref.PARTIES, mode=mode, level=level)
+        network = fvbm.build_network(report, ref.PARTIES, mode=mode, level=level)
         p = report.p_values if mode == "raw" else report.adjusted_p_values
-        for i, node in enumerate(spec.nodes):
-            assert (node.decision != "insignificant") == (p[i] <= level)
-            if node.decision == "positive-significant":
+        for i, node in enumerate(network["nodes"]):
+            assert (node["decision"] != "insignificant") == (p[i] <= level)
+            if node["decision"] == "positive-significant":
                 assert report.estimates[i] >= 0
-            if node.decision == "negative-significant":
+            if node["decision"] == "negative-significant":
                 assert report.estimates[i] < 0
-        for slot, edge in enumerate(spec.edges):
-            assert edge.significant == (p[8 + slot] <= level)
+        for slot, edge in enumerate(network["edges"]):
+            assert edge["significant"] == (p[8 + slot] <= level)
 
 
 def test_all_insignificant_when_p_is_one():
@@ -66,10 +85,10 @@ def test_all_insignificant_when_p_is_one():
         adjusted_p_values=p,
         adjustment_groups=fvbm.default_groups(3),
     )
-    spec = fvbm.build_network(report, ["A", "B", "C"], mode="raw", level=0.05)
-    assert all(n.decision == "insignificant" for n in spec.nodes)
-    assert all(not e.significant for e in spec.edges)
-    assert all(e.thickness == 0.1 for e in spec.edges)
+    network = fvbm.build_network(report, ["A", "B", "C"], mode="raw", level=0.05)
+    assert all(n["decision"] == "insignificant" for n in network["nodes"])
+    assert all(not e["significant"] for e in network["edges"])
+    assert all(e["thickness"] == 0.1 for e in network["edges"])
 
 
 def test_thickness_monotone_and_clamped():
@@ -84,8 +103,8 @@ def test_thickness_monotone_and_clamped():
 
 
 def test_opacity_scaling():
-    spec = fvbm.build_network(_reference_report(), ref.PARTIES, mode="raw", level=0.05)
-    opacities = {n.label: n.opacity for n in spec.nodes}
+    network = fvbm.build_network(_reference_report(), ref.PARTIES, mode="raw", level=0.05)
+    opacities = {n["label"]: n["opacity"] for n in network["nodes"]}
     biases = dict(zip(ref.PARTIES, np.abs(ref.BIAS_ESTIMATES)))
     assert opacities["AG"] == 1.0  # largest |bias|
     ordered = sorted(ref.PARTIES, key=lambda p: biases[p])
@@ -113,8 +132,8 @@ _PREAMBLE = re.compile(r"^  (layout=\w+;|node \[[^\]]*\];)$")
 
 
 def test_emit_dot_grammar_and_counts():
-    spec = fvbm.build_network(_reference_report(), ref.PARTIES, mode="fdr", level=0.10)
-    text = fvbm.emit_dot(spec)
+    network = fvbm.build_network(_reference_report(), ref.PARTIES, mode="fdr", level=0.10)
+    text = fvbm.emit_dot(network)
     lines = text.strip().splitlines()
     assert lines[0] == "graph interaction_network {"
     assert lines[-1] == "}"
@@ -146,27 +165,40 @@ def test_emit_dot_edge_styling():
 
 
 def test_emit_dot_deterministic():
-    spec = fvbm.build_network(_reference_report(), ref.PARTIES, mode="raw", level=0.05)
-    assert fvbm.emit_dot(spec) == fvbm.emit_dot(spec)
+    network = fvbm.build_network(_reference_report(), ref.PARTIES, mode="raw", level=0.05)
+    assert fvbm.emit_dot(network) == fvbm.emit_dot(network)
 
 
 def test_network_json_round_trip():
-    spec = fvbm.build_network(_reference_report(), ref.PARTIES, mode="fdr", level=0.10)
-    obj = json.loads(jsonio.dumps(fvbm.network_to_json_dict(spec)))
-    rebuilt = NetworkSpec(
-        nodes=[NodeSpec(**n) for n in obj["nodes"]],
-        edges=[EdgeSpec(**e) for e in obj["edges"]],
-        mode=obj["mode"],
-        level=obj["level"],
-    )
-    assert rebuilt == spec
-    # the record holds copies: editing it leaves the network as it was
-    fvbm.network_to_json_dict(spec)["nodes"][0]["label"] = "edited"
-    assert spec.nodes[0].label == ref.PARTIES[0]
+    network = fvbm.build_network(_reference_report(), ref.PARTIES, mode="fdr", level=0.10)
+    obj = json.loads(jsonio.dumps(network))
+    assert obj == network
+    assert fvbm.emit_dot(obj) == fvbm.emit_dot(network)
+
+
+@pytest.mark.parametrize("d", [1, 2, 10, 24])
+@pytest.mark.parametrize("mode, level", [("raw", 0.05), ("fdr", 0.10)])
+def test_network_matches_the_field_listing_oracle_at_each_size(d, mode, level):
+    report = _random_report(d, seed=d)
+    labels = [f"c{j}" for j in range(d)]
+    network = fvbm.build_network(report, labels, mode=mode, level=level)
+    listed = listed_network(report, labels, mode, level)
+    assert network == listed
+    assert jsonio.dumps(network) == jsonio.dumps(listed)
 
 
 @pytest.mark.parametrize("mode, level", [("raw", 0.05), ("fdr", 0.10)])
 def test_network_json_matches_the_field_listing_oracle(mode, level):
-    spec = fvbm.build_network(_reference_report(), ref.PARTIES, mode=mode, level=level)
-    written = jsonio.dumps(fvbm.network_to_json_dict(spec))
-    assert written == jsonio.dumps(listed_network_to_json_dict(spec))
+    report = _reference_report()
+    network = fvbm.build_network(report, ref.PARTIES, mode=mode, level=level)
+    assert jsonio.dumps(network) == jsonio.dumps(listed_network(report, ref.PARTIES, mode, level))
+
+
+@pytest.mark.parametrize("mode, level", [("raw", 0.05), ("fdr", 0.10)])
+def test_dot_of_the_network_json_read_back_is_the_dot_written(tmp_path, mode, level):
+    report_path = tmp_path / "report.json"
+    jsonio.dump(_random_report(10, seed=5).to_json_dict([f"c{j}" for j in range(10)]), report_path)
+    dot, network = tmp_path / "network.dot", tmp_path / "network.json"
+    argv = ["graph", str(report_path), "--mode", mode, "--level", str(level)]
+    assert main([*argv, "--dot", str(dot), "--json", str(network)]) == 0
+    assert fvbm.emit_dot(jsonio.load(network)) == dot.read_text(encoding="utf-8")

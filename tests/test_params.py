@@ -297,7 +297,3 @@ def test_parameter_record_d_must_be_an_integer_of_at_least_one(d):
     with pytest.raises(fvbm.DataError, match=f"^{re.escape(message)}$"):
         fvbm.FvbmParams.from_json_dict(record)
     assert fvbm.FvbmParams.from_json_dict({**record, "d": 2}).d == 2
-
-
-def test_a_network_of_no_nodes_is_valid():
-    assert fvbm.NetworkSpec(nodes=[], edges=[], mode="raw", level=0.05).nodes == []

@@ -26,6 +26,7 @@ from oracles import (
     list_resolve_splits,
     loop_write_spin_csv,
     random_params,
+    replace_block_plus,
     row_loop_knn_fill,
     traced_peak,
 )
@@ -544,9 +545,9 @@ def test_encode_agreement_rules():
         "1/1,1,Yes,Yes,No\n"
         "1/1,2,No,Yes,No\n"
     )
-    encoded = fvbm.encode_agreement(table, "GOV")
-    assert encoded.labels == ["P1", "P2"]
-    np.testing.assert_array_equal(encoded.values, [[1.0, -1.0], [-1.0, 1.0]])
+    labels, values = fvbm.encode_agreement(table, "GOV")
+    assert labels == ["P1", "P2"]
+    np.testing.assert_array_equal(values, [[1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_encode_agreement_counts_disagreements():
@@ -560,9 +561,9 @@ def test_encode_agreement_counts_disagreements():
         votes.append((gov, p1))
         lines.append(f"1/1,{i},{gov},{p1}")
     table = _table("\n".join(lines) + "\n")
-    encoded = fvbm.encode_agreement(table, "GOV")
+    _, values = fvbm.encode_agreement(table, "GOV")
     disagreements = sum(g != p for g, p in votes)
-    assert int((encoded.values[:, 0] < 0).sum()) == disagreements
+    assert int((values[:, 0] < 0).sum()) == disagreements
 
 
 def test_encode_agreement_requires_complete_table():
@@ -571,6 +572,20 @@ def test_encode_agreement_requires_complete_table():
         fvbm.encode_agreement(table, "GOV")
     with pytest.raises(fvbm.DataError):
         fvbm.encode_agreement(table, "NOPE")
+
+
+def test_encode_agreement_gives_the_pair_that_the_spin_csv_reads_back(tmp_path):
+    table = _table("date,number,GOV,P1,P2\n1/1,1,Yes,Yes,No\n1/1,2,No,Yes,No\n1/1,3,No,No,No\n")
+    labels, values = fvbm.encode_agreement(table, "P1")
+    assert not values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        values[0, 0] = -1.0
+    path = tmp_path / "spins.csv"
+    fvbm.write_spin_csv(path, labels, values)
+    read_labels, read_values = fvbm.read_spin_csv(path)
+    assert read_labels == labels == ["GOV", "P2"]
+    assert read_values.dtype == values.dtype and read_values.shape == values.shape
+    np.testing.assert_array_equal(read_values, values)
 
 
 def test_empirical_proportions():
@@ -678,8 +693,18 @@ def test_writers_refuse_what_check_labels_refuses(tmp_path, labels, message):
     assert not path.exists()
     with pytest.raises(fvbm.DataError, match=message):
         fvbm.spin_matrix_to_json_dict(labels, values)
+
+
+def test_writers_refuse_values_other_than_plus_or_minus_one(tmp_path):
+    path = tmp_path / "spins.csv"
+    values = np.ones((2, 2))
+    values[1, 0] = 0.5
+    message = r"only -1/\+1; offending cell \(row 1, column 0\)"
     with pytest.raises(fvbm.DataError, match=message):
-        fvbm.AgreementMatrix(labels, values)
+        fvbm.write_spin_csv(path, ["a", "b"], values)
+    assert not path.exists()
+    with pytest.raises(fvbm.DataError, match=message):
+        fvbm.spin_matrix_to_json_dict(["a", "b"], values)
 
 
 _UNREADABLE_LABELS = ["a,b", 'a"b', "a\rb", "a\nb", "a\x00b", " a", "a\t", "\x85a", "\udcff"]
@@ -860,7 +885,9 @@ def test_byte_pass_agrees_with_csv_reader_on_mutated_bodies(tmp_path_factory, d,
     text = header.encode() + b"\n" + bytes(body)
     fast = canonical_cells(bytes(body), d)
     plus = votes_module._block_plus(bytes(body), d)
-    # the block decoder accepts the bodies that the whole-body pass accepts
+    # the position decoder accepts the bodies that the replace decoder, run
+    # over the whole body, accepts, with the same cells; that decoder in
+    # turn reads what csv.reader reads
     assert (plus is None) == (fast is None)
     if plus is not None:
         np.testing.assert_array_equal(np.where(plus, 1.0, -1.0), fast)
@@ -875,6 +902,29 @@ def test_byte_pass_agrees_with_csv_reader_on_mutated_bodies(tmp_path_factory, d,
             assert fast.shape == expected[1].shape
             np.testing.assert_array_equal(fast, expected[1])
     _assert_read_as_list_oracle(path)
+
+
+def test_position_decode_agrees_with_replace_decode_on_single_byte_edits():
+    # a deletion, and a substitution and an insertion of each of a set of
+    # near-canonical bytes, at 1200 random places of a d=20 body
+    d = 20
+    values = np.random.default_rng(31).choice([-1.0, 1.0], size=(12, d))
+    values[0, 0] = 1.0
+    body = b"".join(b",".join(b"1" if v > 0 else b"-1" for v in row) + b"\n" for row in values)
+    assert votes_module._block_plus(body, d).tolist() == (values > 0).tolist()
+    # the block's first cell has no byte before it, so the last byte is not
+    # read as its sign
+    edits = [body + b"-"]
+    for at in np.random.default_rng(32).integers(0, len(body), size=1200).tolist():
+        edits.append(body[:at] + body[at + 1 :])
+        for byte in [bytes([b]) for b in b"-1,\n\r0+ "]:
+            edits += [body[:at] + byte + body[at + 1 :], body[:at] + byte + body[at:]]
+    for mutated in edits:
+        plus, oracle = votes_module._block_plus(mutated, d), replace_block_plus(mutated, d)
+        assert (plus is None) == (oracle is None), mutated
+        if plus is not None:
+            assert plus.tolist() == oracle.tolist()
+    assert len(edits) == 1 + 1200 * 17
 
 
 # Faults in the last row of a canonical file: (old bytes, new bytes).
@@ -1027,7 +1077,7 @@ def test_all_missing_column_is_dropped():
     assert kept.cells.tolist() == [[1, 0], [0, 0], [1, 1]]
     complete = fvbm.knn_impute(kept, fvbm.ImputeConfig(k=2))
     np.testing.assert_array_equal(
-        fvbm.encode_agreement(complete, "GOV").values, [[-1.0], [1.0], [1.0]]
+        fvbm.encode_agreement(complete, "GOV")[1], [[-1.0], [1.0], [1.0]]
     )
     # kept at threshold 1, it has no observed cell to impute from
     with pytest.raises(fvbm.DataError, match="column 2 has no neighbor"):
@@ -1087,8 +1137,8 @@ def _stage_outcome(stage, *args):
         out = stage(*args)
     except fvbm.DataError as exc:
         return "error", str(exc)
-    if isinstance(out, fvbm.AgreementMatrix):
-        return out.labels, out.values.tolist()
+    if isinstance(out, tuple):
+        return out[0], out[1].tolist()
     cells = out.cells.tolist() if isinstance(out.cells, np.ndarray) else out.cells
     return out.parties, [[int(v) for v in row] for row in cells]
 
@@ -1104,14 +1154,14 @@ def _oracle_prepare(case, table, records):
         )
     missing = sum(v is Vote.MISSING for row in kept.cells for v in row)
     complete = list_knn_impute(kept, fvbm.ImputeConfig(k=case["k"]))
-    agreement = list_encode_agreement(complete, "GOV")
+    columns, values = list_encode_agreement(complete, "GOV")
     counts = {
         "split_cells_resolved": sum(v is Vote.SPLIT for row in table.cells for v in row),
         "dropped_columns": [p for p in resolved.parties if p not in kept.parties],
         "imputed_cells": missing,
-        "columns": agreement.labels,
+        "columns": columns,
     }
-    return agreement, counts
+    return (columns, values), counts
 
 
 @settings(max_examples=300, deadline=None)
@@ -1158,13 +1208,13 @@ def test_array_stages_match_the_list_oracles(tmp_path_factory, case):
     with contextlib.redirect_stderr(stderr):
         code = main(argv)
     try:
-        agreement, counts = _oracle_prepare(case, listed, records)
+        (columns, expected), counts = _oracle_prepare(case, listed, records)
     except fvbm.DataError as exc:
         assert (code, stderr.getvalue()) == (2, f"data error: {exc}\n")
         return
     assert code == 0
     labels, values = fvbm.read_spin_csv(out)
-    assert labels == agreement.labels
-    np.testing.assert_array_equal(values, agreement.values)
+    assert labels == columns
+    np.testing.assert_array_equal(values, expected)
     prov = json.loads((directory / "m.csv.prov.json").read_text())
     assert {key: prov[key] for key in counts} == counts

@@ -183,6 +183,8 @@ def _read_spins(path) -> tuple[list[str], np.ndarray]:
 
 
 def cmd_prepare(args) -> None:
+    if args.extract_label is not None and not args.extract_member:
+        raise UsageError("--extract-label needs --extract-member")
     output = Path(args.output)
     with _naming(f"votes CSV {args.votes}"):
         table = parse_votes(args.votes)

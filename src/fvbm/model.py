@@ -259,21 +259,16 @@ def pairwise_joint(table: PmfTable, j: int, k: int) -> np.ndarray:
     """2x2 joint of (X_j, X_k): rows index X_j in (+1, -1), columns X_k.
 
     Entry [0, 0] is P(X_j=+1, X_k=+1), entry [1, 1] is P(X_j=-1, X_k=-1).
-    The joint of (X_k, X_j) is exactly its transpose.
+    The joint of (X_k, X_j) is exactly its transpose: both are read from
+    the j < k pair cells.
     """
     if j == k:
         raise ValueError("pairwise joint needs two distinct coordinates")
     _check_coordinate(table, j)
     _check_coordinate(table, k)
-    return _joint(table.pair_cells, j, k)
-
-
-def _joint(cells: np.ndarray, j: int, k: int) -> np.ndarray:
-    """The 2x2 joint of distinct coordinates (X_j, X_k) from pair cells,
-    read from the j < k cells so that (X_k, X_j) gives exactly its transpose."""
     if j > k:
-        return cells[:, k, :, j].T.copy()
-    return cells[:, j, :, k].copy()
+        return table.pair_cells[:, k, :, j].T.copy()
+    return table.pair_cells[:, j, :, k].copy()
 
 
 def concordance(table: PmfTable, j: int, k: int) -> float:

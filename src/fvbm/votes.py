@@ -158,9 +158,13 @@ def resolve_splits(
     party did not split, their own recorded vote on split rows, and
     Missing where no vote is recorded.  The member is excluded from the
     majority computation for their own party, and an exact majority tie
-    maps to Missing.
+    maps to Missing.  ``extract_label`` names that column (default the
+    member's first four letters, upper-cased); without a member it is a
+    ValueError.
     """
     member = extract_member.lower() if extract_member else None
+    if extract_label is not None and member is None:
+        raise ValueError("extract_label needs extract_member")
     split_rows, split_cols = np.nonzero(table.cells == Vote.SPLIT)
     repeated = split_rows[1:][split_rows[1:] == split_rows[:-1]]
     if repeated.size:
@@ -426,16 +430,18 @@ _WRITE_BLOCK = 2048
 
 @functools.cache
 def _cell_table(width: int, last: bool) -> np.ndarray:
-    """The bytes of a run of ``width`` cells for each of its 2^width sign codes.
+    """The bytes of a run of ``width`` cells for each of its 2^width codes.
 
-    Bit j of a code is set when cell j is -1.  A cell reads ``1,`` or
-    ``-1,``, except that the run's final cell ends in a newline when the run
-    ends its row (``last``).  Built by doubling: each cell appends its two
-    forms to every entry so far.  Read-only, as every caller shares it.
+    A run's code is the state index of its cells: bit j is set when cell j
+    is +1, the convention of the state indices in :mod:`fvbm.model`.  A
+    cell reads ``1,`` or ``-1,``, except that the run's final cell ends in a
+    newline when the run ends its row (``last``).  Built by doubling: each
+    cell appends its two forms to every entry so far.  Read-only, as every
+    caller shares it.
     """
     entries = [b""]
     for j in range(width):
-        forms = (b"1\n", b"-1\n") if last and j == width - 1 else (b"1,", b"-1,")
+        forms = (b"-1\n", b"1\n") if last and j == width - 1 else (b"-1,", b"1,")
         entries = [entry + form for form in forms for entry in entries]
     table = np.array(entries, dtype=object)
     table.flags.writeable = False
@@ -446,10 +452,11 @@ def _write_runs(path, labels: list[str], d: int, code_blocks) -> None:
     """Write a spin CSV of ``d`` columns whose rows are given as run codes,
     one array of rows at a time from ``code_blocks`` (deterministic bytes).
 
-    Each row is cut into runs of 8 columns.  Run c's code is 256 c plus its
-    sign code, bit j set when its column j is -1, and picks that run's cell
-    bytes from :func:`_cell_table`, so no cell is formatted on its own.  Each
-    array of codes goes to the file joined, through one handle.
+    Each row is cut into runs of 8 columns, and run c's code, below 2^w for
+    its w columns, is the :func:`_cell_table` key of its cells (bits of the
+    :mod:`fvbm.model` state index).  Offset by 256 c, it picks that run's
+    cell bytes, so no cell is formatted on its own.  Each array of codes
+    goes to the file joined, through one handle.
 
     ``labels`` must be one distinct string per column (:func:`check_labels`)
     that the reader gets back as written (:func:`_csv_header`).  Both are
@@ -458,49 +465,38 @@ def _write_runs(path, labels: list[str], d: int, code_blocks) -> None:
     header = _csv_header(check_labels(labels, d))
     # run c's entries start at 256 c: every run but the last has all 8 columns
     table = np.concatenate([_cell_table(min(8, d - s), s + 8 >= d) for s in range(0, d, 8)])
+    offsets = 256 * np.arange((d + 7) // 8)
     with open(path, "wb") as handle:
         handle.write(header)
         for codes in code_blocks:
-            handle.write(b"".join(table[codes].ravel().tolist()))
+            handle.write(b"".join(table[codes + offsets].ravel().tolist()))
 
 
 def write_spin_csv(path, labels: list[str], values: np.ndarray) -> None:
     """Write a +/-1 matrix as CSV with a label header (deterministic bytes).
 
-    The rows go through :func:`_write_runs` ``_WRITE_BLOCK`` at a time, their
-    run codes taken from one float product with the values that is exact
-    below 256.  ``labels`` are checked as there, after the values.
+    The rows go through :func:`_write_runs` ``_WRITE_BLOCK`` at a time, each
+    run's code packed from its cells' ``> 0``, column 8c + j in bit j of
+    byte c.  ``labels`` are checked as there, after the values.
     """
     x = as_spin_matrix(values, allow_empty=True)
-    # Column j is bit j & 7 of run j >> 3, and (1 - x_j) / 2 is 1 where x_j
-    # is -1, so run c's code is 256 c + sum_j 2^(j & 7) (1 - x_j) / 2: a sum
-    # of halves and powers of two below 256, exact in any order.  The
-    # product's n d ceil(d/8) multiply-adds stay cheaper than the join up to
-    # several hundred columns.
-    d = x.shape[1]
-    columns = np.arange(d)
-    half = np.zeros((d, (d + 7) // 8))
-    half[columns, columns >> 3] = 0.5 * (1 << (columns & 7))
-    base = half.sum(axis=0) + 256.0 * np.arange(half.shape[1])
-    blocks = (x[start : start + _WRITE_BLOCK] for start in range(0, len(x), _WRITE_BLOCK))
-    _write_runs(path, labels, d, ((base - rows @ half).astype(np.intp) for rows in blocks))
+    blocks = (x[start : start + _WRITE_BLOCK] > 0 for start in range(0, len(x), _WRITE_BLOCK))
+    codes = (np.packbits(plus, axis=1, bitorder="little") for plus in blocks)
+    _write_runs(path, labels, x.shape[1], codes)
 
 
 def _write_state_csv(path, labels: list[str], states: np.ndarray, d: int) -> None:
     """Write the spin CSV of ``d``-coordinate state indices without making
     their +/-1 rows: the bytes of :func:`write_spin_csv` of those rows.
 
-    Bit j of a state is set when its column j is +1, and run c holds bits 8c
-    on, so its sign code is ``(~s >> 8c) & (2^w - 1)``, w its number of
-    columns.  The codes go through :func:`_write_runs` ``_WRITE_BLOCK``
-    states at a time.
+    Run c holds bits 8c on of a state, and its bits from d up are zero, so
+    its code is ``(s >> 8c) & 255``.  The codes go through
+    :func:`_write_runs` ``_WRITE_BLOCK`` states at a time.
     """
     shifts = np.arange(0, d, 8)
-    masks = (1 << np.minimum(8, d - shifts)) - 1
-    base = 256 * np.arange(len(shifts))
     starts = range(0, len(states), _WRITE_BLOCK)
     blocks = (states[start : start + _WRITE_BLOCK, None] for start in starts)
-    _write_runs(path, labels, d, (base + ((~s >> shifts) & masks) for s in blocks))
+    _write_runs(path, labels, d, ((s >> shifts) & 255 for s in blocks))
 
 
 # Bytes per read of a spin CSV: a block's bytes and masks stay a few hundred

@@ -524,6 +524,8 @@ def list_resolve_splits(
     """Replace Split cells by the remaining members' majority vote, cell by
     cell (see :func:`fvbm.resolve_splits`)."""
     member = extract_member.lower() if extract_member else None
+    if extract_label is not None and member is None:
+        raise ValueError("extract_label needs extract_member")
     split_rows: list[tuple[int, int]] = []
     for r, row in enumerate(table.cells):
         cols = [c for c, v in enumerate(row) if v is Vote.SPLIT]

@@ -191,6 +191,21 @@ def test_prepare_missing_reference_is_usage_error(tmp_path, votes_csv, splits_cs
     assert code == 1
 
 
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_prepare_extract_label_without_member_is_usage_error(tmp_path, capsys, given):
+    # refused before any file is read: the votes file does not exist
+    argv = ["prepare", str(tmp_path / "absent.csv"), "--reference", "GOV", "-o", str(tmp_path / "m.csv")]
+    if given == "flag":
+        argv += ["--extract-label", "SOLO"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"extract_label": "SOLO"}))
+        argv += ["--config", str(config)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "usage error: --extract-label needs --extract-member\n"
+    assert list(tmp_path.iterdir()) == ([] if given == "flag" else [tmp_path / "config.json"])
+
+
 def test_prepare_config_precedence(tmp_path, votes_csv, splits_csv):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"k": 1, "reference": "GOV"}))

@@ -4,7 +4,6 @@ import functools
 import json
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from oracles import (
     random_spins,
     relative_covariance_error,
     small_spin_tables,
+    traced_peak,
 )
 
 
@@ -365,15 +365,6 @@ def test_report_refuses_exactly_as_the_eigh_oracle(monkeypatch):
     assert paths == {"cholesky", "eigh", "refused"}
 
 
-def _traced_report_peak(record, data):
-    tracemalloc.start()
-    try:
-        fvbm.build_report(record, data)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_report_holds_no_score_matrix():
     # the one-shot meat holds the n-by-p scores together with I2 and
     # inv(I1) at least: 5.9 MiB at d = 24, n = 2000 (6.8 MiB was traced).
@@ -381,7 +372,7 @@ def test_report_holds_no_score_matrix():
     result, data = _fit_d24_draw()
     n, p = data.shape[0], result.params.n_params
     assert _meat_rows(p) < n
-    assert _traced_report_peak(result, data) < 8 * (n * p + 2 * p * p)
+    assert traced_peak(lambda: fvbm.build_report(result, data)) < 8 * (n * p + 2 * p * p)
 
 
 def test_report_at_d24_holds_no_score_block_beside_the_inverse():
@@ -390,7 +381,8 @@ def test_report_at_d24_holds_no_score_block_beside_the_inverse():
     # when the bread came first (3.61 and 4.51 where the call first built
     # the Hessian's cached gather indices)
     blocks = _block_model([8, 8, 8], 24)
-    assert _traced_report_peak(_truth_record(blocks), _block_draw(blocks, 2000)) < 4.0 * 2**20
+    record, data = _truth_record(blocks), _block_draw(blocks, 2000)
+    assert traced_peak(lambda: fvbm.build_report(record, data)) < 4.0 * 2**20
 
 
 @pytest.mark.parametrize("n", [2000, 10_000])
@@ -402,7 +394,8 @@ def test_report_at_d60_holds_three_p_by_p_arrays(n):
     blocks = _block_model([8] * 7 + [4], 60)
     record = _truth_record(blocks)
     p = record.params.n_params
-    assert _traced_report_peak(record, _block_draw(blocks, n)) < 3.25 * p * p * 8
+    data = _block_draw(blocks, n)
+    assert traced_peak(lambda: fvbm.build_report(record, data)) < 3.25 * p * p * 8
 
 
 def test_well_conditioned_report_runs_no_eigh(monkeypatch):

@@ -4,7 +4,6 @@ import json
 import math
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ import fvbm
 from fvbm import jsonio
 from fvbm.params import flat_dimension, slot_map, upper_indices
 
-from oracles import random_params
+from oracles import random_params, traced_peak
 
 
 def test_flat_length():
@@ -271,13 +270,8 @@ def test_spin_validation_names_the_first_offending_cell(bad):
 def test_spin_validation_adds_no_float_temporary():
     # two n-by-d boolean masks (0.76 MiB), not np.abs(x)'s float copy (3 MiB)
     x = np.where(np.random.default_rng(5).random((20_000, 20)) < 0.5, 1.0, -1.0)
-    tracemalloc.start()
-    try:
-        assert fvbm.as_spin_matrix(x) is x
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * x.size + 2**16
+    assert fvbm.as_spin_matrix(x) is x
+    assert traced_peak(lambda: fvbm.as_spin_matrix(x)) < 2 * x.size + 2**16
 
 
 def test_flat_dimension_inverts_flat_length():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import fvbm
 from fvbm import votes as votes_module
 from fvbm.cli import main
+from fvbm.model import _spins
 from fvbm.votes import Vote
 from oracles import (
     ListVoteTable,
@@ -242,6 +243,15 @@ def test_extract_label_override():
         table, _splits(_SPLIT_MEMBERS), extract_member="Culleton", extract_label="SOLO"
     )
     assert resolved.parties[-1] == "SOLO"
+
+
+@pytest.mark.parametrize("member", [None, ""])
+def test_extract_label_without_a_member_is_refused(member):
+    table = _table(_SPLIT_VOTES)
+    with pytest.raises(ValueError, match="^extract_label needs extract_member$"):
+        fvbm.resolve_splits(
+            table, _splits(_SPLIT_MEMBERS), extract_member=member, extract_label="SOLO"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +665,19 @@ def test_spin_csv_bytes_match_loop_oracle_at_block_edges(tmp_path, d, extra):
     n = votes_module._WRITE_BLOCK + extra
     values = np.random.default_rng(100 * d + extra).choice([-1.0, 1.0], size=(n, d))
     _assert_written_as_loop_oracle(tmp_path, [f"X{j}" for j in range(d)], values)
+
+
+@pytest.mark.parametrize("last", [False, True])
+@pytest.mark.parametrize("width", range(1, 9))
+def test_cell_table_keys_runs_by_the_state_index_of_their_cells(width, last):
+    # bit j of a code is set when cell j is +1, as in the model's state indices
+    codes = np.arange(1 << width)
+    expected = [
+        "".join(f"{int(cell)}," for cell in cells)[:-1] + ("\n" if last else ",")
+        for cells in _spins(codes, width)
+    ]
+    table = votes_module._cell_table(width, last)
+    assert [entry.decode() for entry in table] == expected
 
 
 @pytest.mark.parametrize("d", [1, 7, 8, 9, 16, 17, 20])
@@ -1132,11 +1155,11 @@ def vote_cases(draw):
 
 def _stage_outcome(stage, *args):
     """What a stage gives: a table's parties and codes, a matrix's labels
-    and values, or the message of its DataError."""
+    and values, or the type and message of its ValueError (a DataError is one)."""
     try:
         out = stage(*args)
-    except fvbm.DataError as exc:
-        return "error", str(exc)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
     if isinstance(out, tuple):
         return out[0], out[1].tolist()
     cells = out.cells.tolist() if isinstance(out.cells, np.ndarray) else out.cells
@@ -1207,6 +1230,10 @@ def test_array_stages_match_the_list_oracles(tmp_path_factory, case):
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
         code = main(argv)
+    if case["label"] and not case["extract"]:
+        usage = "usage error: --extract-label needs --extract-member\n"
+        assert (code, stderr.getvalue()) == (1, usage)
+        return
     try:
         (columns, expected), counts = _oracle_prepare(case, listed, records)
     except fvbm.DataError as exc:
